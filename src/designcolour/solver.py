@@ -4,6 +4,20 @@ The solver is a backtracking search over point (or group) colour
 assignments with constraint propagation and colour-symmetry breaking.  A
 "not-colourable" verdict is only produced after the symmetry-reduced space
 has been exhausted, so it is a certificate, not a heuristic answer.
+
+`decide_colourable` searches in up to two passes over one engine:
+
+* the search pass branches on the most-constrained variable, the
+  unassigned one with the fewest colours left (lowest index on ties;
+  Brelaz, CACM 22(4), 1979).  It decides the instance, and a
+  not-colourable verdict is its exhausted tree;
+* on a colourable verdict, the witness pass branches in natural variable
+  order, so its first solution is the lexicographically least witness.
+
+`SolveResult` reports the nodes of each pass.  The engine's trail is a
+flat list of ints: a variable index for an assignment, and an old domain
+mask followed by the complement of a variable index for a domain change
+(see `_Engine`).
 """
 from __future__ import annotations
 
@@ -24,6 +38,14 @@ MODES = ("weak", "block-equitable", "group-monochromatic", "group-equitable")
 COLOURABLE = "colourable"
 NOT_COLOURABLE = "not-colourable"
 BUDGET_EXCEEDED = "budget-exceeded"
+
+
+class InternalConsistencyError(AssertionError):
+    """A solver invariant failed: a bug, never a property of the input.
+
+    Raised explicitly, so the checks survive `python -O`; it subclasses
+    AssertionError so callers that caught the old asserts still do.
+    """
 
 
 class BudgetExceededError(RuntimeError):
@@ -52,7 +74,14 @@ class SolveResult:
     c: int
     mode: str
     witness: Optional[Colouring]
-    nodes: int
+    search_nodes: int
+    witness_nodes: int
+
+    @property
+    def nodes(self) -> int:
+        """Nodes of both passes: the search pass and, on a colourable
+        verdict, the natural-order pass that picks the witness."""
+        return self.search_nodes + self.witness_nodes
 
     @property
     def colourable(self) -> bool:
@@ -95,9 +124,26 @@ class _Exhausted(Exception):
 class _Engine:
     """Backtracking colourer over 'not all equal' and counted constraints.
 
-    weak constraints forbid a member set from being single-coloured;
+    Weak constraints forbid a member set from being single-coloured;
     counted constraints bound every colour's count within a member set by
-    [floor, cap].  Domains are bitmasks; forced assignments cascade.
+    [floor, cap].  Domains are bitmasks; an assignment strips or restricts
+    the domains it rules out, and a domain left with one colour forces
+    that colour, cascading until nothing changes or a constraint fails.
+
+    `search` runs one depth-first pass.  The branching variable is the
+    unassigned one with the fewest colours left in its domain (lowest
+    index on ties) when `most_constrained` is set, and the lowest-index
+    unassigned one otherwise; colours are tried in ascending order, and a
+    variable may take at most one colour above the highest used so far,
+    which breaks the symmetry between unused colours.
+
+    The trail holds ints.  A non-negative entry x records the assignment
+    of variable x: undoing it walks x's constraint lists and decrements
+    the counters of its colour, so `_assign` applies all of a variable's
+    counter increments before any check can fail.  A domain change
+    pushes the old mask and then ~y, which is negative.  `max_used` is
+    not trailed: each `_dfs` frame restores it.  Counters are flat lists
+    indexed by ci * c + colour.
     """
 
     def __init__(
@@ -106,16 +152,15 @@ class _Engine:
         c: int,
         weak: list[tuple[int, ...]],
         counted: list[tuple[tuple[int, ...], int, int]],
-        order: list[int],
         budget: _Budget,
     ):
         self.n = n
         self.c = c
         self.weak = weak
+        self.w_size = [len(m) for m in weak]
         self.counted = [m for m, _, _ in counted]
         self.caps = [cap for _, cap, _ in counted]
         self.floors = [fl for _, _, fl in counted]
-        self.order = order
         self.budget = budget
         self.var_weak: list[list[int]] = [[] for _ in range(n)]
         for ci, members in enumerate(weak):
@@ -125,159 +170,167 @@ class _Engine:
         for ci, (members, _, _) in enumerate(counted):
             for x in members:
                 self.var_ctr[x].append(ci)
-        full = (1 << c) - 1
         self.colour = [-1] * n
-        self.dom = [full] * n
-        self.w_cnt = [[0] * c for _ in weak]
+        self.dom = [(1 << c) - 1] * n
+        self.w_cnt = [0] * (c * len(weak))
         self.w_ass = [0] * len(weak)
-        self.t_cnt = [[0] * c for _ in counted]
+        self.t_cnt = [0] * (c * len(counted))
         self.t_ass = [0] * len(counted)
         self.deficit = [c * fl for fl in self.floors]
         self.max_used = -1
-
-    # trail entries: ("col", x), ("dom", x, old), ("w", ci, col), ("t", ci, col)
-
-    def _strip(self, y: int, colr: int, trail: list, forced: list) -> bool:
-        old = self.dom[y]
-        new = old & ~(1 << colr)
-        if new == old:
-            return True
-        if new == 0:
-            return False
-        trail.append(("dom", y, old))
-        self.dom[y] = new
-        if new & (new - 1) == 0:
-            forced.append((y, new.bit_length() - 1))
-        return True
+        self.most_constrained = False
 
     def _restrict(self, y: int, mask: int, trail: list, forced: list) -> bool:
-        old = self.dom[y]
+        dom = self.dom
+        old = dom[y]
         new = old & mask
         if new == old:
             return True
         if new == 0:
             return False
-        trail.append(("dom", y, old))
-        self.dom[y] = new
+        trail.append(old)
+        trail.append(~y)
+        dom[y] = new
         if new & (new - 1) == 0:
             forced.append((y, new.bit_length() - 1))
         return True
 
     def _assign(self, x0: int, colr0: int, trail: list) -> bool:
+        c = self.c
+        colour = self.colour
+        dom = self.dom
+        w_cnt, w_ass, w_size = self.w_cnt, self.w_ass, self.w_size
+        t_cnt, t_ass = self.t_cnt, self.t_ass
+        floors, caps, deficit = self.floors, self.caps, self.deficit
+        weak, counted = self.weak, self.counted
         forced = [(x0, colr0)]
         while forced:
             x, colr = forced.pop()
-            if self.colour[x] != -1:
-                if self.colour[x] != colr:
+            if colour[x] != -1:
+                if colour[x] != colr:
                     return False
                 continue
-            if not (self.dom[x] >> colr) & 1:
+            if not (dom[x] >> colr) & 1:
                 return False
-            self.colour[x] = colr
-            trail.append(("col", x))
+            colour[x] = colr
+            trail.append(x)
             if colr > self.max_used:
-                trail.append(("max", self.max_used))
                 self.max_used = colr
-            for ci in self.var_weak[x]:
-                cnt = self.w_cnt[ci]
-                cnt[colr] += 1
-                self.w_ass[ci] += 1
-                trail.append(("w", ci, colr))
-                members = self.weak[ci]
-                size = len(members)
-                if cnt[colr] == size:
+            var_weak = self.var_weak[x]
+            var_ctr = self.var_ctr[x]
+            for ci in var_weak:
+                w_cnt[ci * c + colr] += 1
+                w_ass[ci] += 1
+            for ci in var_ctr:
+                k = ci * c + colr
+                if t_cnt[k] < floors[ci]:
+                    deficit[ci] -= 1
+                t_cnt[k] += 1
+                t_ass[ci] += 1
+            strip = ~(1 << colr)
+            for ci in var_weak:
+                cnt = w_cnt[ci * c + colr]
+                size = w_size[ci]
+                if cnt == size:
                     return False
-                if self.w_ass[ci] == size - 1 and cnt[colr] == size - 1:
-                    for y in members:
-                        if self.colour[y] == -1:
-                            if not self._strip(y, colr, trail, forced):
+                if w_ass[ci] == size - 1 and cnt == size - 1:
+                    for y in weak[ci]:
+                        if colour[y] == -1:
+                            if not self._restrict(y, strip, trail, forced):
                                 return False
                             break
-            for ci in self.var_ctr[x]:
-                cnt = self.t_cnt[ci]
-                fl = self.floors[ci]
-                if cnt[colr] < fl:
-                    self.deficit[ci] -= 1
-                cnt[colr] += 1
-                self.t_ass[ci] += 1
-                trail.append(("t", ci, colr))
-                if cnt[colr] > self.caps[ci]:
+            for ci in var_ctr:
+                cnt = t_cnt[ci * c + colr]
+                if cnt > caps[ci]:
                     return False
-                members = self.counted[ci]
-                remaining = len(members) - self.t_ass[ci]
-                if self.deficit[ci] > remaining:
+                members = counted[ci]
+                remaining = len(members) - t_ass[ci]
+                if deficit[ci] > remaining:
                     return False
-                if cnt[colr] == self.caps[ci]:
+                if cnt == caps[ci]:
                     for y in members:
-                        if self.colour[y] == -1:
-                            if not self._strip(y, colr, trail, forced):
+                        if colour[y] == -1:
+                            if not self._restrict(y, strip, trail, forced):
                                 return False
-                if self.deficit[ci] == remaining and remaining > 0:
+                if deficit[ci] == remaining and remaining > 0:
+                    fl = floors[ci]
+                    base = ci * c
                     need = 0
-                    for cc in range(self.c):
-                        if cnt[cc] < fl:
+                    for cc in range(c):
+                        if t_cnt[base + cc] < fl:
                             need |= 1 << cc
                     for y in members:
-                        if self.colour[y] == -1:
+                        if colour[y] == -1:
                             if not self._restrict(y, need, trail, forced):
                                 return False
         return True
 
     def _undo(self, trail: list, mark: int) -> None:
+        c = self.c
+        colour = self.colour
+        w_cnt, w_ass = self.w_cnt, self.w_ass
+        t_cnt, t_ass = self.t_cnt, self.t_ass
+        floors, deficit = self.floors, self.deficit
+        dom, var_weak, var_ctr = self.dom, self.var_weak, self.var_ctr
         while len(trail) > mark:
-            entry = trail.pop()
-            tag = entry[0]
-            if tag == "col":
-                self.colour[entry[1]] = -1
-            elif tag == "dom":
-                self.dom[entry[1]] = entry[2]
-            elif tag == "w":
-                ci, colr = entry[1], entry[2]
-                self.w_cnt[ci][colr] -= 1
-                self.w_ass[ci] -= 1
-            elif tag == "t":
-                ci, colr = entry[1], entry[2]
-                cnt = self.t_cnt[ci]
-                cnt[colr] -= 1
-                self.t_ass[ci] -= 1
-                if cnt[colr] < self.floors[ci]:
-                    self.deficit[ci] += 1
-            else:  # "max"
-                self.max_used = entry[1]
+            x = trail.pop()
+            if x < 0:
+                dom[~x] = trail.pop()
+                continue
+            colr = colour[x]
+            colour[x] = -1
+            for ci in var_weak[x]:
+                w_cnt[ci * c + colr] -= 1
+                w_ass[ci] -= 1
+            for ci in var_ctr[x]:
+                k = ci * c + colr
+                t_cnt[k] -= 1
+                t_ass[ci] -= 1
+                if t_cnt[k] < floors[ci]:
+                    deficit[ci] += 1
 
-    def search(self) -> Optional[list[int]]:
-        """First solution in the engine's branching order, or None.
+    def search(self, most_constrained: bool) -> Optional[list[int]]:
+        """First solution of one depth-first pass, or None.
 
-        Raises _Exhausted via the budget when limits run out.
+        The engine is back in its initial state afterwards, so it can run
+        another pass.  Raises _Exhausted via the budget when limits run out.
         """
-        trail: list = []
-        if not self._dfs(0, trail):
-            return None
-        return list(self.colour)
+        self.most_constrained = most_constrained
+        trail: list[int] = []
+        solution = list(self.colour) if self._dfs(0, trail) else None
+        self._undo(trail, 0)
+        self.max_used = -1
+        return solution
 
-    def _next_var(self, idx: int) -> int:
-        order = self.order
-        while idx < len(order) and self.colour[order[idx]] != -1:
-            idx += 1
-        return idx
-
-    def _dfs(self, idx: int, trail: list) -> bool:
-        idx = self._next_var(idx)
-        if idx == len(self.order):
+    def _dfs(self, start: int, trail: list) -> bool:
+        """Extend the current assignment; variables below `start` are set."""
+        colour = self.colour
+        dom = self.dom
+        n = self.n
+        while start < n and colour[start] != -1:
+            start += 1
+        if start == n:
             return True
-        x = self.order[idx]
-        cap = min(self.max_used + 2, self.c)
-        allowed = self.dom[x] & ((1 << cap) - 1)
+        x = start
+        if self.most_constrained:
+            fewest = dom[x].bit_count()
+            for y in range(x + 1, n):
+                if colour[y] == -1:
+                    size = dom[y].bit_count()
+                    if size < fewest:
+                        x, fewest = y, size
+        saved = self.max_used
+        allowed = dom[x] & ((1 << min(saved + 2, self.c)) - 1)
         colr = 0
         while allowed:
             if allowed & 1:
                 if not self.budget.spend():
                     raise _Exhausted
                 mark = len(trail)
-                if self._assign(x, colr, trail):
-                    if self._dfs(idx + 1, trail):
-                        return True
+                if self._assign(x, colr, trail) and self._dfs(start, trail):
+                    return True
                 self._undo(trail, mark)
+                self.max_used = saved
             allowed >>= 1
             colr += 1
         return False
@@ -296,39 +349,30 @@ def _dedupe(seqs) -> list[tuple[int, ...]]:
 
 def _build_problem(
     d: Design, g: Optional[Grouping], c: int, mode: str
-) -> tuple[int, list, list, list[int]]:
-    """Translate a design and mode into engine constraints and an order.
+) -> tuple[int, list, list]:
+    """Translate a design and mode into engine constraints.
 
-    Returns (n_vars, weak, counted, decision_order).  For the
-    group-monochromatic mode the variables are groups, not points.
+    Returns (n_vars, weak, counted).  For the group-monochromatic mode the
+    variables are groups, not points.
     """
     if mode not in MODES:
         raise DesignError(f"unknown colouring mode {mode!r}")
     if mode in ("group-monochromatic", "group-equitable") and g is None:
         raise DesignError(f"mode {mode!r} requires a grouping")
-    if mode == "group-monochromatic":
-        assert g is not None
-        gi = g.group_index
-        weak = _dedupe({gi[p] for p in blk} for blk in d.blocks)
-        degree = [0] * g.u
-        for members in weak:
-            for x in members:
-                degree[x] += 1
-        order = sorted(range(g.u), key=lambda x: (-degree[x], x))
-        return g.u, weak, [], order
-    n = d.v
-    degree = d.point_degrees()
-    order = sorted(range(n), key=lambda x: (-degree[x], x))
     if mode == "weak":
-        return n, _dedupe(d.blocks), [], order
+        return d.v, _dedupe(d.blocks), []
     if mode == "block-equitable":
         counted = [
             (blk, -(-len(blk) // c), len(blk) // c) for blk in _dedupe(d.blocks)
         ]
-        return n, [], counted, order
-    assert g is not None
+        return d.v, [], counted
+    if g is None:
+        raise InternalConsistencyError(f"mode {mode!r} reached without a grouping")
+    if mode == "group-monochromatic":
+        gi = g.group_index
+        return g.u, _dedupe({gi[p] for p in blk} for blk in d.blocks), []
     counted = [(grp, -(-len(grp) // c), len(grp) // c) for grp in g.groups]
-    return n, _dedupe(d.blocks), counted, order
+    return d.v, _dedupe(d.blocks), counted
 
 
 def _expand_group_witness(g: Grouping, group_colours: list[int], c: int) -> Colouring:
@@ -362,30 +406,38 @@ def decide_colourable(
     """
     if c < 1:
         raise DesignError("colour count must be at least 1")
-    budget = budget or SearchBudget()
-    tracker = _Budget(budget)
-    n, weak, counted, order = _build_problem(d, g, c, mode)
+    tracker = _Budget(budget or SearchBudget())
+    n, weak, counted = _build_problem(d, g, c, mode)
+    engine = _Engine(n, c, weak, counted, tracker)
     try:
-        engine = _Engine(n, c, weak, counted, order, tracker)
-        solution = engine.search()
-        if solution is None:
-            return SolveResult(NOT_COLOURABLE, c, mode, None, tracker.nodes)
-        # Second pass in natural variable order yields the lexicographically
-        # least witness; it exists, so this search is cheap.
-        engine = _Engine(n, c, weak, counted, list(range(n)), tracker)
-        solution = engine.search()
-        assert solution is not None
+        solution = engine.search(most_constrained=True)
     except _Exhausted:
-        return SolveResult(BUDGET_EXCEEDED, c, mode, None, tracker.nodes)
+        return SolveResult(BUDGET_EXCEEDED, c, mode, None, tracker.nodes, 0)
+    search_nodes = tracker.nodes
+    if solution is None:
+        return SolveResult(NOT_COLOURABLE, c, mode, None, search_nodes, 0)
+    try:
+        solution = engine.search(most_constrained=False)
+    except _Exhausted:
+        return SolveResult(
+            BUDGET_EXCEEDED, c, mode, None, search_nodes, tracker.nodes - search_nodes
+        )
+    if solution is None:
+        raise InternalConsistencyError("the witness pass found no colouring, the search pass did")
     if mode == "group-monochromatic":
-        assert g is not None
+        if g is None:
+            raise InternalConsistencyError("group witness without a grouping")
         witness = _expand_group_witness(g, solution, c)
     else:
         witness = Colouring(c, tuple(solution))
     report = _checker(d, g, mode)(witness)
     if not report.passed:
-        raise AssertionError(f"solver produced an invalid witness: {report.violations[:3]}")
-    return SolveResult(COLOURABLE, c, mode, witness, tracker.nodes)
+        raise InternalConsistencyError(
+            f"solver produced an invalid witness: {report.violations[:3]}"
+        )
+    return SolveResult(
+        COLOURABLE, c, mode, witness, search_nodes, tracker.nodes - search_nodes
+    )
 
 
 def chromatic_number(
@@ -398,33 +450,58 @@ def chromatic_number(
 
     Only the weak and group-monochromatic notions have a well-defined
     minimum (equitable colourability is not monotone in c), so other modes
-    are rejected.
+    are rejected.  One budget spans the whole call: its node limit bounds
+    the nodes of every colour count together, and its time limit is one
+    deadline for all of them.
     """
     if mode not in ("weak", "group-monochromatic"):
         raise DesignError(f"chromatic number is defined only for weak and group-monochromatic modes, not {mode!r}")
     budget = budget or SearchBudget()
-    c = 1 if not d.blocks else 2
-    refutation: Optional[SolveResult] = None
-    if d.blocks and c == 2:
-        # Trivial exhaustion certificate at one colour: any block is
-        # monochromatic.
-        refutation = decide_colourable(d, g, 1, mode, budget)
-        if refutation.status == COLOURABLE:
-            raise AssertionError("a design with blocks cannot be 1-colourable")
-    limit = max(d.v, 1) if mode == "weak" else (g.u if g is not None else 1)
-    while True:
-        result = decide_colourable(d, g, c, mode, budget)
-        if result.status == COLOURABLE:
-            assert result.witness is not None
-            return ChromaticResult(c, result.witness, refutation, mode)
+    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
+    spent = 0
+
+    def decide(c: int) -> SolveResult:
+        # Each decision gets what is left of the budget.  Every decision
+        # on a design with blocks tries at least one node, so nothing left
+        # means this one would exceed.
+        nonlocal spent
+        node_limit = budget.node_limit
+        if node_limit is not None:
+            node_limit -= spent
+        time_limit = None if deadline is None else deadline - time.monotonic()
+        if (node_limit is not None and node_limit <= 0) or (
+            time_limit is not None and time_limit <= 0
+        ):
+            raise BudgetExceededError(
+                f"budget exhausted before deciding {c}-colourability", spent
+            )
+        result = decide_colourable(d, g, c, mode, SearchBudget(node_limit, time_limit))
+        spent += result.nodes
         if result.status == BUDGET_EXCEEDED:
             raise BudgetExceededError(
-                f"budget exhausted while deciding {c}-colourability", result.nodes
+                f"budget exhausted while deciding {c}-colourability", spent
             )
+        return result
+
+    c = 1 if not d.blocks else 2
+    refutation: Optional[SolveResult] = None
+    if d.blocks:
+        # Trivial exhaustion certificate at one colour: any block is
+        # monochromatic.
+        refutation = decide(1)
+        if refutation.status == COLOURABLE:
+            raise InternalConsistencyError("a design with blocks cannot be 1-colourable")
+    limit = max(d.v, 1) if mode == "weak" else (g.u if g is not None else 1)
+    while True:
+        result = decide(c)
+        if result.status == COLOURABLE:
+            if result.witness is None:
+                raise InternalConsistencyError("colourable result without a witness")
+            return ChromaticResult(c, result.witness, refutation, mode)
         refutation = result
         c += 1
         if c > limit + 1:
-            raise AssertionError("search exceeded the rainbow colouring bound")
+            raise InternalConsistencyError("search exceeded the rainbow colouring bound")
 
 
 def upper_bound_colouring(d: Design, g: Grouping) -> Colouring:

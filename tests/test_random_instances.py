@@ -1,6 +1,7 @@
 """Randomized cross-checks: solver vs enumeration, files vs round-trip."""
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from designcolour import (
     Design,
     Grouping,
     check_block_equitable,
+    check_group_colouring,
     check_weak,
     decide_colourable,
     parse_design,
@@ -59,14 +61,44 @@ def test_group_modes_match_enumeration(design, data):
         ("group-monochromatic", "monochromatic"),
         ("group-equitable", "group-equitable"),
     ]:
-        from designcolour import check_group_colouring
-
         expected = any(
             check_group_colouring(design, grouping, Colouring(c, assignment), checker).passed
             for assignment in product(range(c), repeat=design.v)
         )
         got = decide_colourable(design, grouping, c, mode).colourable
         assert got == expected, mode
+
+
+WITNESS_CHECKS = {
+    "weak": lambda d, g, col: check_weak(d, col),
+    "block-equitable": lambda d, g, col: check_block_equitable(d, col),
+    "group-monochromatic": lambda d, g, col: check_group_colouring(d, g, col, "monochromatic"),
+    "group-equitable": lambda d, g, col: check_group_colouring(d, g, col, "group-equitable"),
+}
+
+
+@pytest.mark.parametrize("mode", list(WITNESS_CHECKS))
+@settings(max_examples=100, deadline=None)
+@given(design=small_designs(), data=st.data())
+def test_witness_is_lexicographically_least(mode, design, data):
+    # The search pass branches on the most-constrained variable; the
+    # witness must still be the first valid assignment in point-major
+    # lexicographic order, or None when there is none.
+    cut = data.draw(st.integers(1, design.v - 1))
+    grouping = Grouping(design.v, (tuple(range(cut)), tuple(range(cut, design.v))))
+    c = data.draw(st.integers(2, 3))
+    check = WITNESS_CHECKS[mode]
+    expected = next(
+        (
+            assignment
+            for assignment in product(range(c), repeat=design.v)
+            if check(design, grouping, Colouring(c, assignment)).passed
+        ),
+        None,
+    )
+    result = decide_colourable(design, grouping, c, mode)
+    got = result.witness.assignment if result.colourable else None
+    assert got == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,14 @@
 """Solver verdicts cross-checked against exhaustive colouring enumeration."""
+import os
+import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import designcolour
 from designcolour import (
     BudgetExceededError,
     Colouring,
@@ -18,7 +24,12 @@ from designcolour import (
     decide_colourable,
     upper_bound_colouring,
 )
-from designcolour.solver import BUDGET_EXCEEDED, COLOURABLE, NOT_COLOURABLE
+from designcolour.solver import (
+    BUDGET_EXCEEDED,
+    COLOURABLE,
+    NOT_COLOURABLE,
+    InternalConsistencyError,
+)
 from designcolour.td import build_td
 from designcolour.transforms import delete_point, pc_to_gdd
 
@@ -76,6 +87,38 @@ class TestDecide:
         d = catalog_get("sts21").design
         result = decide_colourable(d, None, 3, "weak", SearchBudget(node_limit=5))
         assert result.status == BUDGET_EXCEEDED
+
+    def test_nodes_per_pass(self):
+        d = catalog_get("sts9").design
+        refuted = decide_colourable(d, None, 2, "weak")
+        assert refuted.witness_nodes == 0 and refuted.nodes == refuted.search_nodes > 0
+        coloured = decide_colourable(d, None, 3, "weak")
+        assert coloured.search_nodes > 0 and coloured.witness_nodes > 0
+        assert coloured.nodes == coloured.search_nodes + coloured.witness_nodes
+
+    def test_corrupted_witness_check_raises_under_optimize(self):
+        # The invariant checks are explicit raises, not asserts, so they
+        # hold in an interpreter started with -O; callers that catch
+        # AssertionError still catch them.
+        assert issubclass(InternalConsistencyError, AssertionError)
+        script = (
+            "import types\n"
+            "import designcolour.solver as s\n"
+            "from designcolour import catalog_get\n"
+            "s.check_weak = lambda d, col: types.SimpleNamespace(passed=False, violations=['corrupted'])\n"
+            "try:\n"
+            "    s.decide_colourable(catalog_get('sts9').design, None, 3, 'weak')\n"
+            "except s.InternalConsistencyError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(designcolour.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"
 
 
 class TestBruteAgreement:
@@ -135,6 +178,26 @@ class TestChromatic:
         d = catalog_get("sts21").design
         with pytest.raises(BudgetExceededError):
             chromatic_number(d, None, "weak", SearchBudget(node_limit=3))
+
+    def test_one_budget_spans_every_colour_count(self):
+        d = catalog_get("sts13").design
+        per_c = [decide_colourable(d, None, c, "weak").nodes for c in (1, 2, 3)]
+        assert max(per_c) < sum(per_c)
+        with pytest.raises(BudgetExceededError):
+            chromatic_number(d, None, "weak", SearchBudget(node_limit=max(per_c)))
+        assert chromatic_number(d, None, "weak", SearchBudget(node_limit=sum(per_c))).chi == 3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relabelled_sts21_is_4_chromatic(self, seed):
+        d = catalog_get("sts21").design
+        perm = list(range(d.v))
+        random.Random(seed).shuffle(perm)
+        relabelled = Design(d.v, tuple(tuple(perm[p] for p in blk) for blk in d.blocks))
+        result = chromatic_number(relabelled)
+        assert result.chi == 4
+        assert result.refutation is not None and result.refutation.c == 3
+        assert result.refutation.status == NOT_COLOURABLE
+        assert check_weak(relabelled, result.witness).passed
 
     def test_group_monochromatic_on_td(self):
         d, g = build_td(4, 4)
