@@ -260,6 +260,16 @@ def _cmd_construct(args, out) -> int:
     return EXIT_UNSUPPORTED
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="designcolour",
@@ -292,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analyze", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--budget-nodes", type=int, default=100_000_000)
     p.add_argument("--budget-secs", type=float, default=None)
 

@@ -8,9 +8,13 @@ lambda times).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Optional
+from functools import cached_property
+from itertools import combinations, islice
+from math import comb
+from operator import eq
+from typing import Optional, Sequence
 
 Block = tuple[int, ...]
 Pair = tuple[int, int]
@@ -72,11 +76,7 @@ class Design:
 
     def pair_multiplicities(self) -> dict[Pair, int]:
         """Coverage count for every pair that occurs in at least one block."""
-        counts: dict[Pair, int] = {}
-        for blk in self.blocks:
-            for pair in combinations(blk, 2):
-                counts[pair] = counts.get(pair, 0) + 1
-        return counts
+        return {divmod(key, self.v): n for key, n in Counter(_pair_keys(self)).items()}
 
     def point_degrees(self) -> list[int]:
         deg = [0] * self.v
@@ -99,23 +99,29 @@ class Grouping:
 
     def __post_init__(self) -> None:
         canon = sorted(tuple(sorted(g)) for g in self.groups)
-        seen: list[int] = [-1] * self.v
-        total = 0
-        for gi, grp in enumerate(canon):
+        # Nothing of size v is allocated until the groups are known to
+        # partition 0..v-1, so a hostile v fails cleanly.
+        seen: set[int] = set()
+        for grp in canon:
             if not grp:
                 raise DesignError("empty group")
             for p in grp:
                 if p < 0 or p >= self.v:
                     raise DesignError(f"group point {p} out of range for v={self.v}")
-                if seen[p] != -1:
+                if p in seen:
                     raise DesignError(f"point {p} occurs in two groups")
-                seen[p] = gi
-                total += 1
+                seen.add(p)
+        total = len(seen)
         if total != self.v:
-            missing = [p for p in range(self.v) if seen[p] == -1]
+            # at most `total` of the first total+5 points are covered
+            missing = [p for p in range(min(self.v, total + 5)) if p not in seen]
             raise DesignError(f"groups do not cover points {missing[:5]}")
+        index = [0] * self.v
+        for gi, grp in enumerate(canon):
+            for p in grp:
+                index[p] = gi
         object.__setattr__(self, "groups", tuple(canon))
-        object.__setattr__(self, "group_index", tuple(seen))
+        object.__setattr__(self, "group_index", tuple(index))
 
     @property
     def u(self) -> int:
@@ -139,14 +145,25 @@ class Grouping:
 
 @dataclass(frozen=True)
 class LeaveGraph:
-    """The graph of pairs left uncovered by a packing with lambda = 1."""
+    """The graph of pairs left uncovered by a packing with lambda = 1.
+
+    It holds the covered pairs, each (p, q) coded as ``p*v + q``, in
+    ascending order; the edge set is enumerated on first access.
+    """
 
     v: int
-    edges: frozenset[Pair]
+    covered: tuple[int, ...] = field(repr=False)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return comb(self.v, 2) - len(self.covered)
+
+    @cached_property
+    def edges(self) -> frozenset[Pair]:
+        v, covered = self.v, set(self.covered)
+        return frozenset(
+            (p, q) for p, q in combinations(range(v), 2) if p * v + q not in covered
+        )
 
 
 @dataclass(frozen=True)
@@ -195,16 +212,51 @@ def admissible(v_or_u: int, g: int, k: int, lambda_: int) -> bool:
     ) % (k * (k - 1)) == 0
 
 
+def _pair_keys(d: Design) -> list[int]:
+    """Every pair p < q of every block, coded as ``p*v + q``: b*C(k,2) ints.
+
+    This is the one place pairs are counted.  Blocks are sorted, so p < q
+    within a block; the keys come column by column over the blocks of
+    each size, not in ascending order.
+    """
+    v = d.v
+    by_size: dict[int, list[Block]] = {}
+    for blk in d.blocks:
+        by_size.setdefault(len(blk), []).append(blk)
+    keys: list[int] = []
+    for k, blocks in by_size.items():
+        for i, j in combinations(range(k), 2):
+            keys += [blk[i] * v + blk[j] for blk in blocks]
+    return keys
+
+
+def _cross_pair_violations(
+    kind: str, d: Design, counts: Counter, gi: Sequence[int]
+) -> list[Violation]:
+    """Every pair of points in distinct groups (``gi[p] != gi[q]``) whose
+    count is not lambda_, in lexicographic order.  O(v^2), so it runs only
+    once a check has failed."""
+    v, lambda_ = d.v, d.lambda_
+    violations = []
+    for p in range(v):
+        base, gp = p * v, gi[p]
+        for q in range(p + 1, v):
+            if gi[q] != gp:
+                got = counts.get(base + q, 0)
+                if got != lambda_:
+                    violations.append(Violation(kind, ((p, q), got)))
+    return violations
+
+
 def validate_bibd(d: Design) -> ValidationReport:
     """Check that every unordered pair of points occurs in exactly lambda_ blocks."""
     violations: list[Violation] = []
     if not d.uniform:
         violations.append(Violation("nonuniform-blocks", tuple(sorted({len(b) for b in d.blocks}))))
-    counts = d.pair_multiplicities()
-    for pair in combinations(range(d.v), 2):
-        got = counts.get(pair, 0)
-        if got != d.lambda_:
-            violations.append(Violation("pair-multiplicity", (pair, got)))
+    counts = Counter(_pair_keys(d))
+    if len(counts) != comb(d.v, 2) or set(counts.values()) - {d.lambda_}:
+        # every pair is a cross pair of the singleton grouping
+        violations += _cross_pair_violations("pair-multiplicity", d, counts, range(d.v))
     details = {
         "v": d.v,
         "k": d.k,
@@ -233,12 +285,12 @@ def validate_gdd(d: Design, g: Grouping) -> ValidationReport:
                 violations.append(Violation("within-group-pair-in-block", (bi, blk, (used[grp], p))))
             else:
                 used[grp] = p
-    counts = d.pair_multiplicities()
-    for pair in combinations(range(d.v), 2):
-        cross = gi[pair[0]] != gi[pair[1]]
-        got = counts.get(pair, 0)
-        if cross and got != d.lambda_:
-            violations.append(Violation("cross-pair-multiplicity", (pair, got)))
+    counts = Counter(_pair_keys(d))
+    # With no within-group pair every key is a cross pair, so the cross
+    # pairs are all covered iff there are as many keys as cross pairs.
+    cross = comb(d.v, 2) - sum(comb(len(grp), 2) for grp in g.groups)
+    if violations or len(counts) != cross or set(counts.values()) - {d.lambda_}:
+        violations += _cross_pair_violations("cross-pair-multiplicity", d, counts, gi)
     uniform = g.uniform_size is not None
     details = {
         "v": d.v,
@@ -258,16 +310,19 @@ def validate_packing(d: Design) -> tuple[ValidationReport, Optional[LeaveGraph]]
     violations: list[Violation] = []
     if not d.uniform:
         violations.append(Violation("nonuniform-blocks", tuple(sorted({len(b) for b in d.blocks}))))
-    counts = d.pair_multiplicities()
-    for pair, got in sorted(counts.items()):
-        if got > d.lambda_:
-            violations.append(Violation("pair-multiplicity", (pair, got)))
-    leave = None
-    if d.lambda_ == 1:
-        edges = frozenset(
-            pair for pair in combinations(range(d.v), 2) if pair not in counts
-        )
-        leave = LeaveGraph(d.v, edges)
+    keys = _pair_keys(d)
+    # Sorted, a repeated pair shows as two equal neighbours, and the keys
+    # are in the lexicographic order of their pairs.
+    keys.sort()
+    if any(map(eq, keys, islice(keys, 1, None))):
+        counts = Counter(keys)
+        violations += [
+            Violation("pair-multiplicity", (divmod(key, d.v), got))
+            for key, got in counts.items()
+            if got > d.lambda_
+        ]
+        keys = list(counts)
+    leave = LeaveGraph(d.v, tuple(keys)) if d.lambda_ == 1 else None
     details = {"v": d.v, "k": d.k, "lambda": d.lambda_, "blocks": d.b, "size": d.b}
     return ValidationReport(tuple(violations), details), leave
 

@@ -1,6 +1,7 @@
 """Exhaustive parallel-class enumeration and batch chromatic analysis."""
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -89,6 +90,16 @@ def _analyze_one(args) -> PcRecord:
     return PcRecord(idx, chi, chi_m)
 
 
+_CHUNKSIZE = 4
+
+
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Pool size: never more workers than were asked for, than CPUs, or
+    than chunks of tasks to hand out.  Below 2 the work runs serially."""
+    chunks = -(-tasks // _CHUNKSIZE)
+    return min(jobs, os.cpu_count() or 1, chunks)
+
+
 def analyze_parallel_classes(
     d: Design, budget: Optional[SearchBudget] = None, jobs: int = 1
 ) -> PcAnalysis:
@@ -102,9 +113,10 @@ def analyze_parallel_classes(
     budget = budget or SearchBudget()
     classes, _ = enumerate_parallel_classes(d)
     tasks = [(d, pc, i, budget) for i, pc in enumerate(classes)]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_analyze_one, tasks, chunksize=4))
+    workers = _worker_count(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_analyze_one, tasks, chunksize=_CHUNKSIZE))
     else:
         records = [_analyze_one(t) for t in tasks]
     records.sort(key=lambda r: r.class_index)

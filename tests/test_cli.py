@@ -181,6 +181,10 @@ class TestDeterminism:
         second = run(["pclasses", "sts9", "--analyze", "--csv"])
         assert first == second
 
+    def test_jobs_below_one_is_a_usage_error(self):
+        for jobs in ("0", "-3", "x"):
+            assert run(["pclasses", "sts9", "--jobs", jobs]) == (EXIT_UNSUPPORTED, "")
+
     def test_jobs_do_not_change_output(self):
         serial = run(["pclasses", "sts9", "--analyze", "--jobs", "1"])
         fanned = run(["pclasses", "sts9", "--analyze", "--jobs", "3"])

@@ -11,7 +11,9 @@ from designcolour import (
     Colouring,
     Design,
     DesignError,
+    Grouping,
     InstanceTooLargeError,
+    PairStats,
     brute_min_monochrome,
     catalog_get,
     check_block_equitable,
@@ -234,3 +236,28 @@ def test_group_counts_consistency(v, data):
     mono = sum(1 for p, q in combinations(range(v), 2) if assignment[p] == assignment[q])
     assert stats.m == mono
     assert stats.total == comb(v, 2)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 10), st.data())
+def test_grouped_counts_match_brute_force(v, data):
+    c = data.draw(st.integers(1, 4))
+    assignment = tuple(data.draw(st.lists(st.integers(0, c - 1), min_size=v, max_size=v)))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=v, max_size=v))
+    groups = {}
+    for p, label in enumerate(labels):
+        groups.setdefault(label, []).append(p)
+    g = Grouping(v, tuple(map(tuple, groups.values())))
+    cross = [(p, q) for p, q in combinations(range(v), 2) if labels[p] != labels[q]]
+    mono = sum(1 for p, q in cross if assignment[p] == assignment[q])
+    pm = Fraction(mono, len(cross)) if cross else Fraction(0)
+    assert count_monochrome_cross_pairs(v, Colouring(c, assignment), g) == (
+        PairStats(len(cross) - mono, mono, pm)
+    )
+
+
+def test_pair_counts_reject_mismatched_point_counts():
+    with pytest.raises(DesignError, match="^colouring is over a different point count$"):
+        count_monochrome_cross_pairs(5, Colouring(2, (0,) * 4), Grouping(4, ((0, 1), (2, 3))))
+    with pytest.raises(DesignError, match="^grouping is over a different point count$"):
+        count_monochrome_cross_pairs(4, Colouring(2, (0,) * 4), Grouping(5, ((0, 1), (2, 3, 4))))

@@ -59,6 +59,27 @@ class TestGrouping:
         with pytest.raises(DesignError):
             Grouping(4, ((0, 1),))
 
+    @pytest.mark.parametrize(
+        "v,groups,message",
+        [
+            (4, ((0, 1), ()), "empty group"),
+            (4, ((0, 1), (1, 2, 3)), "point 1 occurs in two groups"),
+            (4, ((0, 5), (1, 1)), "group point 5 out of range for v=4"),
+            (4, ((0, 1), (-1, 2, 3)), "group point -1 out of range for v=4"),
+            (6, ((5, 3), (3, 9)), "point 3 occurs in two groups"),
+            (9, ((1, 4),), "groups do not cover points [0, 2, 3, 5, 6]"),
+            (9, ((0, 1, 2, 3, 4, 5, 6),), "groups do not cover points [7, 8]"),
+            (-2, (), "groups do not cover points []"),
+            # would need a list of 2**62 entries if anything of size v
+            # were built before the coverage check
+            (2**62, ((0, 1),), "groups do not cover points [2, 3, 4, 5, 6]"),
+        ],
+    )
+    def test_error_messages_and_precedence(self, v, groups, message):
+        with pytest.raises(DesignError) as info:
+            Grouping(v, groups)
+        assert str(info.value) == message
+
     def test_canonical_order_and_index(self):
         g = Grouping(4, ((2, 3), (1, 0)))
         assert g.groups == ((0, 1), (2, 3))

@@ -2,6 +2,9 @@
 import random
 from itertools import combinations
 
+import pytest
+
+from designcolour import parallel
 from designcolour import (
     analyze_parallel_classes,
     catalog_get,
@@ -77,6 +80,29 @@ class TestAnalysis:
         serial = analyze_parallel_classes(sts9)
         fanned = analyze_parallel_classes(sts9, jobs=2)
         assert serial == fanned
+
+    def test_pool_matches_serial_on_sts21(self):
+        # 130 classes make 33 chunks, so two workers start where there are
+        # two CPUs; sts9's 4 classes are one chunk and always run serially
+        sts21 = catalog_get("sts21").design
+        assert analyze_parallel_classes(sts21, jobs=2) == analyze_parallel_classes(sts21)
+
+    @pytest.mark.parametrize(
+        "jobs,tasks,cpus,expected",
+        [
+            (1, 130, 8, 1),
+            (0, 130, 8, 0),
+            (3, 130, 8, 3),
+            (64, 130, 8, 8),
+            (64, 130, None, 1),
+            (8, 4, 8, 1),
+            (8, 9, 8, 3),
+            (8, 0, 8, 0),
+        ],
+    )
+    def test_worker_count_clamp(self, monkeypatch, jobs, tasks, cpus, expected):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+        assert parallel._worker_count(jobs, tasks) == expected
 
     def test_sts21_histogram_as_computed(self):
         # Regression pin for the stored STS(21) block list; nothing in the
