@@ -20,6 +20,7 @@ from .colouring import (
     PairStats,
     brute_min_monochrome,
     check_block_equitable,
+    check_colouring,
     check_group_colouring,
     check_weak,
     count_monochrome_cross_pairs,

@@ -12,12 +12,7 @@ import sys
 from typing import Optional
 
 from .catalog import UnknownEntryError, catalog_get, catalog_names
-from .colouring import (
-    Colouring,
-    check_block_equitable,
-    check_group_colouring,
-    check_weak,
-)
+from .colouring import GROUP_MODES, Colouring, check_colouring
 from .core import (
     Design,
     DesignError,
@@ -59,6 +54,14 @@ EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 EXIT_UNSUPPORTED = 5
+
+# `--mode` names on the command line and the colouring modes they name
+MODE_NAMES = {
+    "weak": "weak",
+    "block-eq": "block-equitable",
+    "group-mono": "group-monochromatic",
+    "group-eq": "group-equitable",
+}
 
 
 def _load(path: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
@@ -111,16 +114,11 @@ def _cmd_verify(args, out) -> int:
     _print_report(report, out)
     code = EXIT_OK if report.passed else EXIT_VALIDATION
     if colouring is not None and args.mode:
-        if args.mode == "weak":
-            colrep = check_weak(design, colouring)
-        elif args.mode == "block-eq":
-            colrep = check_block_equitable(design, colouring)
-        else:
-            if grouping is None:
-                print("error: group colouring modes need a grouping", file=sys.stderr)
-                return EXIT_UNSUPPORTED
-            submode = "monochromatic" if args.mode == "group-mono" else "group-equitable"
-            colrep = check_group_colouring(design, grouping, colouring, submode)
+        mode = MODE_NAMES[args.mode]
+        if mode in GROUP_MODES and grouping is None:
+            print("error: group colouring modes need a grouping", file=sys.stderr)
+            return EXIT_UNSUPPORTED
+        colrep = check_colouring(design, grouping, colouring, mode)
         print(f"colouring-{args.mode}: {colrep.verdict}", file=out)
         for violation in colrep.violations:
             print(f"colouring-violation: {violation}", file=out)
@@ -131,8 +129,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_chromatic(args, out) -> int:
     design, grouping, _ = _load(args.design)
-    mode = "weak" if args.mode == "weak" else "group-monochromatic"
-    result = chromatic_number(design, grouping, mode, _budget(args))
+    result = chromatic_number(design, grouping, MODE_NAMES[args.mode], _budget(args))
     print(f"chi: {result.chi}", file=out)
     if result.refutation is not None:
         print(f"refuted-at: {result.refutation.c} nodes: {result.refutation.nodes}", file=out)
@@ -289,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("design")
     p.add_argument("--as", dest="as_", choices=["bibd", "gdd", "packing"])
     p.add_argument("--colouring")
-    p.add_argument("--mode", choices=["weak", "block-eq", "group-mono", "group-eq"])
+    p.add_argument("--mode", choices=list(MODE_NAMES))
 
     p = sub.add_parser("chromatic", help="exact chromatic number with witness")
     p.add_argument("design")

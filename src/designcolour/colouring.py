@@ -13,6 +13,10 @@ from typing import Optional
 
 from .core import Design, DesignError, Grouping, ValidationReport, Violation
 
+# The colouring modes; the group modes also constrain each group of a GDD.
+GROUP_MODES = ("group-monochromatic", "group-equitable")
+MODES = ("weak", "block-equitable") + GROUP_MODES
+
 
 class InstanceTooLargeError(DesignError):
     """An exhaustive enumeration would exceed the configured guard."""
@@ -120,6 +124,22 @@ def check_weak(d: Design, col: Colouring) -> ValidationReport:
     return ValidationReport(tuple(violations), {"mode": "weak", "c": col.c})
 
 
+def _equitable_violations(kind: str, sets, a, c: int) -> list[Violation]:
+    """Violations of every colour whose count in a member set of size s
+    lies outside [floor(s/c), ceil(s/c)], set by set, colour by colour."""
+    violations = []
+    for i, members in enumerate(sets):
+        s = len(members)
+        lo, hi = s // c, -(-s // c)
+        counts = [0] * c
+        for p in members:
+            counts[a[p]] += 1
+        for colr, n in enumerate(counts):
+            if not lo <= n <= hi:
+                violations.append(Violation(kind, (i, members, colr, n)))
+    return violations
+
+
 def check_block_equitable(d: Design, col: Colouring) -> ValidationReport:
     """Pass iff every block has floor(k/c) or ceil(k/c) points of every colour.
 
@@ -127,19 +147,8 @@ def check_block_equitable(d: Design, col: Colouring) -> ValidationReport:
     appears still fails a block when floor(k/c) >= 1.
     """
     _check_cover(d, col)
-    a = col.assignment
-    c = col.c
-    violations = []
-    for bi, blk in enumerate(d.blocks):
-        k = len(blk)
-        lo, hi = k // c, -(-k // c)
-        counts = [0] * c
-        for p in blk:
-            counts[a[p]] += 1
-        for colr, n in enumerate(counts):
-            if not lo <= n <= hi:
-                violations.append(Violation("block-colour-count", (bi, blk, colr, n)))
-    return ValidationReport(tuple(violations), {"mode": "block-equitable", "c": c})
+    violations = _equitable_violations("block-colour-count", d.blocks, col.assignment, col.c)
+    return ValidationReport(tuple(violations), {"mode": "block-equitable", "c": col.c})
 
 
 def check_group_colouring(
@@ -147,32 +156,41 @@ def check_group_colouring(
 ) -> ValidationReport:
     """Weak colouring check plus a per-group condition.
 
-    mode "monochromatic": every group single-coloured.
+    mode "group-monochromatic": every group single-coloured.
     mode "group-equitable": every group of size s has floor(s/c) or
     ceil(s/c) points of each colour.
     """
-    if mode not in ("monochromatic", "group-equitable"):
+    if mode not in GROUP_MODES:
         raise DesignError(f"unknown group colouring mode {mode!r}")
     _check_cover(d, col)
     if g.v != d.v:
         raise DesignError("grouping is over a different point count")
     a = col.assignment
     violations = list(check_weak(d, col).violations)
-    for gi, grp in enumerate(g.groups):
-        if mode == "monochromatic":
-            cols = {a[p] for p in grp}
-            if len(cols) > 1:
-                violations.append(Violation("group-not-monochromatic", (gi, grp)))
-        else:
-            s = len(grp)
-            lo, hi = s // col.c, -(-s // col.c)
-            counts = [0] * col.c
-            for p in grp:
-                counts[a[p]] += 1
-            for colr, n in enumerate(counts):
-                if not lo <= n <= hi:
-                    violations.append(Violation("group-colour-count", (gi, grp, colr, n)))
-    return ValidationReport(tuple(violations), {"mode": f"group-{mode}", "c": col.c})
+    if mode == "group-monochromatic":
+        violations += [
+            Violation("group-not-monochromatic", (gi, grp))
+            for gi, grp in enumerate(g.groups)
+            if len({a[p] for p in grp}) > 1
+        ]
+    else:
+        violations += _equitable_violations("group-colour-count", g.groups, a, col.c)
+    return ValidationReport(tuple(violations), {"mode": mode, "c": col.c})
+
+
+def check_colouring(
+    d: Design, g: Optional[Grouping], col: Colouring, mode: str
+) -> ValidationReport:
+    """Check a colouring in one of the `MODES`; the group modes need `g`."""
+    if mode == "weak":
+        return check_weak(d, col)
+    if mode == "block-equitable":
+        return check_block_equitable(d, col)
+    if mode not in GROUP_MODES:
+        raise DesignError(f"unknown colouring mode {mode!r}")
+    if g is None:
+        raise DesignError(f"mode {mode!r} requires a grouping")
+    return check_group_colouring(d, g, col, mode)
 
 
 def count_monochrome_cross_pairs(

@@ -25,15 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .colouring import (
-    Colouring,
-    check_block_equitable,
-    check_group_colouring,
-    check_weak,
-)
+from .colouring import GROUP_MODES, MODES, Colouring, check_colouring
 from .core import Design, DesignError, Grouping
-
-MODES = ("weak", "block-equitable", "group-monochromatic", "group-equitable")
 
 COLOURABLE = "colourable"
 NOT_COLOURABLE = "not-colourable"
@@ -357,7 +350,7 @@ def _build_problem(
     """
     if mode not in MODES:
         raise DesignError(f"unknown colouring mode {mode!r}")
-    if mode in ("group-monochromatic", "group-equitable") and g is None:
+    if mode in GROUP_MODES and g is None:
         raise DesignError(f"mode {mode!r} requires a grouping")
     if mode == "weak":
         return d.v, _dedupe(d.blocks), []
@@ -381,15 +374,6 @@ def _expand_group_witness(g: Grouping, group_colours: list[int], c: int) -> Colo
         for p in grp:
             assignment[p] = group_colours[gi]
     return Colouring(c, tuple(assignment))
-
-
-def _checker(d: Design, g: Optional[Grouping], mode: str):
-    if mode == "weak":
-        return lambda col: check_weak(d, col)
-    if mode == "block-equitable":
-        return lambda col: check_block_equitable(d, col)
-    kind = "monochromatic" if mode == "group-monochromatic" else "group-equitable"
-    return lambda col: check_group_colouring(d, g, col, kind)
 
 
 def decide_colourable(
@@ -430,7 +414,7 @@ def decide_colourable(
         witness = _expand_group_witness(g, solution, c)
     else:
         witness = Colouring(c, tuple(solution))
-    report = _checker(d, g, mode)(witness)
+    report = check_colouring(d, g, witness, mode)
     if not report.passed:
         raise InternalConsistencyError(
             f"solver produced an invalid witness: {report.violations[:3]}"

@@ -17,11 +17,13 @@ from designcolour import (
     brute_min_monochrome,
     catalog_get,
     check_block_equitable,
+    check_colouring,
     check_group_colouring,
     check_weak,
     count_monochrome_cross_pairs,
     pair_stats_equitable,
 )
+from designcolour.colouring import GROUP_MODES, MODES
 from designcolour.packings import pack_from_pairs, pairs_for_s
 from designcolour.td import build_td
 from designcolour.transforms import delete_point
@@ -157,13 +159,48 @@ class TestCheckGroupColouring:
         d, g = build_td(3, 3)
         assignment = list(g.group_index)
         assignment[0] = 2
-        report = check_group_colouring(d, g, Colouring(3, tuple(assignment)), "monochromatic")
+        report = check_group_colouring(d, g, Colouring(3, tuple(assignment)), "group-monochromatic")
         assert any(v.kind == "group-not-monochromatic" for v in report.violations)
 
     def test_unknown_mode_rejected(self):
         d, g = build_td(3, 3)
         with pytest.raises(DesignError):
             check_group_colouring(d, g, Colouring(2, (0,) * 9), "sideways")
+
+    @pytest.mark.parametrize("mode", GROUP_MODES)
+    def test_details_name_the_mode(self, mode):
+        entry = catalog_get("td44")
+        report = check_group_colouring(entry.design, entry.grouping, entry.colouring, mode)
+        assert report.details["mode"] == mode
+
+
+class TestCheckColouring:
+    def test_dispatch_matches_each_checker(self):
+        entry = catalog_get("td44")
+        d, g = entry.design, entry.grouping
+        for col in (entry.colouring, Colouring(2, (0,) * d.v), Colouring(4, g.group_index)):
+            expected = {
+                "weak": check_weak(d, col),
+                "block-equitable": check_block_equitable(d, col),
+                "group-monochromatic": check_group_colouring(d, g, col, "group-monochromatic"),
+                "group-equitable": check_group_colouring(d, g, col, "group-equitable"),
+            }
+            assert list(expected) == list(MODES)
+            for mode in MODES:
+                assert check_colouring(d, g, col, mode) == expected[mode]
+                assert check_colouring(d, g, col, mode).details["mode"] == mode
+
+    @pytest.mark.parametrize("mode", ["sideways", "monochromatic", "block-eq", "group-mono"])
+    def test_unknown_mode_rejected(self, mode):
+        entry = catalog_get("td44")
+        with pytest.raises(DesignError, match="unknown colouring mode"):
+            check_colouring(entry.design, entry.grouping, entry.colouring, mode)
+
+    @pytest.mark.parametrize("mode", GROUP_MODES)
+    def test_group_mode_needs_grouping(self, mode):
+        entry = catalog_get("td44")
+        with pytest.raises(DesignError, match="requires a grouping"):
+            check_colouring(entry.design, None, entry.colouring, mode)
 
 
 class TestCountMonochromeCrossPairs:

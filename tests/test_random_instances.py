@@ -65,7 +65,7 @@ def test_group_modes_match_enumeration(design, data):
     grouping = Grouping(design.v, (tuple(range(cut)), tuple(range(cut, design.v))))
     c = data.draw(st.integers(2, 3))
     for mode, checker in [
-        ("group-monochromatic", "monochromatic"),
+        ("group-monochromatic", "group-monochromatic"),
         ("group-equitable", "group-equitable"),
     ]:
         expected = any(
@@ -79,7 +79,7 @@ def test_group_modes_match_enumeration(design, data):
 WITNESS_CHECKS = {
     "weak": lambda d, g, col: check_weak(d, col),
     "block-equitable": lambda d, g, col: check_block_equitable(d, col),
-    "group-monochromatic": lambda d, g, col: check_group_colouring(d, g, col, "monochromatic"),
+    "group-monochromatic": lambda d, g, col: check_group_colouring(d, g, col, "group-monochromatic"),
     "group-equitable": lambda d, g, col: check_group_colouring(d, g, col, "group-equitable"),
 }
 

@@ -41,7 +41,7 @@ def brute_force_colourable(d, g, c, mode):
     elif mode == "block-equitable":
         check = lambda col: check_block_equitable(d, col)
     elif mode == "group-monochromatic":
-        check = lambda col: check_group_colouring(d, g, col, "monochromatic")
+        check = lambda col: check_group_colouring(d, g, col, "group-monochromatic")
     else:
         check = lambda col: check_group_colouring(d, g, col, "group-equitable")
     return any(
@@ -105,7 +105,7 @@ class TestDecide:
             "import types\n"
             "import designcolour.solver as s\n"
             "from designcolour import catalog_get\n"
-            "s.check_weak = lambda d, col: types.SimpleNamespace(passed=False, violations=['corrupted'])\n"
+            "s.check_colouring = lambda d, g, col, mode: types.SimpleNamespace(passed=False, violations=['corrupted'])\n"
             "try:\n"
             "    s.decide_colourable(catalog_get('sts9').design, None, 3, 'weak')\n"
             "except s.InternalConsistencyError:\n"
@@ -203,7 +203,7 @@ class TestChromatic:
         d, g = build_td(4, 4)
         result = chromatic_number(d, g, "group-monochromatic")
         assert result.chi == 2
-        assert check_group_colouring(d, g, result.witness, "monochromatic").passed
+        assert check_group_colouring(d, g, result.witness, "group-monochromatic").passed
 
 
 class TestPaperProperties:
@@ -262,7 +262,7 @@ class TestUpperBoundColouring:
         d, g = build_td(4, 4)
         col = upper_bound_colouring(d, g)
         assert col.c == 2
-        assert check_group_colouring(d, g, col, "monochromatic").passed
+        assert check_group_colouring(d, g, col, "group-monochromatic").passed
 
     def test_seven_groups_blocksize_three(self):
         d = catalog_get("sts21").design
@@ -272,7 +272,7 @@ class TestUpperBoundColouring:
         gdd, grouping = pc_to_gdd(d, classes[0])
         col = upper_bound_colouring(gdd, grouping)
         assert col.c == 4
-        assert check_group_colouring(gdd, grouping, col, "monochromatic").passed
+        assert check_group_colouring(gdd, grouping, col, "group-monochromatic").passed
 
     def test_no_blocks_single_colour(self):
         d = Design(6, ())
