@@ -4,6 +4,7 @@ from .core import (
     Design,
     DesignError,
     Grouping,
+    InternalConsistencyError,
     LeaveGraph,
     UnsupportedParameterError,
     ValidationReport,
@@ -39,7 +40,6 @@ from .td import FieldTable, UnsupportedOrderError, build_td, field_table
 from .packings import (
     BoundInfo,
     ColouredPacking,
-    InternalConsistencyError,
     PairsProfile,
     Unachievable,
     bound_general,
@@ -81,6 +81,5 @@ from .fileio import (
     render_colouring,
     render_design,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"

@@ -63,6 +63,20 @@ MODE_NAMES = {
     "group-eq": "group-equitable",
 }
 
+# The parameters of each `construct` family: an integer, or a design given
+# as a file path or a catalog name.
+CONSTRUCT_PARAMS = {
+    "td": ("int", "int"),
+    "pack-max": ("int",),
+    "pack-4n2": ("int",),
+    "pack-pairs": ("int",),
+    "blowup": ("design", "int"),
+    "pc-to-gdd": ("design",),
+    "delete-point": ("design", "int"),
+    "td-colour": ("int", "int"),
+    "geq-blowup": ("design", "design"),
+}
+
 
 def _load(path: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
     """A positional design argument is a file path or a catalog name."""
@@ -186,16 +200,32 @@ def _cmd_catalog(args, out) -> int:
     return EXIT_OK
 
 
+def _construct_params(family: str, params: list[str]) -> Optional[list]:
+    """The family's parameters with the integers converted, or None when
+    their number is wrong or an integer parameter is not one."""
+    kinds = CONSTRUCT_PARAMS[family]
+    if len(params) != len(kinds):
+        return None
+    try:
+        return [int(p) if kind == "int" else p for p, kind in zip(params, kinds)]
+    except ValueError:
+        return None
+
+
 def _cmd_construct(args, out) -> int:
     family = args.family
-    params = args.params
+    params = _construct_params(family, args.params)
+    if params is None:
+        usage = " ".join(f"<{kind}>" for kind in CONSTRUCT_PARAMS[family])
+        print(f"error: usage: designcolour construct {family} {usage}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     if family == "td":
-        k, g = int(params[0]), int(params[1])
+        k, g = params
         design, grouping = build_td(k, g)
         out.write(render_design(design, grouping))
         return EXIT_OK
     if family == "pack-max":
-        result = max_equitable_packing(int(params[0]), 4, 2)
+        result = max_equitable_packing(params[0], 4, 2)
         if isinstance(result, Unachievable):
             print(
                 f"unachievable: bound {result.bound} for v={result.v} ({result.reason})",
@@ -205,18 +235,18 @@ def _cmd_construct(args, out) -> int:
         out.write(render_design(result.design, None, result.colouring))
         return EXIT_OK
     if family == "pack-4n2":
-        packed = pack_4n2_odd(int(params[0]))
+        packed = pack_4n2_odd(params[0])
         out.write(render_design(packed.design, None, packed.colouring))
         return EXIT_OK
     if family == "pack-pairs":
-        packed = pack_from_pairs(pairs_for_s(int(params[0])))
+        packed = pack_from_pairs(pairs_for_s(params[0]))
         out.write(render_design(packed.design, None, packed.colouring))
         return EXIT_OK
     if family == "blowup":
         design, grouping, _ = _load(params[0])
         if grouping is None:
             grouping = Grouping.singletons(design.v)
-        result = blow_up(design, grouping, int(params[1]))
+        result = blow_up(design, grouping, params[1])
         out.write(render_design(result.design, result.grouping))
         return EXIT_OK
     if family == "pc-to-gdd":
@@ -231,11 +261,11 @@ def _cmd_construct(args, out) -> int:
         return EXIT_OK
     if family == "delete-point":
         design, _, _ = _load(params[0])
-        gdd, grouping = delete_point(design, int(params[1]))
+        gdd, grouping = delete_point(design, params[1])
         out.write(render_design(gdd, grouping))
         return EXIT_OK
     if family == "td-colour":
-        k, g = int(params[0]), int(params[1])
+        k, g = params
         design, grouping = build_td(k, g)
         colouring = td_group_equitable_colouring(design, grouping)
         out.write(render_design(design, grouping, colouring))
@@ -275,10 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a constructed design file")
-    p.add_argument("family", choices=[
-        "td", "pack-max", "pack-4n2", "pack-pairs", "blowup",
-        "pc-to-gdd", "delete-point", "td-colour", "geq-blowup",
-    ])
+    p.add_argument("family", choices=list(CONSTRUCT_PARAMS))
     p.add_argument("params", nargs="*")
     p.add_argument("--class-index", type=int, default=0)
 
@@ -291,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chromatic", help="exact chromatic number with witness")
     p.add_argument("design")
     p.add_argument("--mode", choices=["weak", "group-mono"], default="weak")
-    p.add_argument("--budget-nodes", type=int, default=100_000_000)
+    p.add_argument("--budget-nodes", type=_positive_int, default=100_000_000)
     p.add_argument("--budget-secs", type=float, default=None)
 
     p = sub.add_parser("pclasses", help="parallel classes, optionally analysed")
@@ -300,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--budget-nodes", type=int, default=100_000_000)
+    p.add_argument("--budget-nodes", type=_positive_int, default=100_000_000)
     p.add_argument("--budget-secs", type=float, default=None)
 
     p = sub.add_parser("bound", help="packing size bounds")

@@ -11,7 +11,14 @@ from fractions import Fraction
 from math import comb, log2
 from typing import Optional
 
-from .core import Design, DesignError, Grouping, ValidationReport, Violation
+from .core import (
+    Design,
+    DesignError,
+    Grouping,
+    InternalConsistencyError,
+    ValidationReport,
+    Violation,
+)
 
 # The colouring modes; the group modes also constrain each group of a GDD.
 GROUP_MODES = ("group-monochromatic", "group-equitable")
@@ -101,9 +108,10 @@ def pair_stats_equitable(mu: int, c: int) -> PairStats:
     nm2 = alpha * (alpha * c + 2 * beta) * (c - 1) + beta * (beta - 1)
     m2 = alpha * (alpha - 1) * c + 2 * alpha * beta
     if nm2 % 2 or m2 % 2:
-        raise AssertionError("pair counts must be integers")
+        raise InternalConsistencyError("pair counts must be integers")
     nm, m = nm2 // 2, m2 // 2
-    assert nm + m == comb(mu, 2)
+    if nm + m != comb(mu, 2):
+        raise InternalConsistencyError("pair counts must sum to C(mu, 2)")
     return PairStats(nm, m, Fraction(2 * m, mu * (mu - 1)))
 
 
@@ -273,5 +281,6 @@ def brute_min_monochrome(
         assignment[p] = 0
 
     rec(0, 0, 0)
-    assert best_assignment is not None
+    if best_assignment is None:
+        raise InternalConsistencyError("the enumeration found no colouring")
     return best, Colouring(c, best_assignment)

@@ -28,6 +28,14 @@ class UnsupportedParameterError(DesignError):
     """The requested parameters are outside the supported range."""
 
 
+class InternalConsistencyError(AssertionError):
+    """An invariant failed: a bug, never a property of the input.
+
+    Raised explicitly, so the checks survive `python -O`; it subclasses
+    AssertionError so callers that caught the old asserts still do.
+    """
+
+
 @dataclass(frozen=True)
 class Design:
     """A block design on points 0..v-1.

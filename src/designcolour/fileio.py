@@ -113,7 +113,8 @@ def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colour
 
 
 def _colouring_from_lines(v: int, c: int, lines: list[tuple[int, int]]) -> Colouring:
-    if [p for p, _ in lines] != list(range(v)):
+    # point by point, so a huge v in the header allocates nothing
+    if len(lines) != v or any(p != i for i, (p, _) in enumerate(lines)):
         raise ParseError(1, "colour lines must list every point once, ascending")
     try:
         return Colouring(c, tuple(col for _, col in lines))

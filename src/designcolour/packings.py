@@ -20,12 +20,14 @@ from math import gcd
 from typing import Optional, Union
 
 from .colouring import Colouring, check_block_equitable
-from .core import Design, DesignError, UnsupportedParameterError, validate_packing
+from .core import (
+    Design,
+    DesignError,
+    InternalConsistencyError,
+    UnsupportedParameterError,
+    validate_packing,
+)
 from .td import UnsupportedOrderError, build_td
-
-
-class InternalConsistencyError(DesignError):
-    """A stored construction table produced data failing its own checks."""
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def _rotation_families(n: int) -> list[tuple[int, int, int]]:
                 return sorted((d, ends[0], ends[1]) for d, ends in plus_ends.items())
         except TimeoutError:
             continue
-    raise InternalConsistencyError(f"no rotation family system found for n={n}")
+    raise UnsupportedOrderError(f"no rotation family system found for n={n}")
 
 
 def _pack_4n_rotation(n: int) -> tuple[Design, Colouring]:
@@ -568,7 +570,8 @@ def pack_small(v: int) -> ColouredPacking:
     if v not in (7, 11, 24, 25):
         raise UnsupportedParameterError(f"no stored packing for v={v}")
     entry = catalog_get(f"pack{v}")
-    assert entry.colouring is not None
+    if entry.colouring is None:
+        raise InternalConsistencyError(f"stored packing pack{v} has no colouring")
     bound = bound_max_equitable(v, 4, 2)
     return ColouredPacking(entry.design, entry.colouring, entry.design.b == bound.value)
 
@@ -602,5 +605,6 @@ def max_equitable_packing(v: int, k: int = 4, c: int = 2) -> Union[ColouredPacki
             return pack_4n2_odd(n)
         return pack_from_pairs(pairs_for_s(n // 2))
     inner = max_equitable_packing(v - 1, 4, 2)
-    assert isinstance(inner, ColouredPacking)
+    if not isinstance(inner, ColouredPacking):
+        raise InternalConsistencyError(f"no packing of order {v - 1} to extend")
     return _with_isolated_point(inner, v)

@@ -1,9 +1,11 @@
 """Exact decision procedures for c-colourability and chromatic numbers.
 
 The solver is a backtracking search over point (or group) colour
-assignments with constraint propagation and colour-symmetry breaking.  A
-"not-colourable" verdict is only produced after the symmetry-reduced space
-has been exhausted, so it is a certificate, not a heuristic answer.
+assignments with constraint propagation and colour-symmetry breaking.
+It takes the colouring modes named in `colouring.MODES`, and checks
+every witness with `colouring.check_colouring`.  A "not-colourable"
+verdict is only produced after the symmetry-reduced space has been
+exhausted, so it is a certificate, not a heuristic answer.
 
 `decide_colourable` searches in up to two passes over one engine:
 
@@ -26,19 +28,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .colouring import GROUP_MODES, MODES, Colouring, check_colouring
-from .core import Design, DesignError, Grouping
+from .core import Design, DesignError, Grouping, InternalConsistencyError
 
 COLOURABLE = "colourable"
 NOT_COLOURABLE = "not-colourable"
 BUDGET_EXCEEDED = "budget-exceeded"
-
-
-class InternalConsistencyError(AssertionError):
-    """A solver invariant failed: a bug, never a property of the input.
-
-    Raised explicitly, so the checks survive `python -O`; it subclasses
-    AssertionError so callers that caught the old asserts still do.
-    """
 
 
 class BudgetExceededError(RuntimeError):

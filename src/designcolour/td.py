@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Design, Grouping, UnsupportedParameterError
+from .core import Design, Grouping, InternalConsistencyError, UnsupportedParameterError
 
 
 class UnsupportedOrderError(UnsupportedParameterError):
@@ -115,7 +115,8 @@ def field_table(q: int) -> FieldTable:
         if _is_irreducible(cand, p):
             mod = cand
             break
-    assert mod is not None
+    if mod is None:
+        raise InternalConsistencyError(f"no irreducible polynomial of degree {e} over GF({p})")
 
     def to_vec(i: int) -> tuple:
         return tuple((i // p**j) % p for j in range(e))

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .colouring import Colouring, check_group_colouring
-from .core import Design, DesignError, Grouping, UnsupportedParameterError
+from .core import (
+    Design,
+    DesignError,
+    Grouping,
+    InternalConsistencyError,
+    UnsupportedParameterError,
+)
 from .td import td_align_first_block, td_symbol_rows
 
 
@@ -180,7 +186,8 @@ def td_group_equitable_colouring(d: Design, g: Grouping) -> Colouring:
     # Relabel symbols in groups 1.. so that the s-th block through point 0
     # meets every later group in its s-th symbol.
     anchor_blocks = sorted(blk for blk in d.blocks if 0 in blk)
-    assert len(anchor_blocks) == gsize
+    if len(anchor_blocks) != gsize:
+        raise InternalConsistencyError("point 0 must lie on one block per symbol")
     symbol_map = [{p: p - gi * gsize for p in grp} for gi, grp in enumerate(g.groups)]
     for s, blk in enumerate(anchor_blocks):
         for p in blk:
@@ -199,7 +206,7 @@ def td_group_equitable_colouring(d: Design, g: Grouping) -> Colouring:
     col = Colouring(2, tuple(assignment))
     report = check_group_colouring(d, g, col, "group-equitable")
     if not report.passed:
-        raise AssertionError(f"constructed colouring invalid: {report.violations[:3]}")
+        raise InternalConsistencyError(f"constructed colouring invalid: {report.violations[:3]}")
     return col
 
 
@@ -274,5 +281,5 @@ def group_equitable_blowup(
     colouring = Colouring(2, assignment)
     report = check_group_colouring(design, grouping, colouring, "group-equitable")
     if not report.passed:
-        raise AssertionError(f"expanded colouring invalid: {report.violations[:3]}")
+        raise InternalConsistencyError(f"expanded colouring invalid: {report.violations[:3]}")
     return design, grouping, colouring

@@ -96,6 +96,18 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_design(text)
 
+    def test_colour_lines_out_of_order(self):
+        text = "design v=3 k=2 lambda=1\nblock: 0 1\ncolouring c=2\ncolour: 0 1\ncolour: 2 0\ncolour: 1 1\n"
+        with pytest.raises(ParseError, match="every point once, ascending"):
+            parse_design(text)
+
+    def test_huge_header_order_with_colour_lines(self):
+        # The colour lines are compared one by one, so nothing of size v
+        # is allocated before the file is rejected.
+        text = f"design v={2**62} k=2 lambda=1\ncolouring c=2\ncolour: 0 1\n"
+        with pytest.raises(ParseError, match="every point once, ascending"):
+            parse_design(text)
+
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\ndesign v=3 k=3 lambda=1\nblock: 0 1 2  # the only block\n"
         design, _, _ = parse_design(text)

@@ -175,6 +175,17 @@ class TestExitCodes:
         assert "verdict: fail" in text
 
 
+    def test_usage_errors(self):
+        # a missing parameter, a non-integer parameter and a zero budget
+        for argv in (
+            ["construct", "td"],
+            ["construct", "pack-max"],
+            ["construct", "td", "4", "x"],
+            ["chromatic", "sts7", "--budget-nodes", "0"],
+        ):
+            assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
+
+
 class TestDeterminism:
     def test_identical_bytes_on_repeat(self):
         first = run(["pclasses", "sts9", "--analyze", "--csv"])

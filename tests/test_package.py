@@ -1,0 +1,32 @@
+"""Properties of the package as a whole: its source and how it starts."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import designcolour
+
+PACKAGE = Path(designcolour.__file__).resolve().parent
+
+
+def test_no_assert_statements():
+    # Invariants raise InternalConsistencyError, which `python -O` keeps;
+    # an assert statement would be stripped.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_cli_module_runs_without_runpy_warning():
+    # The package root does not import `designcolour.cli`, so running it
+    # with -m does not find it already in sys.modules.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "designcolour.cli", "catalog", "list"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sts21" in proc.stdout.split()

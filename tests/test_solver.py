@@ -101,6 +101,8 @@ class TestDecide:
         # hold in an interpreter started with -O; callers that catch
         # AssertionError still catch them.
         assert issubclass(InternalConsistencyError, AssertionError)
+        assert InternalConsistencyError is designcolour.InternalConsistencyError
+        assert InternalConsistencyError is designcolour.packings.InternalConsistencyError
         script = (
             "import types\n"
             "import designcolour.solver as s\n"
