@@ -297,6 +297,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="designcolour",
@@ -319,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("design")
     p.add_argument("--mode", choices=["weak", "group-mono"], default="weak")
     p.add_argument("--budget-nodes", type=_positive_int, default=100_000_000)
-    p.add_argument("--budget-secs", type=float, default=None)
+    p.add_argument("--budget-secs", type=_positive_float, default=None)
 
     p = sub.add_parser("pclasses", help="parallel classes, optionally analysed")
     p.add_argument("design")
@@ -328,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--budget-nodes", type=_positive_int, default=100_000_000)
-    p.add_argument("--budget-secs", type=float, default=None)
+    p.add_argument("--budget-secs", type=_positive_float, default=None)
 
     p = sub.add_parser("bound", help="packing size bounds")
     p.add_argument("v", type=int)

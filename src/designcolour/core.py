@@ -9,11 +9,11 @@ lambda times).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, compress, islice
 from math import comb
-from operator import eq
+from operator import eq, ne
 from typing import Optional, Sequence
 
 Block = tuple[int, ...]
@@ -49,34 +49,55 @@ class Design:
     v: int
     blocks: tuple[Block, ...]
     lambda_: int = 1
+    # set only by `_from_canonical`, for blocks already proved canonical
+    _canonical: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _canonical: bool) -> None:
         if self.v < 0:
             raise DesignError("point count must be non-negative")
         if self.lambda_ < 1:
             raise DesignError("pair multiplicity index must be a positive integer")
-        canon = []
-        for raw in self.blocks:
-            blk = tuple(sorted(raw))
-            if len(blk) < 2:
-                raise DesignError(f"block {tuple(raw)!r} has fewer than two points")
-            if len(set(blk)) != len(blk):
-                raise DesignError(f"block {tuple(raw)!r} has a repeated point")
-            if blk[0] < 0 or blk[-1] >= self.v:
-                raise DesignError(f"block {tuple(raw)!r} out of range for v={self.v}")
-            canon.append(blk)
-        canon.sort()
-        object.__setattr__(self, "blocks", tuple(canon))
+        if _canonical:
+            canon = self.blocks
+            if min(map(len, canon), default=2) < 2:
+                short = next(blk for blk in canon if len(blk) < 2)
+                raise DesignError(f"block {short!r} has fewer than two points")
+        else:
+            canon = []
+            for raw in self.blocks:
+                blk = tuple(sorted(raw))
+                if len(blk) < 2:
+                    raise DesignError(f"block {tuple(raw)!r} has fewer than two points")
+                if len(set(blk)) != len(blk):
+                    raise DesignError(f"block {tuple(raw)!r} has a repeated point")
+                if blk[0] < 0 or blk[-1] >= self.v:
+                    raise DesignError(f"block {tuple(raw)!r} out of range for v={self.v}")
+                canon.append(blk)
+        object.__setattr__(self, "blocks", tuple(sorted(canon)))
+
+    @classmethod
+    def _from_canonical(cls, v: int, blocks: Sequence[Block], lambda_: int) -> "Design":
+        """A design from tuples already known to be ascending, distinct and
+        in range, as `parse_design` proves them line by line.
+
+        Only the point count, lambda and the block sizes are checked, with
+        the messages and precedence of the constructor; the block list is
+        still sorted, which is linear when it is sorted already.
+        """
+        return cls(v, blocks, lambda_, _canonical=True)
+
+    @cached_property
+    def _sizes(self) -> frozenset[int]:
+        return frozenset(map(len, self.blocks))
 
     @property
     def k(self) -> int:
         """Common (minimum, if mixed) block size; 0 for an empty block list."""
-        return min((len(b) for b in self.blocks), default=0)
+        return min(self._sizes, default=0)
 
     @property
     def uniform(self) -> bool:
-        sizes = {len(b) for b in self.blocks}
-        return len(sizes) <= 1
+        return len(self._sizes) <= 1
 
     @property
     def b(self) -> int:
@@ -260,7 +281,7 @@ def validate_bibd(d: Design) -> ValidationReport:
     """Check that every unordered pair of points occurs in exactly lambda_ blocks."""
     violations: list[Violation] = []
     if not d.uniform:
-        violations.append(Violation("nonuniform-blocks", tuple(sorted({len(b) for b in d.blocks}))))
+        violations.append(Violation("nonuniform-blocks", tuple(sorted(d._sizes))))
     counts = Counter(_pair_keys(d))
     if len(counts) != comb(d.v, 2) or set(counts.values()) - {d.lambda_}:
         # every pair is a cross pair of the singleton grouping
@@ -317,19 +338,21 @@ def validate_packing(d: Design) -> tuple[ValidationReport, Optional[LeaveGraph]]
     """Check that no pair exceeds multiplicity lambda_; return the leave for lambda_=1."""
     violations: list[Violation] = []
     if not d.uniform:
-        violations.append(Violation("nonuniform-blocks", tuple(sorted({len(b) for b in d.blocks}))))
+        violations.append(Violation("nonuniform-blocks", tuple(sorted(d._sizes))))
     keys = _pair_keys(d)
     # Sorted, a repeated pair shows as two equal neighbours, and the keys
     # are in the lexicographic order of their pairs.
     keys.sort()
     if any(map(eq, keys, islice(keys, 1, None))):
-        counts = Counter(keys)
+        # count only the covers beyond the first: a key's extra count is
+        # one less than its multiplicity, and absent for most keys
+        extra = Counter(compress(islice(keys, 1, None), map(eq, keys, islice(keys, 1, None))))
         violations += [
-            Violation("pair-multiplicity", (divmod(key, d.v), got))
-            for key, got in counts.items()
-            if got > d.lambda_
+            Violation("pair-multiplicity", (divmod(key, d.v), n + 1))
+            for key, n in extra.items()
+            if n >= d.lambda_
         ]
-        keys = list(counts)
+        keys = list(compress(keys, chain((True,), map(ne, islice(keys, 1, None), keys))))
     leave = LeaveGraph(d.v, tuple(keys)) if d.lambda_ == 1 else None
     details = {"v": d.v, "k": d.k, "lambda": d.lambda_, "blocks": d.b, "size": d.b}
     return ValidationReport(tuple(violations), details), leave

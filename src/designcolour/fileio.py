@@ -15,6 +15,7 @@ byte for byte when the input was canonical.
 from __future__ import annotations
 
 import re
+from operator import lt
 from typing import Optional
 
 from .colouring import Colouring
@@ -35,11 +36,21 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _ints(line_no: int, text: str) -> list[int]:
+def _ints(line_no: int, text: str) -> tuple[int, ...]:
     try:
-        return [int(tok) for tok in text.split()]
+        return tuple(map(int, text.split()))
     except ValueError:
         raise ParseError(line_no, f"expected integers, got {text!r}") from None
+
+
+def _check_block(line_no: int, pts: tuple[int, ...], v: int) -> None:
+    """The checks a block line failed, first failure first."""
+    if len(set(pts)) != len(pts):
+        raise ParseError(line_no, "duplicate point in block")
+    if any(p < 0 or p >= v for p in pts):
+        raise ParseError(line_no, f"point out of range [0, {v})")
+    if list(pts) != sorted(pts):
+        raise ParseError(line_no, "block points must be ascending")
 
 
 def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
@@ -50,34 +61,32 @@ def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colour
     colour_c: Optional[int] = None
     colour_lines: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = _strip(raw) if "#" in raw else raw.strip()
         if not line:
             continue
-        if line.startswith("design "):
+        if line.startswith("block:"):
+            if header is None:
+                raise ParseError(line_no, "block before design header")
+            pts = _ints(line_no, line[len("block:"):])
+            # One test for the common case: strictly ascending within
+            # [0, v) means distinct, in range and ascending.
+            if not (pts and pts[0] >= 0 and pts[-1] < header[0] and all(map(lt, pts, pts[1:]))):
+                _check_block(line_no, pts, header[0])
+            blocks.append(pts)
+        elif line.startswith("design "):
             if header is not None:
                 raise ParseError(line_no, "duplicate design header")
             m = _DESIGN_RE.match(line)
             if not m:
                 raise ParseError(line_no, "malformed design header")
             header = tuple(int(x) for x in m.groups())
-        elif line.startswith("block:"):
-            if header is None:
-                raise ParseError(line_no, "block before design header")
-            pts = _ints(line_no, line[len("block:"):])
-            if len(set(pts)) != len(pts):
-                raise ParseError(line_no, "duplicate point in block")
-            if any(p < 0 or p >= header[0] for p in pts):
-                raise ParseError(line_no, f"point out of range [0, {header[0]})")
-            if pts != sorted(pts):
-                raise ParseError(line_no, "block points must be ascending")
-            blocks.append(tuple(pts))
         elif line.startswith("group:"):
             if header is None:
                 raise ParseError(line_no, "group before design header")
             pts = _ints(line_no, line[len("group:"):])
             if any(p < 0 or p >= header[0] for p in pts):
                 raise ParseError(line_no, f"point out of range [0, {header[0]})")
-            groups.append(tuple(pts))
+            groups.append(pts)
         elif _COLOURING_RE.match(line):
             if colour_c is not None:
                 raise ParseError(line_no, "duplicate colouring header")
@@ -88,14 +97,14 @@ def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colour
             vals = _ints(line_no, line[len("colour:"):])
             if len(vals) != 2:
                 raise ParseError(line_no, "colour line needs point and colour")
-            colour_lines.append((vals[0], vals[1]))
+            colour_lines.append(vals)
         else:
             raise ParseError(line_no, f"unrecognized line {line!r}")
     if header is None:
         raise ParseError(1, "missing design header")
     v, k, lam = header
     try:
-        design = Design(v, tuple(blocks), lam)
+        design = Design._from_canonical(v, blocks, lam)
     except DesignError as exc:
         raise ParseError(1, str(exc)) from None
     if design.blocks and design.k != k:
@@ -128,12 +137,11 @@ def render_design(
     colouring: Optional[Colouring] = None,
 ) -> str:
     """Canonical text for a design; the exact inverse of parse_design."""
+    name = list(map(str, range(design.v))).__getitem__
     out = [f"design v={design.v} k={design.k} lambda={design.lambda_}"]
-    for blk in design.blocks:
-        out.append("block: " + " ".join(str(p) for p in blk))
+    out += ["block: " + " ".join(map(name, blk)) for blk in design.blocks]
     if grouping is not None:
-        for grp in grouping.groups:
-            out.append("group: " + " ".join(str(p) for p in grp))
+        out += ["group: " + " ".join(map(name, grp)) for grp in grouping.groups]
     if colouring is not None:
         out.append(f"colouring c={colouring.c}")
         for p, col in enumerate(colouring.assignment):
@@ -160,7 +168,7 @@ def parse_colouring(text: str) -> Colouring:
         vals = _ints(line_no, line)
         if len(vals) != 2:
             raise ParseError(line_no, "expected `<point> <colour>`")
-        lines.append((vals[0], vals[1]))
+        lines.append(vals)
     if c is None:
         raise ParseError(1, "missing colouring header")
     return _colouring_from_lines(len(lines), c, lines)

@@ -89,7 +89,7 @@ def bound_general(v: int, k: int, c: int) -> tuple[Fraction, int]:
     if k < 3 or c < 2:
         raise DesignError("requires k >= 3 and c >= 2")
     if v < k:
-        raise DesignError("requires v >= k")
+        raise UnsupportedParameterError("requires v >= k")
     exact = _nm_equitable(v, c) / _nm_equitable(k, c)
     return exact, int(exact)
 
@@ -585,7 +585,7 @@ def max_equitable_packing(v: int, k: int = 4, c: int = 2) -> Union[ColouredPacki
     if (k, c) != (4, 2):
         raise UnsupportedParameterError("only block size 4 with 2 colours is constructed")
     if v < 0:
-        raise DesignError("v must be non-negative")
+        raise UnsupportedParameterError("v must be non-negative")
     bound = bound_max_equitable(v, 4, 2)
     if v in (6, 8, 9, 10):
         return Unachievable(v, 4, 2, bound.value)

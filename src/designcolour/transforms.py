@@ -93,7 +93,7 @@ def delete_point(d: Design, y: int) -> tuple[Design, Grouping]:
     """Delete a point of a BIBD with lambda=1; the blocks through it become
     groups.  Points above y shift down by one to stay contiguous."""
     if not 0 <= y < d.v:
-        raise DesignError(f"point {y} out of range")
+        raise UnsupportedParameterError(f"point {y} out of range")
     if d.lambda_ != 1:
         raise UnsupportedParameterError("point deletion needs lambda = 1")
 

@@ -176,12 +176,17 @@ class TestExitCodes:
 
 
     def test_usage_errors(self):
-        # a missing parameter, a non-integer parameter and a zero budget
+        # a missing parameter, a non-integer parameter, zero budgets and
+        # parameters the library rejects
         for argv in (
             ["construct", "td"],
             ["construct", "pack-max"],
             ["construct", "td", "4", "x"],
             ["chromatic", "sts7", "--budget-nodes", "0"],
+            ["bound", "3", "4", "2"],
+            ["chromatic", "sts7", "--budget-secs", "0"],
+            ["construct", "pack-max", "-5"],
+            ["construct", "delete-point", "sts13", "99"],
         ):
             assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
 

@@ -51,6 +51,30 @@ class TestDesign:
         assert not d.uniform
         assert d.k == 3
 
+    def test_cached_sizes_stay_out_of_equality(self):
+        read = Design(6, ((0, 3, 4, 5), (0, 1, 2)))
+        assert (read.k, read.uniform) == (3, False)
+        unread = Design(6, ((0, 1, 2), (0, 3, 4, 5)))
+        assert read == unread and hash(read) == hash(unread)
+        assert repr(read) == repr(unread)
+
+    def test_from_canonical_matches_constructor(self):
+        blocks = [(1, 3, 4), (0, 1, 2), (0, 3)]
+        assert Design._from_canonical(5, blocks, 2) == Design(5, tuple(blocks), 2)
+        assert Design._from_canonical(5, [], 1) == Design(5, ())
+        # the checks left to it keep the constructor's messages and order
+        for v, blocks, lambda_ in (
+            (-1, [(2,)], 0),
+            (4, [(2,)], 0),
+            (4, [(0, 1), (3,), (1,)], 1),
+            (4, [(0, 1), ()], 1),
+        ):
+            with pytest.raises(DesignError) as want:
+                Design(v, tuple(blocks), lambda_)
+            with pytest.raises(DesignError) as got:
+                Design._from_canonical(v, blocks, lambda_)
+            assert str(got.value) == str(want.value)
+
 
 class TestGrouping:
     def test_partition_enforced(self):
