@@ -44,7 +44,7 @@ def _ints(line_no: int, text: str) -> tuple[int, ...]:
 
 
 def _check_block(line_no: int, pts: tuple[int, ...], v: int) -> None:
-    """The checks a block line failed, first failure first."""
+    """Raise the first of the duplicate, range and order checks a block line fails."""
     if len(set(pts)) != len(pts):
         raise ParseError(line_no, "duplicate point in block")
     if any(p < 0 or p >= v for p in pts):

@@ -81,6 +81,7 @@ PARSE_ERRORS = [
     (HEADER + "block: 0 1 1\n", 2, "duplicate point in block"),
     ("design v=3 k=3 lambda=1\nblock: 0 1 5\n", 2, "point out of range [0, 3)"),
     ("design v=3 k=3 lambda=1\nblock: -1 1 2\n", 2, "point out of range [0, 3)"),
+    (HEADER + "block: 1 2 4\n", 2, "point out of range [0, 4)"),
     ("design v=0 k=2 lambda=1\nblock: 0 1\n", 2, "point out of range [0, 0)"),
     (HEADER + "block: 2 1 0\n", 2, "block points must be ascending"),
     (HEADER + "block: 1 0\n", 2, "block points must be ascending"),
