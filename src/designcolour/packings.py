@@ -87,7 +87,7 @@ def bound_general(v: int, k: int, c: int) -> tuple[Fraction, int]:
     most their ratio.  Returned exactly, together with its floor.
     """
     if k < 3 or c < 2:
-        raise DesignError("requires k >= 3 and c >= 2")
+        raise UnsupportedParameterError("requires k >= 3 and c >= 2")
     if v < k:
         raise UnsupportedParameterError("requires v >= k")
     exact = _nm_equitable(v, c) / _nm_equitable(k, c)
@@ -103,7 +103,7 @@ def bound_max_equitable(v: int, k: int = 4, c: int = 2) -> BoundInfo:
     Other parameters fall back to the general bound with tight=False.
     """
     if v < 0:
-        raise DesignError("v must be non-negative")
+        raise UnsupportedParameterError("v must be non-negative")
     if (k, c) == (3, 2):
         value = (v * v) // 8 if v >= 3 else 0
         return BoundInfo(value, True, v not in (4, 5))
@@ -485,7 +485,7 @@ def pairs_for_s(s: int) -> PairsProfile:
     entry surfaces as an error instead of a bad packing.
     """
     if s < 2:
-        raise DesignError("s must be at least 2")
+        raise UnsupportedParameterError("s must be at least 2")
     if s in _SMALL_PROFILES:
         t, pairs = _SMALL_PROFILES[s]
         profile = PairsProfile(s, t, pairs)

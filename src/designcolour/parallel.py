@@ -82,12 +82,18 @@ class PcAnalysis:
 def _analyze_one(args) -> PcRecord:
     d, pc, idx, budget = args
     gdd, grouping = pc_to_gdd(d, pc)
+    # Each search keeps its answer when only the other one runs out.
+    chi: Optional[int] = None
+    chi_m: Optional[int] = None
     try:
         chi = chromatic_number(gdd, None, "weak", budget).chi
+    except BudgetExceededError:
+        pass
+    try:
         chi_m = chromatic_number(gdd, grouping, "group-monochromatic", budget).chi
     except BudgetExceededError:
-        return PcRecord(idx, None, None, True)
-    return PcRecord(idx, chi, chi_m)
+        pass
+    return PcRecord(idx, chi, chi_m, chi is None or chi_m is None)
 
 
 _CHUNKSIZE = 4

@@ -16,10 +16,17 @@ exhausted, so it is a certificate, not a heuristic answer.
 * on a colourable verdict, the witness pass branches in natural variable
   order, so its first solution is the lexicographically least witness.
 
-`SolveResult` reports the nodes of each pass.  The engine's trail is a
-flat list of ints: a variable index for an assignment, and an old domain
-mask followed by the complement of a variable index for a domain change
-(see `_Engine`).
+`SolveResult` reports the nodes of each pass.
+
+A design and mode are compiled once into a `_Problem` that holds no
+colour count: each weak ("not all equal") constraint is an int mask of
+its members.  `chromatic_number` decides one design at several colour
+counts, and each decision reuses the last problem compiled for the same
+design, grouping and mode objects (`_compiled`).  Per colour count, an
+`_Engine` keeps one mask of variables per colour, so an assignment checks
+a weak constraint with two bit operations, and its trail is a flat list
+of ints: a variable index for an assignment, and an old domain mask
+followed by the complement of a variable index for a domain change.
 """
 from __future__ import annotations
 
@@ -49,9 +56,11 @@ class SearchBudget:
     time_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.node_limit is not None and self.node_limit <= 0:
+        limit = self.node_limit
+        if limit is not None and (not isinstance(limit, int) or limit <= 0):
             raise DesignError("node limit must be positive or None")
-        if self.time_limit is not None and self.time_limit <= 0:
+        # `not >` rejects nan, whose deadline would never expire
+        if self.time_limit is not None and not (self.time_limit > 0):
             raise DesignError("time limit must be positive or None")
 
 
@@ -108,14 +117,54 @@ class _Exhausted(Exception):
     pass
 
 
+class _Problem:
+    """A design and mode compiled into constraints, for every colour count.
+
+    Variables are points, or groups in the group-monochromatic mode.  A
+    weak ("not all equal") constraint is the int mask of its members; it
+    is listed in `var_weak[x]` for each member x, in the order of the
+    deduplicated member sets.  A counted constraint is a sorted member tuple,
+    and `var_ctr[x]` lists the indices of those holding x.  Nothing here
+    depends on the colour count, so `chromatic_number` compiles a design
+    once for all the counts it decides (see `_compiled`).
+    """
+
+    __slots__ = ("n", "var_weak", "counted", "var_ctr")
+
+    def __init__(self, n: int, weak: list[int], counted: list[tuple[int, ...]]):
+        self.n = n
+        self.counted = counted
+        self.var_weak: list[list[int]] = [[] for _ in range(n)]
+        for mask in weak:
+            m = mask
+            while m:
+                low = m & -m
+                self.var_weak[low.bit_length() - 1].append(mask)
+                m ^= low
+        self.var_ctr: list[list[int]] = [[] for _ in range(n)]
+        for ci, members in enumerate(counted):
+            for x in members:
+                self.var_ctr[x].append(ci)
+
+
 class _Engine:
     """Backtracking colourer over 'not all equal' and counted constraints.
 
     Weak constraints forbid a member set from being single-coloured;
     counted constraints bound every colour's count within a member set by
-    [floor, cap].  Domains are bitmasks; an assignment strips or restricts
-    the domains it rules out, and a domain left with one colour forces
-    that colour, cascading until nothing changes or a constraint fails.
+    [floor, cap], both computed from the colour count.  Domains are
+    bitmasks; an assignment strips or restricts the domains it rules out,
+    and a domain left with one colour forces that colour, cascading until
+    nothing changes or a constraint fails.
+
+    Colour classes are int masks: `cls[colour]` holds the variables
+    assigned that colour.  Assigning x the colour r sets x's bit in
+    `cls[r]`; for each weak mask m on x, `rest = m & ~cls[r]` is the
+    members not coloured r.  An empty `rest` is a single-coloured
+    constraint, a failure; a single bit whose variable is unassigned
+    loses r from its domain.  Counted constraints keep flat counters
+    indexed by ci * c + colour, with the assignments and the total floor
+    deficit per constraint.
 
     `search` runs one depth-first pass.  The branching variable is the
     unassigned one with the fewest colours left in its domain (lowest
@@ -125,44 +174,29 @@ class _Engine:
     which breaks the symmetry between unused colours.
 
     The trail holds ints.  A non-negative entry x records the assignment
-    of variable x: undoing it walks x's constraint lists and decrements
-    the counters of its colour, so `_assign` applies all of a variable's
-    counter increments before any check can fail.  A domain change
-    pushes the old mask and then ~y, which is negative.  `max_used` is
-    not trailed: each `_dfs` frame restores it.  Counters are flat lists
-    indexed by ci * c + colour.
+    of variable x: undoing it clears x's bit in its colour class and
+    decrements x's counted constraints, so `_assign` sets the bit and
+    applies all of a variable's counter increments before any check can
+    fail.  A domain change pushes the old mask and then ~y, which is
+    negative.  `max_used` is not trailed: each `_dfs` frame restores it.
     """
 
-    def __init__(
-        self,
-        n: int,
-        c: int,
-        weak: list[tuple[int, ...]],
-        counted: list[tuple[tuple[int, ...], int, int]],
-        budget: _Budget,
-    ):
+    def __init__(self, problem: _Problem, c: int, budget: _Budget):
+        n = problem.n
         self.n = n
         self.c = c
-        self.weak = weak
-        self.w_size = [len(m) for m in weak]
-        self.counted = [m for m, _, _ in counted]
-        self.caps = [cap for _, cap, _ in counted]
-        self.floors = [fl for _, _, fl in counted]
+        self.var_weak = problem.var_weak
+        self.counted = problem.counted
+        self.var_ctr = problem.var_ctr
+        sizes = [len(m) for m in problem.counted]
+        self.caps = [-(-size // c) for size in sizes]
+        self.floors = [size // c for size in sizes]
         self.budget = budget
-        self.var_weak: list[list[int]] = [[] for _ in range(n)]
-        for ci, members in enumerate(weak):
-            for x in members:
-                self.var_weak[x].append(ci)
-        self.var_ctr: list[list[int]] = [[] for _ in range(n)]
-        for ci, (members, _, _) in enumerate(counted):
-            for x in members:
-                self.var_ctr[x].append(ci)
         self.colour = [-1] * n
         self.dom = [(1 << c) - 1] * n
-        self.w_cnt = [0] * (c * len(weak))
-        self.w_ass = [0] * len(weak)
-        self.t_cnt = [0] * (c * len(counted))
-        self.t_ass = [0] * len(counted)
+        self.cls = [0] * c
+        self.t_cnt = [0] * (c * len(sizes))
+        self.t_ass = [0] * len(sizes)
         self.deficit = [c * fl for fl in self.floors]
         self.max_used = -1
         self.most_constrained = False
@@ -186,10 +220,10 @@ class _Engine:
         c = self.c
         colour = self.colour
         dom = self.dom
-        w_cnt, w_ass, w_size = self.w_cnt, self.w_ass, self.w_size
+        cls = self.cls
         t_cnt, t_ass = self.t_cnt, self.t_ass
         floors, caps, deficit = self.floors, self.caps, self.deficit
-        weak, counted = self.weak, self.counted
+        counted = self.counted
         forced = [(x0, colr0)]
         while forced:
             x, colr = forced.pop()
@@ -203,11 +237,10 @@ class _Engine:
             trail.append(x)
             if colr > self.max_used:
                 self.max_used = colr
-            var_weak = self.var_weak[x]
+            same = cls[colr] | (1 << x)
+            cls[colr] = same
+            others = ~same
             var_ctr = self.var_ctr[x]
-            for ci in var_weak:
-                w_cnt[ci * c + colr] += 1
-                w_ass[ci] += 1
             for ci in var_ctr:
                 k = ci * c + colr
                 if t_cnt[k] < floors[ci]:
@@ -215,17 +248,14 @@ class _Engine:
                 t_cnt[k] += 1
                 t_ass[ci] += 1
             strip = ~(1 << colr)
-            for ci in var_weak:
-                cnt = w_cnt[ci * c + colr]
-                size = w_size[ci]
-                if cnt == size:
+            for mask in self.var_weak[x]:
+                rest = mask & others
+                if not rest:
                     return False
-                if w_ass[ci] == size - 1 and cnt == size - 1:
-                    for y in weak[ci]:
-                        if colour[y] == -1:
-                            if not self._restrict(y, strip, trail, forced):
-                                return False
-                            break
+                if not rest & (rest - 1):
+                    y = rest.bit_length() - 1
+                    if colour[y] == -1 and not self._restrict(y, strip, trail, forced):
+                        return False
             for ci in var_ctr:
                 cnt = t_cnt[ci * c + colr]
                 if cnt > caps[ci]:
@@ -255,10 +285,10 @@ class _Engine:
     def _undo(self, trail: list, mark: int) -> None:
         c = self.c
         colour = self.colour
-        w_cnt, w_ass = self.w_cnt, self.w_ass
+        cls = self.cls
         t_cnt, t_ass = self.t_cnt, self.t_ass
         floors, deficit = self.floors, self.deficit
-        dom, var_weak, var_ctr = self.dom, self.var_weak, self.var_ctr
+        dom, var_ctr = self.dom, self.var_ctr
         while len(trail) > mark:
             x = trail.pop()
             if x < 0:
@@ -266,9 +296,7 @@ class _Engine:
                 continue
             colr = colour[x]
             colour[x] = -1
-            for ci in var_weak[x]:
-                w_cnt[ci * c + colr] -= 1
-                w_ass[ci] -= 1
+            cls[colr] ^= 1 << x
             for ci in var_ctr[x]:
                 k = ci * c + colr
                 t_cnt[k] -= 1
@@ -323,43 +351,48 @@ class _Engine:
         return False
 
 
-def _dedupe(seqs) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    for s in seqs:
-        t = tuple(sorted(s))
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+def _masks(member_sets) -> list[int]:
+    """One int mask per distinct member set, in order of first appearance;
+    each set lists its members once."""
+    return list(dict.fromkeys(sum(1 << x for x in s) for s in member_sets))
 
 
-def _build_problem(
-    d: Design, g: Optional[Grouping], c: int, mode: str
-) -> tuple[int, list, list]:
+def _build_problem(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
     """Translate a design and mode into engine constraints.
 
-    Returns (n_vars, weak, counted).  For the group-monochromatic mode the
-    variables are groups, not points.
+    For the group-monochromatic mode the variables are groups, not points.
     """
     if mode not in MODES:
         raise DesignError(f"unknown colouring mode {mode!r}")
     if mode in GROUP_MODES and g is None:
         raise DesignError(f"mode {mode!r} requires a grouping")
     if mode == "weak":
-        return d.v, _dedupe(d.blocks), []
+        return _Problem(d.v, _masks(d.blocks), [])
     if mode == "block-equitable":
-        counted = [
-            (blk, -(-len(blk) // c), len(blk) // c) for blk in _dedupe(d.blocks)
-        ]
-        return d.v, [], counted
+        # blocks are sorted tuples, so equal blocks are equal tuples
+        return _Problem(d.v, [], list(dict.fromkeys(d.blocks)))
     if g is None:
         raise InternalConsistencyError(f"mode {mode!r} reached without a grouping")
     if mode == "group-monochromatic":
         gi = g.group_index
-        return g.u, _dedupe({gi[p] for p in blk} for blk in d.blocks), []
-    counted = [(grp, -(-len(grp) // c), len(grp) // c) for grp in g.groups]
-    return d.v, _dedupe(d.blocks), counted
+        return _Problem(g.u, _masks({gi[p] for p in blk} for blk in d.blocks), [])
+    return _Problem(d.v, _masks(d.blocks), list(g.groups))
+
+
+# The last problem compiled, keyed by the identity of its (frozen) design
+# and grouping: chromatic_number decides one design at several colour
+# counts, and each decision finds its problem here.
+_last_compiled: tuple = (None, None, None, None)
+
+
+def _compiled(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
+    global _last_compiled
+    last_d, last_g, last_mode, problem = _last_compiled
+    if d is last_d and g is last_g and mode == last_mode:
+        return problem
+    problem = _build_problem(d, g, mode)
+    _last_compiled = (d, g, mode, problem)
+    return problem
 
 
 def _expand_group_witness(g: Grouping, group_colours: list[int], c: int) -> Colouring:
@@ -385,8 +418,7 @@ def decide_colourable(
     if c < 1:
         raise DesignError("colour count must be at least 1")
     tracker = _Budget(budget or SearchBudget())
-    n, weak, counted = _build_problem(d, g, c, mode)
-    engine = _Engine(n, c, weak, counted, tracker)
+    engine = _Engine(_compiled(d, g, mode), c, tracker)
     try:
         solution = engine.search(most_constrained=True)
     except _Exhausted:

@@ -44,7 +44,7 @@ def blow_up(d: Design, g: Grouping, w: int) -> BlowUp:
     lifted colouring is weak whenever the original is.
     """
     if w < 1:
-        raise DesignError("expansion factor must be positive")
+        raise UnsupportedParameterError("expansion factor must be positive")
     k = d.k
     rows = td_symbol_rows(k, w) if d.blocks else []
     rows = td_align_first_block(rows, k)

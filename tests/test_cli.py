@@ -187,6 +187,10 @@ class TestExitCodes:
             ["chromatic", "sts7", "--budget-secs", "0"],
             ["construct", "pack-max", "-5"],
             ["construct", "delete-point", "sts13", "99"],
+            ["bound", "5", "2", "2"],
+            ["bound", "-5", "4", "2", "--tight"],
+            ["construct", "pack-pairs", "-1"],
+            ["construct", "blowup", "sts7", "0"],
         ):
             assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
 

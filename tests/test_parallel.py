@@ -6,12 +6,15 @@ import pytest
 
 from designcolour import parallel
 from designcolour import (
+    SearchBudget,
     analyze_parallel_classes,
     catalog_get,
     chromatic_number,
+    decide_colourable,
     enumerate_parallel_classes,
     pc_to_gdd,
 )
+from designcolour.parallel import PcRecord
 
 
 class TestEnumeration:
@@ -113,6 +116,39 @@ class TestAnalysis:
         # {(3,3): 70, (3,4): 60} is unreachable from this block list.
         analysis = analyze_parallel_classes(catalog_get("sts21").design)
         assert analysis.histogram_dict() == {(3, 3): 22, (3, 4): 108}
+
+    def test_one_search_over_budget_keeps_the_other(self):
+        # A node budget between the costs of a class's two searches: the
+        # cheaper search keeps its answer, the record is still flagged, and
+        # the histogram skips it.
+        sts21 = catalog_get("sts21").design
+        classes, _ = enumerate_parallel_classes(sts21)
+
+        def cost(gdd, grouping, mode, chi):
+            return sum(
+                decide_colourable(gdd, grouping, c, mode).nodes for c in range(1, chi + 1)
+            )
+
+        picked = {}
+        for idx, pc in enumerate(classes):
+            gdd, grouping = pc_to_gdd(sts21, pc)
+            chi = chromatic_number(gdd).chi
+            chi_m = chromatic_number(gdd, grouping, "group-monochromatic").chi
+            costs = (cost(gdd, None, "weak", chi), cost(gdd, grouping, "group-monochromatic", chi_m))
+            if costs[0] != costs[1]:
+                picked.setdefault(costs[0] < costs[1], (idx, pc, chi, chi_m, min(costs)))
+            if len(picked) == 2:
+                break
+        for chi_cheaper, (idx, pc, chi, chi_m, limit) in picked.items():
+            budget = SearchBudget(node_limit=limit)
+            expected = PcRecord(idx, chi, None, True) if chi_cheaper else PcRecord(idx, None, chi_m, True)
+            assert parallel._analyze_one((sts21, pc, idx, budget)) == expected
+        idx, pc, chi, _, limit = picked[True]
+        analysis = analyze_parallel_classes(sts21, SearchBudget(node_limit=limit))
+        assert analysis.records[idx] == PcRecord(idx, chi, None, True)
+        complete = [r for r in analysis.records if not r.budget_exceeded]
+        assert all(r.chi is not None and r.chi_m is not None for r in complete)
+        assert sum(analysis.histogram_dict().values()) == len(complete) < len(classes)
 
     def test_sandwich_bounds_on_sts9(self):
         sts9 = catalog_get("sts9").design

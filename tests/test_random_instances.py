@@ -1,5 +1,5 @@
-"""Randomized cross-checks: solver vs enumeration, validators vs pair
-loops, files vs round-trip."""
+"""Randomized cross-checks: solver vs enumeration and vs its earlier
+engine, validators vs pair loops, files vs round-trip."""
 from itertools import combinations, product
 
 import pytest
@@ -23,6 +23,7 @@ from designcolour import (
     validate_gdd,
     validate_packing,
 )
+from designcolour.colouring import MODES
 from designcolour.transforms import delete_point
 
 
@@ -263,3 +264,285 @@ def test_validators_match_pair_loops(case):
             assert leave.edges == edges
             assert leave.edge_count == len(edges)
     assert design.pair_multiplicities() == oracle_pair_counts(design)
+
+
+# Reference engine: the solver's engine as it was before colour classes
+# became bitsets and problems were compiled once per design.  Weak
+# constraints there keep a counter per colour and an assigned count per
+# constraint; the search tree, and so every node count, must not change.
+
+
+class Unbounded:
+    def __init__(self):
+        self.nodes = 0
+
+    def spend(self):
+        self.nodes += 1
+        return True
+
+
+class CounterEngine:
+    """The counter-based engine: weak constraints count each colour."""
+
+    def __init__(
+        self,
+        n: int,
+        c: int,
+        weak: list[tuple[int, ...]],
+        counted: list[tuple[tuple[int, ...], int, int]],
+        budget,
+    ):
+        self.n = n
+        self.c = c
+        self.weak = weak
+        self.w_size = [len(m) for m in weak]
+        self.counted = [m for m, _, _ in counted]
+        self.caps = [cap for _, cap, _ in counted]
+        self.floors = [fl for _, _, fl in counted]
+        self.budget = budget
+        self.var_weak: list[list[int]] = [[] for _ in range(n)]
+        for ci, members in enumerate(weak):
+            for x in members:
+                self.var_weak[x].append(ci)
+        self.var_ctr: list[list[int]] = [[] for _ in range(n)]
+        for ci, (members, _, _) in enumerate(counted):
+            for x in members:
+                self.var_ctr[x].append(ci)
+        self.colour = [-1] * n
+        self.dom = [(1 << c) - 1] * n
+        self.w_cnt = [0] * (c * len(weak))
+        self.w_ass = [0] * len(weak)
+        self.t_cnt = [0] * (c * len(counted))
+        self.t_ass = [0] * len(counted)
+        self.deficit = [c * fl for fl in self.floors]
+        self.max_used = -1
+        self.most_constrained = False
+
+    def _restrict(self, y: int, mask: int, trail: list, forced: list) -> bool:
+        dom = self.dom
+        old = dom[y]
+        new = old & mask
+        if new == old:
+            return True
+        if new == 0:
+            return False
+        trail.append(old)
+        trail.append(~y)
+        dom[y] = new
+        if new & (new - 1) == 0:
+            forced.append((y, new.bit_length() - 1))
+        return True
+
+    def _assign(self, x0: int, colr0: int, trail: list) -> bool:
+        c = self.c
+        colour = self.colour
+        dom = self.dom
+        w_cnt, w_ass, w_size = self.w_cnt, self.w_ass, self.w_size
+        t_cnt, t_ass = self.t_cnt, self.t_ass
+        floors, caps, deficit = self.floors, self.caps, self.deficit
+        weak, counted = self.weak, self.counted
+        forced = [(x0, colr0)]
+        while forced:
+            x, colr = forced.pop()
+            if colour[x] != -1:
+                if colour[x] != colr:
+                    return False
+                continue
+            if not (dom[x] >> colr) & 1:
+                return False
+            colour[x] = colr
+            trail.append(x)
+            if colr > self.max_used:
+                self.max_used = colr
+            var_weak = self.var_weak[x]
+            var_ctr = self.var_ctr[x]
+            for ci in var_weak:
+                w_cnt[ci * c + colr] += 1
+                w_ass[ci] += 1
+            for ci in var_ctr:
+                k = ci * c + colr
+                if t_cnt[k] < floors[ci]:
+                    deficit[ci] -= 1
+                t_cnt[k] += 1
+                t_ass[ci] += 1
+            strip = ~(1 << colr)
+            for ci in var_weak:
+                cnt = w_cnt[ci * c + colr]
+                size = w_size[ci]
+                if cnt == size:
+                    return False
+                if w_ass[ci] == size - 1 and cnt == size - 1:
+                    for y in weak[ci]:
+                        if colour[y] == -1:
+                            if not self._restrict(y, strip, trail, forced):
+                                return False
+                            break
+            for ci in var_ctr:
+                cnt = t_cnt[ci * c + colr]
+                if cnt > caps[ci]:
+                    return False
+                members = counted[ci]
+                remaining = len(members) - t_ass[ci]
+                if deficit[ci] > remaining:
+                    return False
+                if cnt == caps[ci]:
+                    for y in members:
+                        if colour[y] == -1:
+                            if not self._restrict(y, strip, trail, forced):
+                                return False
+                if deficit[ci] == remaining and remaining > 0:
+                    fl = floors[ci]
+                    base = ci * c
+                    need = 0
+                    for cc in range(c):
+                        if t_cnt[base + cc] < fl:
+                            need |= 1 << cc
+                    for y in members:
+                        if colour[y] == -1:
+                            if not self._restrict(y, need, trail, forced):
+                                return False
+        return True
+
+    def _undo(self, trail: list, mark: int) -> None:
+        c = self.c
+        colour = self.colour
+        w_cnt, w_ass = self.w_cnt, self.w_ass
+        t_cnt, t_ass = self.t_cnt, self.t_ass
+        floors, deficit = self.floors, self.deficit
+        dom, var_weak, var_ctr = self.dom, self.var_weak, self.var_ctr
+        while len(trail) > mark:
+            x = trail.pop()
+            if x < 0:
+                dom[~x] = trail.pop()
+                continue
+            colr = colour[x]
+            colour[x] = -1
+            for ci in var_weak[x]:
+                w_cnt[ci * c + colr] -= 1
+                w_ass[ci] -= 1
+            for ci in var_ctr[x]:
+                k = ci * c + colr
+                t_cnt[k] -= 1
+                t_ass[ci] -= 1
+                if t_cnt[k] < floors[ci]:
+                    deficit[ci] += 1
+
+    def search(self, most_constrained: bool):
+        """First solution of one depth-first pass, or None.
+
+        The engine is back in its initial state afterwards, so it can run
+        another pass.  Raises _Exhausted via the budget when limits run out.
+        """
+        self.most_constrained = most_constrained
+        trail: list[int] = []
+        solution = list(self.colour) if self._dfs(0, trail) else None
+        self._undo(trail, 0)
+        self.max_used = -1
+        return solution
+
+    def _dfs(self, start: int, trail: list) -> bool:
+        """Extend the current assignment; variables below `start` are set."""
+        colour = self.colour
+        dom = self.dom
+        n = self.n
+        while start < n and colour[start] != -1:
+            start += 1
+        if start == n:
+            return True
+        x = start
+        if self.most_constrained:
+            fewest = dom[x].bit_count()
+            for y in range(x + 1, n):
+                if colour[y] == -1:
+                    size = dom[y].bit_count()
+                    if size < fewest:
+                        x, fewest = y, size
+        saved = self.max_used
+        allowed = dom[x] & ((1 << min(saved + 2, self.c)) - 1)
+        colr = 0
+        while allowed:
+            if allowed & 1:
+                if not self.budget.spend():
+                    raise RuntimeError("unbounded search ran out")
+                mark = len(trail)
+                if self._assign(x, colr, trail) and self._dfs(start, trail):
+                    return True
+                self._undo(trail, mark)
+                self.max_used = saved
+            allowed >>= 1
+            colr += 1
+        return False
+
+
+def oracle_dedupe(seqs) -> list[tuple[int, ...]]:
+    seen = set()
+    out = []
+    for s in seqs:
+        t = tuple(sorted(s))
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
+    return out
+
+
+def oracle_build_problem(d, g, c, mode):
+    """(n_vars, weak, counted); for the group-monochromatic mode the
+    variables are groups, not points."""
+    if mode == "weak":
+        return d.v, oracle_dedupe(d.blocks), []
+    if mode == "block-equitable":
+        counted = [
+            (blk, -(-len(blk) // c), len(blk) // c) for blk in oracle_dedupe(d.blocks)
+        ]
+        return d.v, [], counted
+    if mode == "group-monochromatic":
+        gi = g.group_index
+        return g.u, oracle_dedupe({gi[p] for p in blk} for blk in d.blocks), []
+    counted = [(grp, -(-len(grp) // c), len(grp) // c) for grp in g.groups]
+    return d.v, oracle_dedupe(d.blocks), counted
+
+
+def oracle_decide(d, g, c, mode):
+    """(status, witness, search_nodes, witness_nodes) from the reference
+    engine, with the two passes of `decide_colourable`."""
+    budget = Unbounded()
+    n, weak, counted = oracle_build_problem(d, g, c, mode)
+    engine = CounterEngine(n, c, weak, counted, budget)
+    solution = engine.search(most_constrained=True)
+    search_nodes = budget.nodes
+    if solution is None:
+        return "not-colourable", None, search_nodes, 0
+    solution = engine.search(most_constrained=False)
+    if mode == "group-monochromatic":
+        solution = [solution[gi] for gi in g.group_index]
+    return "colourable", tuple(solution), search_nodes, budget.nodes - search_nodes
+
+
+@st.composite
+def engine_cases(draw):
+    """Mixed-size blocks, possibly repeated, with a random grouping that
+    may put a whole block in one group."""
+    v = draw(st.integers(2, 9))
+    blocks = draw(st.lists(
+        st.lists(st.integers(0, v - 1), min_size=2, max_size=min(v, 5), unique=True),
+        max_size=16,
+    ))
+    labels = draw(st.lists(st.integers(0, 3), min_size=v, max_size=v))
+    groups = {}
+    for p, label in enumerate(labels):
+        groups.setdefault(label, []).append(p)
+    return Design(v, tuple(map(tuple, blocks))), Grouping(v, tuple(map(tuple, groups.values())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_cases())
+def test_engine_matches_counter_engine(case):
+    # Every colour count in turn on one design object, so the compiled
+    # problem is shared across counts as it is in chromatic_number.
+    design, grouping = case
+    for mode in MODES:
+        for c in (1, 2, 3):
+            result = decide_colourable(design, grouping, c, mode)
+            witness = result.witness.assignment if result.witness else None
+            got = (result.status, witness, result.search_nodes, result.witness_nodes)
+            assert got == oracle_decide(design, grouping, c, mode), (mode, c)

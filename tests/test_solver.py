@@ -24,6 +24,7 @@ from designcolour import (
     decide_colourable,
     upper_bound_colouring,
 )
+from designcolour import solver
 from designcolour.solver import (
     BUDGET_EXCEEDED,
     COLOURABLE,
@@ -87,6 +88,20 @@ class TestDecide:
         d = catalog_get("sts21").design
         result = decide_colourable(d, None, 3, "weak", SearchBudget(node_limit=5))
         assert result.status == BUDGET_EXCEEDED
+
+    @pytest.mark.parametrize("time_limit", [float("nan"), 0, -1.5, float("-inf")])
+    def test_budget_rejects_time_limits_that_never_expire_or_are_spent(self, time_limit):
+        with pytest.raises(DesignError, match="^time limit must be positive or None$"):
+            SearchBudget(time_limit=time_limit)
+
+    @pytest.mark.parametrize("node_limit", [2.5, 1e6, "10", 0, -3])
+    def test_budget_rejects_non_integer_or_non_positive_node_limits(self, node_limit):
+        with pytest.raises(DesignError, match="^node limit must be positive or None$"):
+            SearchBudget(node_limit=node_limit)
+
+    def test_budget_accepts_unlimited_settings(self):
+        assert SearchBudget(None, float("inf")).node_limit is None
+        assert SearchBudget(7, 0.5) == SearchBudget(node_limit=7, time_limit=0.5)
 
     def test_nodes_per_pass(self):
         d = catalog_get("sts9").design
@@ -200,6 +215,27 @@ class TestChromatic:
         assert result.refutation is not None and result.refutation.c == 3
         assert result.refutation.status == NOT_COLOURABLE
         assert check_weak(relabelled, result.witness).passed
+
+    def test_stored_sts21_refuted_at_3_in_7354_nodes(self):
+        # `chromatic sts21` prints this count on stdout
+        result = chromatic_number(catalog_get("sts21").design)
+        assert result.chi == 4
+        refutation = result.refutation
+        assert (refutation.c, refutation.status) == (3, NOT_COLOURABLE)
+        assert (refutation.search_nodes, refutation.witness_nodes) == (7354, 0)
+
+    def test_one_compiled_problem_serves_every_colour_count(self, monkeypatch):
+        compiled = []
+        build = solver._build_problem
+        monkeypatch.setattr(solver, "_last_compiled", (None, None, None, None))
+        monkeypatch.setattr(solver, "_build_problem", lambda *a: compiled.append(a) or build(*a))
+        d = catalog_get("sts13").design
+        assert chromatic_number(d).chi == 3
+        assert compiled == [(d, None, "weak")]
+        # an equal design that is another object is compiled afresh
+        twin = Design(d.v, d.blocks)
+        assert decide_colourable(twin, None, 3, "weak") == decide_colourable(d, None, 3, "weak")
+        assert [a[0] is twin for a in compiled] == [False, True, False]
 
     def test_group_monochromatic_on_td(self):
         d, g = build_td(4, 4)
