@@ -154,6 +154,9 @@ def _cmd_chromatic(args, out) -> int:
 
 
 def _cmd_pclasses(args, out) -> int:
+    if args.analyze and args.limit is not None:
+        print("error: --limit applies to listing classes, not to --analyze", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     design, _, _ = _load(args.design)
     if args.analyze:
         analysis = analyze_parallel_classes(design, _budget(args), jobs=args.jobs)
@@ -335,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("design")
     p.add_argument("--analyze", action="store_true")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_positive_int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--budget-nodes", type=_positive_int, default=100_000_000)
     p.add_argument("--budget-secs", type=_positive_float, default=None)

@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Design
+from .core import Design, UnsupportedParameterError
 from .solver import BudgetExceededError, SearchBudget, chromatic_number
 from .transforms import ParallelClass, pc_to_gdd
 
@@ -20,8 +20,11 @@ def enumerate_parallel_classes(
     Exact-cover backtracking: always branch on the least uncovered point,
     trying its blocks in ascending index order, so output order is
     deterministic.  Returns (classes, truncated); a design whose block
-    size does not divide v simply has no classes.
+    size does not divide v simply has no classes.  A limit, when given,
+    must be at least 1.
     """
+    if limit is not None and limit < 1:
+        raise UnsupportedParameterError(f"class limit must be at least 1, got {limit}")
     classes: list[ParallelClass] = []
     if d.v == 0 or not d.blocks or not d.uniform or d.v % d.k:
         return classes, False

@@ -24,18 +24,18 @@ its members.  `chromatic_number` decides one design at several colour
 counts, and each decision reuses the last problem compiled for the same
 design, grouping and mode objects (`_compiled`).  Per colour count, an
 `_Engine` keeps one mask of variables per colour, so an assignment checks
-a weak constraint with two bit operations, and its trail is a flat list
-of ints: a variable index for an assignment, and an old domain mask
-followed by the complement of a variable index for a domain change.
+a weak constraint with two bit operations.  Its state is small (a domain
+and a colour per variable, a mask per colour), so it backtracks by
+restoring a copy of that state rather than by logging every change.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .colouring import GROUP_MODES, MODES, Colouring, check_colouring
-from .core import Design, DesignError, Grouping, InternalConsistencyError
+from .core import Design, DesignError, Grouping, InternalConsistencyError, UnsupportedParameterError
 
 COLOURABLE = "colourable"
 NOT_COLOURABLE = "not-colourable"
@@ -131,16 +131,20 @@ class _Problem:
 
     __slots__ = ("n", "var_weak", "counted", "var_ctr")
 
-    def __init__(self, n: int, weak: list[int], counted: list[tuple[int, ...]]):
+    def __init__(self, n: int, weak: Iterable[Iterable[int]], counted: list[tuple[int, ...]]):
+        """`weak` yields member sets, each listing its members once."""
         self.n = n
         self.counted = counted
         self.var_weak: list[list[int]] = [[] for _ in range(n)]
-        for mask in weak:
-            m = mask
-            while m:
-                low = m & -m
-                self.var_weak[low.bit_length() - 1].append(mask)
-                m ^= low
+        seen: set[int] = set()
+        for members in weak:
+            mask = 0
+            for x in members:
+                mask |= 1 << x
+            if mask not in seen:
+                seen.add(mask)
+                for x in members:
+                    self.var_weak[x].append(mask)
         self.var_ctr: list[list[int]] = [[] for _ in range(n)]
         for ci, members in enumerate(counted):
             for x in members:
@@ -173,12 +177,14 @@ class _Engine:
     variable may take at most one colour above the highest used so far,
     which breaks the symmetry between unused colours.
 
-    The trail holds ints.  A non-negative entry x records the assignment
-    of variable x: undoing it clears x's bit in its colour class and
-    decrements x's counted constraints, so `_assign` sets the bit and
-    applies all of a variable's counter increments before any check can
-    fail.  A domain change pushes the old mask and then ~y, which is
-    negative.  `max_used` is not trailed: each `_dfs` frame restores it.
+    Undo is by snapshot.  A `_dfs` frame with more than one colour to try
+    copies the domains, the colour classes and the assignment before its
+    first branch and restores them before each later one; a failed frame
+    leaves its last branch for its caller to undo, and `search` restores
+    the initial state at the end.  Counters are not copied: `_restore`
+    takes back the increments of each variable assigned since the copy,
+    so `_assign` sets a variable's bit and applies all of its increments
+    before any check can fail.  `max_used` is restored by each `_dfs` frame.
     """
 
     def __init__(self, problem: _Problem, c: int, budget: _Budget):
@@ -201,22 +207,19 @@ class _Engine:
         self.max_used = -1
         self.most_constrained = False
 
-    def _restrict(self, y: int, mask: int, trail: list, forced: list) -> bool:
+    def _restrict(self, y: int, mask: int, forced: list) -> bool:
         dom = self.dom
         old = dom[y]
         new = old & mask
-        if new == old:
-            return True
-        if new == 0:
-            return False
-        trail.append(old)
-        trail.append(~y)
-        dom[y] = new
-        if new & (new - 1) == 0:
-            forced.append((y, new.bit_length() - 1))
+        if new != old:
+            if not new:
+                return False
+            dom[y] = new
+            if not new & (new - 1):
+                forced.append((y, new.bit_length() - 1))
         return True
 
-    def _assign(self, x0: int, colr0: int, trail: list) -> bool:
+    def _assign(self, x0: int, colr0: int) -> bool:
         c = self.c
         colour = self.colour
         dom = self.dom
@@ -231,10 +234,10 @@ class _Engine:
                 if colour[x] != colr:
                     return False
                 continue
-            if not (dom[x] >> colr) & 1:
+            bit = 1 << colr
+            if not dom[x] & bit:
                 return False
             colour[x] = colr
-            trail.append(x)
             if colr > self.max_used:
                 self.max_used = colr
             same = cls[colr] | (1 << x)
@@ -247,15 +250,20 @@ class _Engine:
                     deficit[ci] -= 1
                 t_cnt[k] += 1
                 t_ass[ci] += 1
-            strip = ~(1 << colr)
             for mask in self.var_weak[x]:
                 rest = mask & others
                 if not rest:
                     return False
                 if not rest & (rest - 1):
                     y = rest.bit_length() - 1
-                    if colour[y] == -1 and not self._restrict(y, strip, trail, forced):
-                        return False
+                    old = dom[y]
+                    if old & bit and colour[y] == -1:
+                        if old == bit:
+                            return False
+                        dom[y] = old = old ^ bit
+                        if not old & (old - 1):
+                            forced.append((y, old.bit_length() - 1))
+            strip = ~bit
             for ci in var_ctr:
                 cnt = t_cnt[ci * c + colr]
                 if cnt > caps[ci]:
@@ -267,7 +275,7 @@ class _Engine:
                 if cnt == caps[ci]:
                     for y in members:
                         if colour[y] == -1:
-                            if not self._restrict(y, strip, trail, forced):
+                            if not self._restrict(y, strip, forced):
                                 return False
                 if deficit[ci] == remaining and remaining > 0:
                     fl = floors[ci]
@@ -278,31 +286,32 @@ class _Engine:
                             need |= 1 << cc
                     for y in members:
                         if colour[y] == -1:
-                            if not self._restrict(y, need, trail, forced):
+                            if not self._restrict(y, need, forced):
                                 return False
         return True
 
-    def _undo(self, trail: list, mark: int) -> None:
-        c = self.c
-        colour = self.colour
-        cls = self.cls
-        t_cnt, t_ass = self.t_cnt, self.t_ass
-        floors, deficit = self.floors, self.deficit
-        dom, var_ctr = self.dom, self.var_ctr
-        while len(trail) > mark:
-            x = trail.pop()
-            if x < 0:
-                dom[~x] = trail.pop()
-                continue
-            colr = colour[x]
-            colour[x] = -1
-            cls[colr] ^= 1 << x
-            for ci in var_ctr[x]:
-                k = ci * c + colr
-                t_cnt[k] -= 1
-                t_ass[ci] -= 1
-                if t_cnt[k] < floors[ci]:
-                    deficit[ci] += 1
+    def _restore(self, snapshot: tuple[list[int], list[int], list[int]]) -> None:
+        """Put back the domains, colour classes and assignment of a copy,
+        and take back the counter increments made since it was taken."""
+        dom, cls, colour = snapshot
+        if self.counted:
+            c = self.c
+            t_cnt, t_ass = self.t_cnt, self.t_ass
+            floors, deficit, var_ctr = self.floors, self.deficit, self.var_ctr
+            for colr, now in enumerate(self.cls):
+                fresh = now ^ cls[colr]
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    for ci in var_ctr[low.bit_length() - 1]:
+                        k = ci * c + colr
+                        t_cnt[k] -= 1
+                        t_ass[ci] -= 1
+                        if t_cnt[k] < floors[ci]:
+                            deficit[ci] += 1
+        self.dom[:] = dom
+        self.cls[:] = cls
+        self.colour[:] = colour
 
     def search(self, most_constrained: bool) -> Optional[list[int]]:
         """First solution of one depth-first pass, or None.
@@ -311,14 +320,17 @@ class _Engine:
         another pass.  Raises _Exhausted via the budget when limits run out.
         """
         self.most_constrained = most_constrained
-        trail: list[int] = []
-        solution = list(self.colour) if self._dfs(0, trail) else None
-        self._undo(trail, 0)
+        initial = (self.dom[:], self.cls[:], self.colour[:])
+        solution = list(self.colour) if self._dfs(0) else None
+        self._restore(initial)
         self.max_used = -1
         return solution
 
-    def _dfs(self, start: int, trail: list) -> bool:
-        """Extend the current assignment; variables below `start` are set."""
+    def _dfs(self, start: int) -> bool:
+        """Extend the current assignment; variables below `start` are set.
+
+        On failure the state may hold this frame's last branch, for the
+        caller to restore."""
         colour = self.colour
         dom = self.dom
         n = self.n
@@ -336,25 +348,22 @@ class _Engine:
                         x, fewest = y, size
         saved = self.max_used
         allowed = dom[x] & ((1 << min(saved + 2, self.c)) - 1)
+        snapshot = None
         colr = 0
         while allowed:
             if allowed & 1:
                 if not self.budget.spend():
                     raise _Exhausted
-                mark = len(trail)
-                if self._assign(x, colr, trail) and self._dfs(start, trail):
+                if snapshot is not None:
+                    self._restore(snapshot)
+                    self.max_used = saved
+                elif allowed > 1:
+                    snapshot = (dom[:], self.cls[:], colour[:])
+                if self._assign(x, colr) and self._dfs(start):
                     return True
-                self._undo(trail, mark)
-                self.max_used = saved
             allowed >>= 1
             colr += 1
         return False
-
-
-def _masks(member_sets) -> list[int]:
-    """One int mask per distinct member set, in order of first appearance;
-    each set lists its members once."""
-    return list(dict.fromkeys(sum(1 << x for x in s) for s in member_sets))
 
 
 def _build_problem(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
@@ -365,9 +374,9 @@ def _build_problem(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
     if mode not in MODES:
         raise DesignError(f"unknown colouring mode {mode!r}")
     if mode in GROUP_MODES and g is None:
-        raise DesignError(f"mode {mode!r} requires a grouping")
+        raise UnsupportedParameterError(f"mode {mode!r} requires a grouping")
     if mode == "weak":
-        return _Problem(d.v, _masks(d.blocks), [])
+        return _Problem(d.v, d.blocks, [])
     if mode == "block-equitable":
         # blocks are sorted tuples, so equal blocks are equal tuples
         return _Problem(d.v, [], list(dict.fromkeys(d.blocks)))
@@ -375,8 +384,8 @@ def _build_problem(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
         raise InternalConsistencyError(f"mode {mode!r} reached without a grouping")
     if mode == "group-monochromatic":
         gi = g.group_index
-        return _Problem(g.u, _masks({gi[p] for p in blk} for blk in d.blocks), [])
-    return _Problem(d.v, _masks(d.blocks), list(g.groups))
+        return _Problem(g.u, ({gi[p] for p in blk} for blk in d.blocks), [])
+    return _Problem(d.v, d.blocks, list(g.groups))
 
 
 # The last problem compiled, keyed by the identity of its (frozen) design

@@ -61,6 +61,11 @@ class TestPclasses:
         assert code == EXIT_OK
         assert "2,2,4" in text
 
+    def test_limit_lists_that_many_classes(self):
+        code, text = run(["pclasses", "sts9", "--limit", "2"])
+        assert code == EXIT_OK
+        assert text.splitlines() == ["classes: 2", "class 0: 0 10 11", "class 1: 1 5 9", "truncated: true"]
+
     def test_csv_per_class(self):
         code, text = run(["pclasses", "sts9", "--analyze", "--csv"])
         assert code == EXIT_OK
@@ -177,7 +182,8 @@ class TestExitCodes:
 
     def test_usage_errors(self):
         # a missing parameter, a non-integer parameter, zero budgets and
-        # parameters the library rejects
+        # limits, options that do not go together and parameters the
+        # library rejects
         for argv in (
             ["construct", "td"],
             ["construct", "pack-max"],
@@ -191,6 +197,10 @@ class TestExitCodes:
             ["bound", "-5", "4", "2", "--tight"],
             ["construct", "pack-pairs", "-1"],
             ["construct", "blowup", "sts7", "0"],
+            ["chromatic", "sts7", "--mode", "group-mono"],
+            ["pclasses", "sts9", "--limit", "0"],
+            ["pclasses", "sts9", "--limit", "-1"],
+            ["pclasses", "sts9", "--analyze", "--limit", "2"],
         ):
             assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
 

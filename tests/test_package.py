@@ -20,6 +20,13 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject declares requires-python >= 3.10; a newer-only construct
+    # (an `except*` clause, say) would fail to parse there.
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_cli_module_runs_without_runpy_warning():
     # The package root does not import `designcolour.cli`, so running it
     # with -m does not find it already in sys.modules.

@@ -7,6 +7,7 @@ import pytest
 from designcolour import parallel
 from designcolour import (
     SearchBudget,
+    UnsupportedParameterError,
     analyze_parallel_classes,
     catalog_get,
     chromatic_number,
@@ -45,6 +46,14 @@ class TestEnumeration:
     def test_limit_truncates(self):
         classes, truncated = enumerate_parallel_classes(catalog_get("sts21").design, limit=5)
         assert len(classes) == 5 and truncated
+
+    def test_limit_below_one_is_rejected(self):
+        # a limit is checked only after a class is found, so 0 would still
+        # list one class
+        sts9 = catalog_get("sts9").design
+        for limit in (0, -1):
+            with pytest.raises(UnsupportedParameterError):
+                enumerate_parallel_classes(sts9, limit=limit)
 
     def test_greedy_samples_are_found(self):
         sts21 = catalog_get("sts21").design

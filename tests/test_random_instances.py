@@ -23,7 +23,8 @@ from designcolour import (
     validate_gdd,
     validate_packing,
 )
-from designcolour.colouring import MODES
+from designcolour.colouring import GROUP_MODES, MODES
+from designcolour.td import build_td
 from designcolour.transforms import delete_point
 
 
@@ -542,6 +543,42 @@ def test_engine_matches_counter_engine(case):
     design, grouping = case
     for mode in MODES:
         for c in (1, 2, 3):
+            result = decide_colourable(design, grouping, c, mode)
+            witness = result.witness.assignment if result.witness else None
+            got = (result.status, witness, result.search_nodes, result.witness_nodes)
+            assert got == oracle_decide(design, grouping, c, mode), (mode, c)
+
+
+def deep_instances():
+    """Fixed designs larger than the drawn ones, with the deepest tree of
+    each noted."""
+    sts13 = catalog_get("sts13").design
+    sts21 = catalog_get("sts21").design
+    td44 = catalog_get("td44")
+    return [
+        pytest.param(sts13, None, id="sts13"),
+        pytest.param(td44.design, td44.grouping, id="td44"),
+        pytest.param(*delete_point(sts13, 0), id="sts13-less-a-point"),
+        # group-equitable: 909 nodes at c=2
+        pytest.param(*build_td(4, 5), id="td45"),
+        # group-equitable: 683 nodes at c=3
+        pytest.param(*delete_point(sts21, 0), id="sts21-less-a-point"),
+        # block-equitable: 523 nodes at c=3
+        pytest.param(catalog_get("pack24").design, None, id="pack24"),
+        # weak: 7354 nodes at c=3
+        pytest.param(sts21, None, id="sts21"),
+    ]
+
+
+@pytest.mark.parametrize("design, grouping", deep_instances())
+def test_engine_matches_counter_engine_on_deep_trees(design, grouping):
+    # The drawn designs have at most 9 points, so their trees are a few
+    # levels deep; these have 12 to 24 variables, and a branch may restore
+    # state that many assignments have changed.
+    for mode in MODES:
+        if grouping is None and mode in GROUP_MODES:
+            continue
+        for c in (2, 3):
             result = decide_colourable(design, grouping, c, mode)
             witness = result.witness.assignment if result.witness else None
             got = (result.status, witness, result.search_nodes, result.witness_nodes)
