@@ -211,12 +211,13 @@ class _Engine:
         dom = self.dom
         old = dom[y]
         new = old & mask
-        if new != old:
-            if not new:
-                return False
-            dom[y] = new
-            if not new & (new - 1):
-                forced.append((y, new.bit_length() - 1))
+        if new == old:
+            return True
+        if new == 0:
+            return False
+        dom[y] = new
+        if new & (new - 1) == 0:
+            forced.append((y, new.bit_length() - 1))
         return True
 
     def _assign(self, x0: int, colr0: int) -> bool:
@@ -298,12 +299,9 @@ class _Engine:
             c = self.c
             t_cnt, t_ass = self.t_cnt, self.t_ass
             floors, deficit, var_ctr = self.floors, self.deficit, self.var_ctr
-            for colr, now in enumerate(self.cls):
-                fresh = now ^ cls[colr]
-                while fresh:
-                    low = fresh & -fresh
-                    fresh ^= low
-                    for ci in var_ctr[low.bit_length() - 1]:
+            for x, colr in enumerate(self.colour):
+                if colr != colour[x]:
+                    for ci in var_ctr[x]:
                         k = ci * c + colr
                         t_cnt[k] -= 1
                         t_ass[ci] -= 1
@@ -328,9 +326,7 @@ class _Engine:
 
     def _dfs(self, start: int) -> bool:
         """Extend the current assignment; variables below `start` are set.
-
-        On failure the state may hold this frame's last branch, for the
-        caller to restore."""
+        A failure leaves the last branch tried for the caller to restore."""
         colour = self.colour
         dom = self.dom
         n = self.n
