@@ -95,7 +95,7 @@ def _td44() -> CatalogEntry:
     )
 
 
-def _cyclic_design(v: int, base_blocks, k: int) -> Design:
+def _cyclic_design(v: int, base_blocks) -> Design:
     blocks = []
     for base in base_blocks:
         for shift in range(v):
@@ -106,7 +106,7 @@ def _cyclic_design(v: int, base_blocks, k: int) -> Design:
 def _sts7() -> CatalogEntry:
     return CatalogEntry(
         "sts7",
-        _cyclic_design(7, [(0, 1, 3)], 3),
+        _cyclic_design(7, [(0, 1, 3)]),
         provenance="cyclic Steiner triple system, base block {0,1,3} mod 7",
     )
 
@@ -130,7 +130,7 @@ def _sts9() -> CatalogEntry:
 def _sts13() -> CatalogEntry:
     return CatalogEntry(
         "sts13",
-        _cyclic_design(13, [(0, 1, 4), (0, 2, 7)], 3),
+        _cyclic_design(13, [(0, 1, 4), (0, 2, 7)]),
         provenance="cyclic Steiner triple system, base blocks {0,1,4},{0,2,7} mod 13",
     )
 
@@ -138,7 +138,7 @@ def _sts13() -> CatalogEntry:
 def _bibd13_4() -> CatalogEntry:
     return CatalogEntry(
         "bibd13_4",
-        _cyclic_design(13, [(0, 1, 3, 9)], 4),
+        _cyclic_design(13, [(0, 1, 3, 9)]),
         provenance="projective plane of order 3 via the perfect difference set {0,1,3,9} mod 13",
     )
 

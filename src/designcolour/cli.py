@@ -157,6 +157,9 @@ def _cmd_pclasses(args, out) -> int:
     if args.analyze and args.limit is not None:
         print("error: --limit applies to listing classes, not to --analyze", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    if args.csv and not args.analyze:
+        print("error: --csv applies to --analyze, not to listing classes", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     design, _, _ = _load(args.design)
     if args.analyze:
         analysis = analyze_parallel_classes(design, _budget(args), jobs=args.jobs)
@@ -256,7 +259,7 @@ def _cmd_construct(args, out) -> int:
         design, _, _ = _load(params[0])
         classes, _ = enumerate_parallel_classes(design)
         index = args.class_index
-        if index >= len(classes):
+        if not 0 <= index < len(classes):
             print(f"error: class index {index} out of range ({len(classes)} classes)", file=sys.stderr)
             return EXIT_UNSUPPORTED
         gdd, grouping = pc_to_gdd(design, classes[index])

@@ -224,17 +224,12 @@ class ValidationReport:
 def admissible(v_or_u: int, g: int, k: int, lambda_: int) -> bool:
     """Divisibility conditions necessary for a design to exist.
 
-    With g=1 this checks the two classical conditions for a
-    BIBD(v, k, lambda); otherwise it checks the two conditions for a
-    uniform k-GDD with u groups of size g.
+    These are the two conditions for a uniform k-GDD with u groups of
+    size g; with g=1 they are the two classical conditions for a
+    BIBD(v, k, lambda).
     """
     if v_or_u <= 0 or g <= 0 or k < 2 or lambda_ < 1:
         raise DesignError("arguments must be positive and k >= 2")
-    if g == 1:
-        v = v_or_u
-        return (lambda_ * (v - 1)) % (k - 1) == 0 and (
-            lambda_ * v * (v - 1)
-        ) % (k * (k - 1)) == 0
     u = v_or_u
     return (lambda_ * g * (u - 1)) % (k - 1) == 0 and (
         lambda_ * u * (u - 1) * g * g

@@ -19,12 +19,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .colouring import Colouring, check_block_equitable
+from .catalog import catalog_get
+from .colouring import Colouring, check_block_equitable, pair_stats_equitable
 from .core import (
     Design,
     DesignError,
     InternalConsistencyError,
     UnsupportedParameterError,
+    ValidationReport,
+    Violation,
     validate_packing,
 )
 from .td import UnsupportedOrderError, build_td
@@ -73,12 +76,6 @@ class BoundInfo:
     achievable: Optional[bool]
 
 
-def _nm_equitable(mu: int, c: int) -> Fraction:
-    """Non-monochrome pair count of a point-equitable c-colouring."""
-    alpha, beta = divmod(mu, c)
-    return Fraction(alpha * (alpha * c + 2 * beta) * (c - 1) + beta * (beta - 1), 2)
-
-
 def bound_general(v: int, k: int, c: int) -> tuple[Fraction, int]:
     """Upper bound on the size of a block-equitably c-coloured packing.
 
@@ -90,7 +87,7 @@ def bound_general(v: int, k: int, c: int) -> tuple[Fraction, int]:
         raise UnsupportedParameterError("requires k >= 3 and c >= 2")
     if v < k:
         raise UnsupportedParameterError("requires v >= k")
-    exact = _nm_equitable(v, c) / _nm_equitable(k, c)
+    exact = Fraction(pair_stats_equitable(v, c).nm, pair_stats_equitable(k, c).nm)
     return exact, int(exact)
 
 
@@ -126,17 +123,18 @@ def td_packing_coloured(k: int, g: int, c: int) -> ColouredPacking:
         raise UnsupportedParameterError(f"colour count {c} must divide block size {k}")
     design, grouping = build_td(k, g)
     band = k // c
-    assignment = [0] * design.v
-    for gi, grp in enumerate(grouping.groups):
-        for p in grp:
-            assignment[p] = gi // band
-    colouring = Colouring(c, tuple(assignment))
+    colouring = Colouring(c, tuple(gi // band for gi in grouping.group_index))
     _, floor = bound_general(k * g, k, c)
     return ColouredPacking(design, colouring, design.b == floor)
 
 
 # ---------------------------------------------------------------------------
 # v = 4n and 4n+1
+
+
+def _circ(x: int, modulus: int) -> int:
+    x %= modulus
+    return min(x, modulus - x)
 
 
 def _rotation_families(n: int) -> list[tuple[int, int, int]]:
@@ -154,10 +152,6 @@ def _rotation_families(n: int) -> list[tuple[int, int, int]]:
     period = 2 * n
     half = n
     n_fam = n // 2
-
-    def circ(x: int) -> int:
-        x %= period
-        return min(x, period - x)
 
     for seed in range(200):
         rng = random.Random(seed)
@@ -196,7 +190,7 @@ def _rotation_families(n: int) -> list[tuple[int, int, int]]:
                         continue
                     dw = None
                     if lst:
-                        dw = circ(plus - lst[0])
+                        dw = _circ(plus - lst[0], period)
                         if dw == 0 or dw == half or dw in used_dw:
                             continue
                     covered[r] = covered[partner] = True
@@ -253,25 +247,19 @@ def pack_4n(n: int) -> ColouredPacking:
     if n in (2, 6):
         raise UnsupportedOrderError(f"no PD({4 * n},4,1) of size n^2: order {n} unsupported")
     try:
-        design, grouping = build_td(4, n)
+        return td_packing_coloured(4, n, 2)
     except UnsupportedOrderError:
         design, colouring = _pack_4n_rotation(n)
-    else:
-        assignment = [0] * design.v
-        for gi, grp in enumerate(grouping.groups):
-            for p in grp:
-                assignment[p] = gi // 2
-        colouring = Colouring(2, tuple(assignment))
     bound = bound_max_equitable(4 * n, 4, 2)
     return ColouredPacking(design, colouring, design.b == bound.value)
 
 
-def _with_isolated_point(packed: ColouredPacking, v: int, c: int = 2) -> ColouredPacking:
+def _with_isolated_point(packed: ColouredPacking, v: int) -> ColouredPacking:
     """Append one isolated point, assigning it to the smaller colour class."""
     sizes = packed.colouring.class_sizes()
     target = sizes.index(min(sizes))
     design = Design(v, packed.design.blocks, packed.design.lambda_)
-    colouring = Colouring(c, packed.colouring.assignment + (target,))
+    colouring = Colouring(packed.colouring.c, packed.colouring.assignment + (target,))
     bound = bound_max_equitable(v, 4, 2)
     return ColouredPacking(design, colouring, design.b == bound.value)
 
@@ -345,18 +333,11 @@ class PairsProfile:
         return min(2 * self.t, 4 * self.s - 2 * self.t)
 
 
-def _circ(x: int, modulus: int) -> int:
-    x %= modulus
-    return min(x, modulus - x)
-
-
-def verify_pairs_profile(p: PairsProfile) -> "ValidationReport":
+def verify_pairs_profile(p: PairsProfile) -> ValidationReport:
     """Check the five conditions that make a profile usable.
 
     Violations name the failed condition and a witness value.
     """
-    from .core import ValidationReport, Violation
-
     s, t = p.s, p.t
     m = 4 * s
     violations = []
@@ -565,8 +546,6 @@ def pack_from_pairs(p: PairsProfile) -> ColouredPacking:
 
 def pack_small(v: int) -> ColouredPacking:
     """The stored maximum coloured packings for v in {7, 11, 24, 25}."""
-    from .catalog import catalog_get
-
     if v not in (7, 11, 24, 25):
         raise UnsupportedParameterError(f"no stored packing for v={v}")
     entry = catalog_get(f"pack{v}")
@@ -587,7 +566,7 @@ def max_equitable_packing(v: int, k: int = 4, c: int = 2) -> Union[ColouredPacki
     if v < 0:
         raise UnsupportedParameterError("v must be non-negative")
     bound = bound_max_equitable(v, 4, 2)
-    if v in (6, 8, 9, 10):
+    if not bound.achievable:
         return Unachievable(v, 4, 2, bound.value)
     if v < 4:
         design = Design(v, ())
@@ -598,8 +577,6 @@ def max_equitable_packing(v: int, k: int = 4, c: int = 2) -> Union[ColouredPacki
     n, r = divmod(v, 4)
     if r == 0:
         return pack_4n(n)
-    if r == 1:
-        return pack_4n1(n)
     if r == 2:
         if n % 2:
             return pack_4n2_odd(n)

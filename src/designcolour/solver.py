@@ -400,14 +400,6 @@ def _compiled(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
     return problem
 
 
-def _expand_group_witness(g: Grouping, group_colours: list[int], c: int) -> Colouring:
-    assignment = [0] * g.v
-    for gi, grp in enumerate(g.groups):
-        for p in grp:
-            assignment[p] = group_colours[gi]
-    return Colouring(c, tuple(assignment))
-
-
 def decide_colourable(
     d: Design,
     g: Optional[Grouping],
@@ -442,7 +434,7 @@ def decide_colourable(
     if mode == "group-monochromatic":
         if g is None:
             raise InternalConsistencyError("group witness without a grouping")
-        witness = _expand_group_witness(g, solution, c)
+        witness = Colouring(c, tuple(solution[gi] for gi in g.group_index))
     else:
         witness = Colouring(c, tuple(solution))
     report = check_colouring(d, g, witness, mode)
@@ -537,8 +529,4 @@ def upper_bound_colouring(d: Design, g: Grouping) -> Colouring:
         # A valid GDD with u <= k_min - 1 groups cannot have blocks; kept
         # only so malformed inputs fail loudly downstream.
         n_colours = 2
-    assignment = [0] * d.v
-    for gi, grp in enumerate(g.groups):
-        for p in grp:
-            assignment[p] = gi // chunk
-    return Colouring(max(n_colours, 1), tuple(assignment))
+    return Colouring(max(n_colours, 1), tuple(gi // chunk for gi in g.group_index))

@@ -10,6 +10,7 @@ from .core import (
     Grouping,
     InternalConsistencyError,
     UnsupportedParameterError,
+    is_transversal,
 )
 from .td import td_align_first_block, td_symbol_rows
 
@@ -138,11 +139,11 @@ def equitable_gdd_colouring(d: Design, g: Grouping, c: int):
     k, u = d.k, g.u
     if not d.uniform or not 3 <= k <= u:
         raise UnsupportedParameterError("requires uniform block size with 3 <= k <= u")
-    assignment = [0] * d.v
     if u <= c <= u * size:
         # Palettes of floor/ceil(c/u) colours per group, points coloured
         # round-robin inside their group's palette.
         base, extra = divmod(c, u)
+        assignment = [0] * d.v
         start = 0
         for gi, grp in enumerate(g.groups):
             width = base + (1 if gi < extra else 0)
@@ -151,17 +152,10 @@ def equitable_gdd_colouring(d: Design, g: Grouping, c: int):
             start += width
         return Colouring(c, tuple(assignment))
     if k == u:
-        for gi, grp in enumerate(g.groups):
-            colour = gi % c if c >= u else gi * c // u
-            for p in grp:
-                assignment[p] = colour
-        return Colouring(c, tuple(assignment))
+        return Colouring(c, tuple(gi % c if c >= u else gi * c // u for gi in g.group_index))
     if k == u - 1 and u % c == 0:
         per = u // c
-        for gi, grp in enumerate(g.groups):
-            for p in grp:
-                assignment[p] = gi // per
-        return Colouring(c, tuple(assignment))
+        return Colouring(c, tuple(gi // per for gi in g.group_index))
     return NONEXISTENT
 
 
@@ -172,8 +166,6 @@ def td_group_equitable_colouring(d: Design, g: Grouping) -> Colouring:
     across the groups, the first floor(g/2) symbols of every group but the
     last are coloured 0 and the last group is coloured the other way round.
     """
-    from .core import is_transversal
-
     size = g.uniform_size
     if size is None or not is_transversal(d, g):
         raise UnsupportedParameterError("input must be a transversal design")
@@ -225,8 +217,6 @@ def group_equitable_blowup(
     up into g copies coloured floor(g/2) and ceil(g/2), and the TD copy
     placed on each block is aligned with those copy colours.
     """
-    from .core import is_transversal
-
     k = d.k
     if not d.uniform:
         raise UnsupportedParameterError("uniform block size required")

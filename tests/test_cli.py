@@ -201,6 +201,9 @@ class TestExitCodes:
             ["pclasses", "sts9", "--limit", "0"],
             ["pclasses", "sts9", "--limit", "-1"],
             ["pclasses", "sts9", "--analyze", "--limit", "2"],
+            ["pclasses", "sts9", "--csv"],
+            ["construct", "pc-to-gdd", "sts9", "--class-index", "-1"],
+            ["construct", "pc-to-gdd", "sts9", "--class-index", "-5"],
         ):
             assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
 

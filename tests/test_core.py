@@ -228,3 +228,10 @@ class TestAdmissible:
     def test_mod6_characterisation_for_triples(self):
         for v in range(3, 200):
             assert admissible(v, 1, 3, 1) == (v % 6 in (1, 3))
+        # g = 1 is a BIBD(v, k, lambda): r = lambda(v-1)/(k-1) and
+        # b = lambda v(v-1)/(k(k-1)) must be integers
+        for k in (3, 4, 5):
+            for lam in (1, 2):
+                for v in range(1, 200):
+                    bibd = lam * (v - 1) % (k - 1) == 0 and lam * v * (v - 1) % (k * (k - 1)) == 0
+                    assert admissible(v, 1, k, lam) == bibd, (v, k, lam)

@@ -20,6 +20,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_function_level_imports():
+    # Imports sit at module level; none of the modules needs a late import
+    # to break a cycle.
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    assert sorted(found) == []
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject declares requires-python >= 3.10; a newer-only construct
     # (an `except*` clause, say) would fail to parse there.

@@ -1,4 +1,6 @@
 """Packing constructions, their bounds and the difference-pair profiles."""
+import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from designcolour import (
     validate_packing,
     verify_pairs_profile,
 )
+from designcolour.cli import EXIT_OK, cli_main
 from designcolour.td import UnsupportedOrderError
 
 
@@ -188,6 +191,32 @@ class TestDispatcher:
     def test_spot_values(self, v, size):
         result = max_equitable_packing(v, 4, 2)
         assert result.size == size
+
+    # sha256 of `construct pack-max v` stdout, one order per dispatcher
+    # branch; the construction layouts are fixed, so the bytes are too
+    @pytest.mark.parametrize("v,digest", [
+        (0, "dfc5dc2d449bb4e3c066bcc3c7336077ad3d78f1628cd035955a59ec1d63eda8"),
+        (3, "bdf85b23388b87afacac54ff18aa4600b167ba1c99728daf36a116e0214eea33"),
+        (5, "13aba0385fbf3293f04e152e1f1ad8c6d4fe38802fe8a2815d640c31cfe7b69f"),
+        (7, "36ff0132da4ac14cf2a81d1aa668f8258369c73a28cd38a5dcca1dbe93cf366b"),
+        (11, "d89d3a20f6d38b4cdf1d21a27971c6e0300a52f483b3b23923e5676b1cadcf68"),
+        (12, "85b2b611531af0b38397d6ae912d41e8f31d71255a95085c62159095fcb57e98"),
+        (13, "8f82f8d3d87bfdd1bb2a0f384eaef612472076fd2d3f3c79972007b348b148ea"),
+        (15, "e33e481ae6485f366ef9ea5e44710c835f28e7c1c8df6c5b84bed9754d233abe"),
+        (24, "607d876b11eb7e98eb368c44159e68d7cd01174d116fa5ecccc76617d337af49"),
+        (25, "f54a3188e2c8f925115ed5d0d3ae2a849fd21248b223570c18ac8d7ef74c56f4"),
+        (40, "e9e25e33540f60aad6b93189436e0a0d0fbc6e38837cd8f26e0d47b7b95a2b43"),
+        (41, "950fd6e5effaf621a83ee85e26119bcc1015924435f2d32a4e4b5317d2f9b224"),
+        (43, "d87c800cbd9f6f79fae8cf1c0e1bbf95a25c02608e3db4b65a6281a32536a720"),
+        (46, "13f26b2c3fd6492537d871af700aef6a3a0b6ad340b8fd69898fbc74bbb99443"),
+        (47, "7d389d681fda3bb38298b55befbf6bb3eef7ddde5c1410cc02cdbcda6acc0fdb"),
+        (50, "7c8c90bb26673f06400362979fbfeaacb9cad05a4888e6420d80a11743853d2e"),
+        (51, "6f19987c129fd284fe122b796e47bfea86b87f6e04b62daba05663b31c9163f9"),
+    ])
+    def test_pack_max_bytes(self, v, digest):
+        out = io.StringIO()
+        assert cli_main(["construct", "pack-max", str(v)], out=out) == EXIT_OK
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
     def test_sweep_to_60(self):
         for v in range(0, 61):

@@ -300,6 +300,7 @@ class TestUpperBoundColouring:
         d, g = build_td(4, 4)
         col = upper_bound_colouring(d, g)
         assert col.c == 2
+        assert col.assignment == (0,) * 12 + (1,) * 4
         assert check_group_colouring(d, g, col, "group-monochromatic").passed
 
     def test_seven_groups_blocksize_three(self):
@@ -310,12 +311,14 @@ class TestUpperBoundColouring:
         gdd, grouping = pc_to_gdd(d, classes[0])
         col = upper_bound_colouring(gdd, grouping)
         assert col.c == 4
+        assert col.assignment == (0,) * 6 + (1,) * 6 + (2,) * 6 + (3,) * 3
         assert check_group_colouring(gdd, grouping, col, "group-monochromatic").passed
 
     def test_no_blocks_single_colour(self):
         d = Design(6, ())
         g = Grouping(6, ((0, 1, 2), (3, 4, 5)))
         assert upper_bound_colouring(d, g).c == 1
+        assert upper_bound_colouring(d, g).assignment == (0,) * 6
 
     def test_chain_chi_le_chiM_le_ceiling(self):
         for name, grouping in [("sts13", None)]:

@@ -119,6 +119,7 @@ class TestEquitableGddColouring:
         d, g = build_td(3, 3)
         col = equitable_gdd_colouring(d, g, 2)
         assert check_block_equitable(d, col).passed
+        assert col.assignment == (0,) * 6 + (1,) * 3
         # monochromatic groups split two against one
         group_colours = [{col.assignment[p] for p in grp} for grp in g.groups]
         assert all(len(s) == 1 for s in group_colours)
@@ -140,6 +141,8 @@ class TestEquitableGddColouring:
         d, g = delete_point(catalog_get("sts9").design, 0)
         col = equitable_gdd_colouring(d, g, 2)
         assert col != NONEXISTENT
+        # groups {0,1}, {2,5}, {3,7}, {4,6}: two groups per colour
+        assert col.assignment == (0, 0, 0, 1, 1, 0, 1, 1)
         assert check_block_equitable(d, col).passed
 
     def test_rejects_nonuniform_groups(self):
