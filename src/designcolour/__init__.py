@@ -32,8 +32,10 @@ from .solver import (
     ChromaticResult,
     SearchBudget,
     SolveResult,
+    chromatic_lower_bound,
     chromatic_number,
     decide_colourable,
+    gdd_chromatic_numbers,
     upper_bound_colouring,
 )
 from .td import FieldTable, UnsupportedOrderError, build_td, field_table

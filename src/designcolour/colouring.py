@@ -52,32 +52,11 @@ class Colouring:
     def v(self) -> int:
         return len(self.assignment)
 
-    def colour_classes(self) -> list[list[int]]:
-        classes: list[list[int]] = [[] for _ in range(self.c)]
-        for p, col in enumerate(self.assignment):
-            classes[col].append(p)
-        return classes
-
     def class_sizes(self) -> list[int]:
         sizes = [0] * self.c
         for col in self.assignment:
             sizes[col] += 1
         return sizes
-
-    @classmethod
-    def from_classes(cls, c: int, classes, v: Optional[int] = None) -> "Colouring":
-        """Build a colouring from per-colour point lists."""
-        if v is None:
-            v = sum(len(cl) for cl in classes)
-        assignment = [-1] * v
-        for col, cl in enumerate(classes):
-            for p in cl:
-                if assignment[p] != -1:
-                    raise DesignError(f"point {p} coloured twice")
-                assignment[p] = col
-        if any(a == -1 for a in assignment):
-            raise DesignError("colour classes do not cover all points")
-        return cls(c, tuple(assignment))
 
 
 @dataclass(frozen=True)

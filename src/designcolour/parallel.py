@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Design, UnsupportedParameterError
-from .solver import BudgetExceededError, SearchBudget, chromatic_number
+from .solver import SearchBudget, gdd_chromatic_numbers
 from .transforms import ParallelClass, pc_to_gdd
 
 
@@ -84,18 +84,7 @@ class PcAnalysis:
 
 def _analyze_one(args) -> PcRecord:
     d, pc, idx, budget = args
-    gdd, grouping = pc_to_gdd(d, pc)
-    # Each search keeps its answer when only the other one runs out.
-    chi: Optional[int] = None
-    chi_m: Optional[int] = None
-    try:
-        chi = chromatic_number(gdd, None, "weak", budget).chi
-    except BudgetExceededError:
-        pass
-    try:
-        chi_m = chromatic_number(gdd, grouping, "group-monochromatic", budget).chi
-    except BudgetExceededError:
-        pass
+    chi, chi_m = gdd_chromatic_numbers(*pc_to_gdd(d, pc), budget)
     return PcRecord(idx, chi, chi_m, chi is None or chi_m is None)
 
 
@@ -115,9 +104,9 @@ def analyze_parallel_classes(
     """Chromatic numbers of the GDD each parallel class induces.
 
     For every class the blocks of the class become groups; the record holds
-    the weak chromatic number and the monochromatic-group one.  The
-    histogram aggregates (chi, chi_M) pairs and is independent of the
-    worker count.
+    the weak chromatic number and the monochromatic-group one, found by
+    `gdd_chromatic_numbers`.  The histogram aggregates (chi, chi_M) pairs
+    and is independent of the worker count.
     """
     budget = budget or SearchBudget()
     classes, _ = enumerate_parallel_classes(d)

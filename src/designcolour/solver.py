@@ -15,8 +15,14 @@ exhausted, so it is a certificate, not a heuristic answer.
   not-colourable verdict is its exhausted tree;
 * on a colourable verdict, the witness pass branches in natural variable
   order, so its first solution is the lexicographically least witness.
+  A caller that needs only the verdict skips it (`least_witness=False`)
+  and gets the search pass's solution, checked the same way.
 
 `SolveResult` reports the nodes of each pass.
+
+`gdd_chromatic_numbers` finds (chi, chi_M) of a GDD searching only the
+colour counts that no search-free certificate settles: a Turan-number
+lower bound, the checked `upper_bound_colouring`, and chi <= chi_M.
 
 A design and mode are compiled once into a `_Problem` that holds no
 colour count: each weak ("not all equal") constraint is an int mask of
@@ -34,8 +40,15 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .colouring import GROUP_MODES, MODES, Colouring, check_colouring
-from .core import Design, DesignError, Grouping, InternalConsistencyError, UnsupportedParameterError
+from .colouring import GROUP_MODES, MODES, Colouring, check_colouring, pair_stats_equitable
+from .core import (
+    Design,
+    DesignError,
+    Grouping,
+    InternalConsistencyError,
+    UnsupportedParameterError,
+    _pair_keys,
+)
 
 COLOURABLE = "colourable"
 NOT_COLOURABLE = "not-colourable"
@@ -76,7 +89,8 @@ class SolveResult:
     @property
     def nodes(self) -> int:
         """Nodes of both passes: the search pass and, on a colourable
-        verdict, the natural-order pass that picks the witness."""
+        verdict, the natural-order pass that picks the least witness
+        (none when `least_witness=False`)."""
         return self.search_nodes + self.witness_nodes
 
     @property
@@ -406,11 +420,14 @@ def decide_colourable(
     c: int,
     mode: str,
     budget: Optional[SearchBudget] = None,
+    least_witness: bool = True,
 ) -> SolveResult:
     """Exact decision of c-colourability under the given mode.
 
     A colourable verdict carries the lexicographically least witness (in
-    point-major order), so results are reproducible run to run.
+    point-major order), so results are reproducible run to run.  With
+    `least_witness=False` no witness pass runs, and the witness is the
+    search pass's solution, checked the same way.
     """
     if c < 1:
         raise DesignError("colour count must be at least 1")
@@ -423,14 +440,15 @@ def decide_colourable(
     search_nodes = tracker.nodes
     if solution is None:
         return SolveResult(NOT_COLOURABLE, c, mode, None, search_nodes, 0)
-    try:
-        solution = engine.search(most_constrained=False)
-    except _Exhausted:
-        return SolveResult(
-            BUDGET_EXCEEDED, c, mode, None, search_nodes, tracker.nodes - search_nodes
-        )
-    if solution is None:
-        raise InternalConsistencyError("the witness pass found no colouring, the search pass did")
+    if least_witness:
+        try:
+            solution = engine.search(most_constrained=False)
+        except _Exhausted:
+            return SolveResult(
+                BUDGET_EXCEEDED, c, mode, None, search_nodes, tracker.nodes - search_nodes
+            )
+        if solution is None:
+            raise InternalConsistencyError("the witness pass found no colouring, the search pass did")
     if mode == "group-monochromatic":
         if g is None:
             raise InternalConsistencyError("group witness without a grouping")
@@ -445,6 +463,64 @@ def decide_colourable(
     return SolveResult(
         COLOURABLE, c, mode, witness, search_nodes, tracker.nodes - search_nodes
     )
+
+
+def _first_colourable(
+    d: Design,
+    g: Optional[Grouping],
+    mode: str,
+    counts: Iterable[int],
+    budget: SearchBudget,
+    least_witness: bool = True,
+) -> tuple[Optional[SolveResult], Optional[SolveResult]]:
+    """Decide the colour counts in order up to the first colourable one.
+
+    Returns that decision, or None when every count is refuted, and the
+    last refutation before it.  One budget spans the decisions: its node
+    limit bounds their nodes together, and its time limit is one deadline
+    for all of them.  BudgetExceededError carries the nodes spent.
+    """
+    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
+    spent = 0
+    refutation: Optional[SolveResult] = None
+    for c in counts:
+        # Each decision gets what is left of the budget.  Every decision
+        # on a design with blocks tries at least one node, so nothing left
+        # means this one would exceed.
+        node_limit = budget.node_limit
+        if node_limit is not None:
+            node_limit -= spent
+        time_limit = None if deadline is None else deadline - time.monotonic()
+        if (node_limit is not None and node_limit <= 0) or (
+            time_limit is not None and time_limit <= 0
+        ):
+            raise BudgetExceededError(
+                f"budget exhausted before deciding {c}-colourability", spent
+            )
+        result = decide_colourable(
+            d, g, c, mode, SearchBudget(node_limit, time_limit), least_witness
+        )
+        spent += result.nodes
+        if result.status == BUDGET_EXCEEDED:
+            raise BudgetExceededError(
+                f"budget exhausted while deciding {c}-colourability", spent
+            )
+        if result.status == COLOURABLE:
+            return result, refutation
+        refutation = result
+    return None, refutation
+
+
+def _reject_block_inside_a_group(d: Design, g: Grouping) -> None:
+    """A block inside one group is monochromatic under every
+    group-monochromatic colouring, so no chi_M exists; name the block."""
+    gi = g.group_index
+    for blk in d.blocks:
+        first = gi[blk[0]]
+        if all(gi[p] == first for p in blk):
+            raise DesignError(
+                f"block {blk} lies inside one group, so no group-monochromatic colouring exists"
+            )
 
 
 def chromatic_number(
@@ -463,52 +539,88 @@ def chromatic_number(
     """
     if mode not in ("weak", "group-monochromatic"):
         raise DesignError(f"chromatic number is defined only for weak and group-monochromatic modes, not {mode!r}")
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
-    spent = 0
-
-    def decide(c: int) -> SolveResult:
-        # Each decision gets what is left of the budget.  Every decision
-        # on a design with blocks tries at least one node, so nothing left
-        # means this one would exceed.
-        nonlocal spent
-        node_limit = budget.node_limit
-        if node_limit is not None:
-            node_limit -= spent
-        time_limit = None if deadline is None else deadline - time.monotonic()
-        if (node_limit is not None and node_limit <= 0) or (
-            time_limit is not None and time_limit <= 0
-        ):
-            raise BudgetExceededError(
-                f"budget exhausted before deciding {c}-colourability", spent
-            )
-        result = decide_colourable(d, g, c, mode, SearchBudget(node_limit, time_limit))
-        spent += result.nodes
-        if result.status == BUDGET_EXCEEDED:
-            raise BudgetExceededError(
-                f"budget exhausted while deciding {c}-colourability", spent
-            )
-        return result
-
-    c = 1 if not d.blocks else 2
-    refutation: Optional[SolveResult] = None
-    if d.blocks:
-        # Trivial exhaustion certificate at one colour: any block is
-        # monochromatic.
-        refutation = decide(1)
-        if refutation.status == COLOURABLE:
-            raise InternalConsistencyError("a design with blocks cannot be 1-colourable")
+    if mode == "group-monochromatic" and g is not None:
+        _reject_block_inside_a_group(d, g)
     limit = max(d.v, 1) if mode == "weak" else (g.u if g is not None else 1)
-    while True:
-        result = decide(c)
-        if result.status == COLOURABLE:
-            if result.witness is None:
-                raise InternalConsistencyError("colourable result without a witness")
-            return ChromaticResult(c, result.witness, refutation, mode)
-        refutation = result
+    result, refutation = _first_colourable(
+        d, g, mode, range(1, limit + 2), budget or SearchBudget()
+    )
+    if result is None:
+        raise InternalConsistencyError("search exceeded the rainbow colouring bound")
+    if d.blocks and result.c == 1:
+        # One colour makes any block monochromatic, so a design with
+        # blocks always carries the refutation at c=1.
+        raise InternalConsistencyError("a design with blocks cannot be 1-colourable")
+    if result.witness is None:
+        raise InternalConsistencyError("colourable result without a witness")
+    return ChromaticResult(result.c, result.witness, refutation, mode)
+
+
+def chromatic_lower_bound(d: Design) -> int:
+    """A lower bound on the weak chromatic number that needs no search.
+
+    It is 1 without blocks and 2 with them, as one colour leaves every
+    block monochromatic.  When no pair lies in two blocks, the Turan
+    certificate raises it: a block that is not monochromatic holds at
+    least |B| - 1 pairs of distinct colours, and a c-colouring of v points
+    has at most `pair_stats_equitable(v, c).nm` of them (Turan's theorem),
+    so sum(|B| - 1) > nm refutes c colours.  Every group-monochromatic
+    colouring is weak, so the bound holds for chi_M too.
+    """
+    if not d.blocks:
+        return 1
+    keys = _pair_keys(d)
+    if len(set(keys)) < len(keys):
+        return 2
+    need = sum(len(blk) - 1 for blk in d.blocks)
+    c = 2
+    while pair_stats_equitable(d.v, c).nm < need:
         c += 1
-        if c > limit + 1:
-            raise InternalConsistencyError("search exceeded the rainbow colouring bound")
+    return c
+
+
+def gdd_chromatic_numbers(
+    d: Design, g: Grouping, budget: Optional[SearchBudget] = None
+) -> tuple[Optional[int], Optional[int]]:
+    """(chi, chi_M) of a GDD, searching only what no certificate settles.
+
+    `chromatic_lower_bound` gives lo <= chi <= chi_M, and the checked
+    `upper_bound_colouring` gives chi_M <= top.  chi_M is the least c in
+    [lo, top) whose group-monochromatic decision is colourable, else top;
+    chi is the least c in [lo, chi_M) whose weak decision is colourable,
+    else chi_M, as every group-monochromatic colouring is weak.  No
+    decision runs a witness pass.
+
+    Each of the two searches gets the whole budget.  A value reads None
+    when its search runs out; the other is kept, and a lost chi_M leaves
+    the chi search bounded by top.
+    """
+    budget = budget or SearchBudget()
+    # First, as such a block would also fail the check of top below.
+    _reject_block_inside_a_group(d, g)
+    lo = chromatic_lower_bound(d)
+    top = upper_bound_colouring(d, g)
+    if not check_colouring(d, g, top, "group-monochromatic").passed:
+        # Some block meets fewer than k groups, as no block of a GDD does;
+        # one colour per group still works, as no block lies inside one.
+        top = Colouring(g.u, g.group_index)
+        if not check_colouring(d, g, top, "group-monochromatic").passed:
+            raise InternalConsistencyError("one colour per group leaves a block monochromatic")
+    if lo > top.c:
+        raise InternalConsistencyError(f"lower bound {lo} exceeds the colouring with {top.c} colours")
+
+    def least(grouping: Optional[Grouping], mode: str, stop: int) -> Optional[int]:
+        try:
+            found, _ = _first_colourable(
+                d, grouping, mode, range(lo, stop), budget, least_witness=False
+            )
+        except BudgetExceededError:
+            return None
+        return stop if found is None else found.c
+
+    chi_m = least(g, "group-monochromatic", top.c)
+    chi = least(None, "weak", top.c if chi_m is None else chi_m)
+    return chi, chi_m
 
 
 def upper_bound_colouring(d: Design, g: Grouping) -> Colouring:

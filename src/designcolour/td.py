@@ -92,11 +92,6 @@ class FieldTable:
     add: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
 
-    def inverse(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.mul[x].index(1)
-
 
 @lru_cache(maxsize=None)
 def field_table(q: int) -> FieldTable:

@@ -179,6 +179,21 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "verdict: fail" in text
 
+    def test_group_mono_chromatic_with_a_block_inside_a_group(self, tmp_path):
+        # no group-monochromatic colouring exists, so there is no chi_M
+        path = tmp_path / "inside.design"
+        path.write_text("design v=3 k=3 lambda=1\nblock: 0 1 2\ngroup: 0 1 2\n")
+        assert run(["chromatic", str(path), "--mode", "group-mono"]) == (EXIT_VALIDATION, "")
+
+    def test_analyze_with_a_repeated_block(self, tmp_path):
+        # sts9 with every block twice: a class's blocks are repeated inside
+        # the groups of its GDD
+        code, text = run(["catalog", "get", "sts9"])
+        assert code == EXIT_OK
+        blocks = [line for line in text.splitlines() if line.startswith("block:")]
+        path = tmp_path / "sts9x2.design"
+        path.write_text("design v=9 k=3 lambda=2\n" + "".join(f"{b}\n{b}\n" for b in blocks))
+        assert run(["pclasses", str(path), "--analyze"]) == (EXIT_VALIDATION, "")
 
     def test_usage_errors(self):
         # a missing parameter, a non-integer parameter, zero budgets and

@@ -20,8 +20,10 @@ from designcolour import (
     check_block_equitable,
     check_group_colouring,
     check_weak,
+    chromatic_lower_bound,
     chromatic_number,
     decide_colourable,
+    enumerate_parallel_classes,
     upper_bound_colouring,
 )
 from designcolour import solver
@@ -53,8 +55,6 @@ def brute_force_colourable(d, g, c, mode):
 
 def sts9_class():
     d = catalog_get("sts9").design
-    from designcolour.parallel import enumerate_parallel_classes
-
     classes, _ = enumerate_parallel_classes(d)
     return pc_to_gdd(d, classes[0])
 
@@ -110,6 +110,16 @@ class TestDecide:
         coloured = decide_colourable(d, None, 3, "weak")
         assert coloured.search_nodes > 0 and coloured.witness_nodes > 0
         assert coloured.nodes == coloured.search_nodes + coloured.witness_nodes
+
+    def test_search_pass_witness_without_the_least_witness_pass(self):
+        d = catalog_get("sts9").design
+        least = decide_colourable(d, None, 3, "weak")
+        quick = decide_colourable(d, None, 3, "weak", least_witness=False)
+        assert quick.colourable and quick.witness_nodes == 0
+        assert quick.search_nodes == least.search_nodes
+        assert check_weak(d, quick.witness).passed
+        refuted = decide_colourable(d, None, 2, "weak", least_witness=False)
+        assert refuted == decide_colourable(d, None, 2, "weak")
 
     def test_corrupted_witness_check_raises_under_optimize(self):
         # The invariant checks are explicit raises, not asserts, so they
@@ -244,6 +254,32 @@ class TestChromatic:
         assert check_group_colouring(d, g, result.witness, "group-monochromatic").passed
 
 
+class TestLowerBound:
+    @pytest.mark.parametrize("name", designcolour.catalog_names())
+    def test_never_exceeds_the_chromatic_number(self, name):
+        d = catalog_get(name).design
+        assert 2 <= chromatic_lower_bound(d) <= chromatic_number(d).chi
+
+    def test_turan_refutes_two_colours_on_an_sts21_class_gdd(self):
+        # 63 triples need 126 bichromatic pairs; two colours on 21 points
+        # give at most 10 * 11 = 110
+        d = catalog_get("sts21").design
+        classes, _ = enumerate_parallel_classes(d)
+        gdd, _ = pc_to_gdd(d, classes[0])
+        assert chromatic_lower_bound(gdd) == 3
+        assert decide_colourable(gdd, None, 2, "weak").status == NOT_COLOURABLE
+
+    def test_claims_nothing_beyond_two_when_a_pair_repeats(self):
+        d = catalog_get("sts21").design
+        classes, _ = enumerate_parallel_classes(d)
+        gdd, _ = pc_to_gdd(d, classes[0])
+        doubled = Design(gdd.v, gdd.blocks + gdd.blocks[:1], 2)
+        assert chromatic_lower_bound(doubled) == 2
+
+    def test_no_blocks(self):
+        assert chromatic_lower_bound(Design(5, ())) == 1
+
+
 class TestPaperProperties:
     def test_block_equitable_implies_weak(self):
         # Equitability caps every colour strictly below the block size, so
@@ -305,8 +341,6 @@ class TestUpperBoundColouring:
 
     def test_seven_groups_blocksize_three(self):
         d = catalog_get("sts21").design
-        from designcolour.parallel import enumerate_parallel_classes
-
         classes, _ = enumerate_parallel_classes(d)
         gdd, grouping = pc_to_gdd(d, classes[0])
         col = upper_bound_colouring(gdd, grouping)
