@@ -48,7 +48,6 @@ from .packings import (
     bound_max_equitable,
     max_equitable_packing,
     pack_4n,
-    pack_4n1,
     pack_4n2_odd,
     pack_from_pairs,
     pack_small,

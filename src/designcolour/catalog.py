@@ -17,6 +17,7 @@ from .core import (
     validate_gdd,
     validate_packing,
 )
+from .td import _td_from_rows
 
 
 class UnknownEntryError(DesignError):
@@ -60,8 +61,9 @@ _STS21_BLOCKS = (
 # The parallel class formed by the first seven stored blocks above.
 STS21_TOP_ROW = _STS21_BLOCKS[:7]
 
-# A TD(4,4) on Z4 x Z4 (point x of group i is index x + 4i) whose stored
-# 2-colouring gives two points of each colour in every group.
+# A TD(4,4) on Z4 x Z4 as symbol rows (point x of group i is index 4i + x,
+# as in `build_td`), whose stored 2-colouring gives two points of each
+# colour in every group.
 _TD44_BLOCKS_SYMBOLIC = (
     (0, 0, 0, 0), (1, 0, 1, 2), (2, 0, 2, 3), (3, 0, 3, 1),
     (0, 1, 1, 1), (1, 1, 0, 3), (2, 1, 3, 2), (3, 1, 2, 0),
@@ -80,15 +82,11 @@ def _sts21() -> CatalogEntry:
 
 
 def _td44() -> CatalogEntry:
-    blocks = tuple(
-        tuple(sym + 4 * grp for grp, sym in enumerate(blk))
-        for blk in _TD44_BLOCKS_SYMBOLIC
-    )
-    grouping = Grouping(16, tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(4)))
+    design, grouping = _td_from_rows(4, 4, _TD44_BLOCKS_SYMBOLIC)
     assignment = tuple(0 if p in _TD44_COLOUR0 else 1 for p in range(16))
     return CatalogEntry(
         "td44",
-        Design(16, blocks, 1),
+        design,
         grouping,
         Colouring(2, assignment),
         provenance="stored transversal design of order 4 with a balanced 2-colouring",

@@ -231,7 +231,7 @@ def _cmd_construct(args, out) -> int:
         out.write(render_design(design, grouping))
         return EXIT_OK
     if family == "pack-max":
-        result = max_equitable_packing(params[0], 4, 2)
+        result = max_equitable_packing(params[0])
         if isinstance(result, Unachievable):
             print(
                 f"unachievable: bound {result.bound} for v={result.v} ({result.reason})",

@@ -114,6 +114,11 @@ def bound_max_equitable(v: int, k: int = 4, c: int = 2) -> BoundInfo:
     return BoundInfo(floor, False, None)
 
 
+def _packing(design: Design, colouring: Colouring) -> ColouredPacking:
+    """A coloured PD(v, 4, 1), marked by whether it meets `bound_max_equitable`."""
+    return ColouredPacking(design, colouring, design.b == bound_max_equitable(design.v, 4, 2).value)
+
+
 def td_packing_coloured(k: int, g: int, c: int) -> ColouredPacking:
     """A TD(k, g) viewed as a packing on kg points, coloured in k/c-group
     bands; its g^2 blocks meet the general bound exactly when c divides k."""
@@ -250,23 +255,15 @@ def pack_4n(n: int) -> ColouredPacking:
         return td_packing_coloured(4, n, 2)
     except UnsupportedOrderError:
         design, colouring = _pack_4n_rotation(n)
-    bound = bound_max_equitable(4 * n, 4, 2)
-    return ColouredPacking(design, colouring, design.b == bound.value)
+    return _packing(design, colouring)
 
 
-def _with_isolated_point(packed: ColouredPacking, v: int) -> ColouredPacking:
+def _with_isolated_point(packed: ColouredPacking) -> ColouredPacking:
     """Append one isolated point, assigning it to the smaller colour class."""
     sizes = packed.colouring.class_sizes()
     target = sizes.index(min(sizes))
-    design = Design(v, packed.design.blocks, packed.design.lambda_)
-    colouring = Colouring(packed.colouring.c, packed.colouring.assignment + (target,))
-    bound = bound_max_equitable(v, 4, 2)
-    return ColouredPacking(design, colouring, design.b == bound.value)
-
-
-def pack_4n1(n: int) -> ColouredPacking:
-    """A PD(4n+1, 4, 1) of size n^2: the 4n-point packing plus an isolated point."""
-    return _with_isolated_point(pack_4n(n), 4 * n + 1)
+    design = Design(packed.design.v + 1, packed.design.blocks, packed.design.lambda_)
+    return _packing(design, Colouring(packed.colouring.c, packed.colouring.assignment + (target,)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +304,7 @@ def pack_4n2_odd(n: int) -> ColouredPacking:
     v = 8 * s + 6
     design = Design(v, tuple(blocks))
     split = 2 * s + m
-    colouring = Colouring(2, (0,) * split + (1,) * (v - split))
-    bound = bound_max_equitable(v, 4, 2)
-    return ColouredPacking(design, colouring, design.b == bound.value)
+    return _packing(design, Colouring(2, (0,) * split + (1,) * (v - split)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +529,7 @@ def pack_from_pairs(p: PairsProfile) -> ColouredPacking:
         blocks.append((inf0 if h(x) == 0 else inf1, r1(x), r2(x - t), r2(x + t)))
     v = 8 * s + 2
     design = Design(v, tuple(blocks))
-    assignment = [0] * m + [1] * m + [0, 0]
-    colouring = Colouring(2, tuple(assignment))
-    bound = bound_max_equitable(v, 4, 2)
-    return ColouredPacking(design, colouring, design.b == bound.value)
+    return _packing(design, Colouring(2, (0,) * m + (1,) * m + (0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,27 +543,22 @@ def pack_small(v: int) -> ColouredPacking:
     entry = catalog_get(f"pack{v}")
     if entry.colouring is None:
         raise InternalConsistencyError(f"stored packing pack{v} has no colouring")
-    bound = bound_max_equitable(v, 4, 2)
-    return ColouredPacking(entry.design, entry.colouring, entry.design.b == bound.value)
+    return _packing(entry.design, entry.colouring)
 
 
-def max_equitable_packing(v: int, k: int = 4, c: int = 2) -> Union[ColouredPacking, Unachievable]:
+def max_equitable_packing(v: int) -> Union[ColouredPacking, Unachievable]:
     """Maximum block-equitably 2-colourable PD(v, 4, 1) for any v >= 0.
 
     Total dispatcher over the residue of v mod 4; the four orders whose
     bound value cannot be met return an Unachievable marker instead.
     """
-    if (k, c) != (4, 2):
-        raise UnsupportedParameterError("only block size 4 with 2 colours is constructed")
     if v < 0:
         raise UnsupportedParameterError("v must be non-negative")
     bound = bound_max_equitable(v, 4, 2)
     if not bound.achievable:
         return Unachievable(v, 4, 2, bound.value)
     if v < 4:
-        design = Design(v, ())
-        colouring = Colouring(2, tuple(p % 2 for p in range(v)))
-        return ColouredPacking(design, colouring, True)
+        return _packing(Design(v, ()), Colouring(2, tuple(p % 2 for p in range(v))))
     if v in (7, 11, 24, 25):
         return pack_small(v)
     n, r = divmod(v, 4)
@@ -581,7 +568,7 @@ def max_equitable_packing(v: int, k: int = 4, c: int = 2) -> Union[ColouredPacki
         if n % 2:
             return pack_4n2_odd(n)
         return pack_from_pairs(pairs_for_s(n // 2))
-    inner = max_equitable_packing(v - 1, 4, 2)
+    inner = max_equitable_packing(v - 1)
     if not isinstance(inner, ColouredPacking):
         raise InternalConsistencyError(f"no packing of order {v - 1} to extend")
-    return _with_isolated_point(inner, v)
+    return _with_isolated_point(inner)

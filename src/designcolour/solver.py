@@ -589,23 +589,16 @@ def gdd_chromatic_numbers(
     [lo, top) whose group-monochromatic decision is colourable, else top;
     chi is the least c in [lo, chi_M) whose weak decision is colourable,
     else chi_M, as every group-monochromatic colouring is weak.  No
-    decision runs a witness pass.
+    decision runs a witness pass.  A block inside one group raises
+    DesignError from `upper_bound_colouring`: no chi_M exists.
 
     Each of the two searches gets the whole budget.  A value reads None
     when its search runs out; the other is kept, and a lost chi_M leaves
     the chi search bounded by top.
     """
     budget = budget or SearchBudget()
-    # First, as such a block would also fail the check of top below.
-    _reject_block_inside_a_group(d, g)
     lo = chromatic_lower_bound(d)
     top = upper_bound_colouring(d, g)
-    if not check_colouring(d, g, top, "group-monochromatic").passed:
-        # Some block meets fewer than k groups, as no block of a GDD does;
-        # one colour per group still works, as no block lies inside one.
-        top = Colouring(g.u, g.group_index)
-        if not check_colouring(d, g, top, "group-monochromatic").passed:
-            raise InternalConsistencyError("one colour per group leaves a block monochromatic")
     if lo > top.c:
         raise InternalConsistencyError(f"lower bound {lo} exceeds the colouring with {top.c} colours")
 
@@ -624,11 +617,14 @@ def gdd_chromatic_numbers(
 
 
 def upper_bound_colouring(d: Design, g: Grouping) -> Colouring:
-    """Constructive colouring certifying chi_M <= ceil(u / (k_min - 1)).
+    """A group-monochromatic colouring, checked, certifying chi_M <= its c.
 
-    Groups are split into sets of at most k_min - 1 groups and each set is
-    coloured with one colour; every block then meets two sets because it
-    meets at least k_min groups.
+    Groups are split into runs of k_min - 1 consecutive groups and each run
+    takes one colour.  When every block meets at least k_min groups, as in
+    any GDD, every block meets two runs, so chi_M <= ceil(u / (k_min - 1)).
+    A block with two points in one group may lie inside one run; then one
+    colour per group is returned if it passes, and a block inside one group,
+    which no group-monochromatic colouring serves, raises DesignError.
     """
     k_min = d.k
     if k_min < 2:
@@ -636,9 +632,10 @@ def upper_bound_colouring(d: Design, g: Grouping) -> Colouring:
             raise DesignError("blocks of size below 2 are not supported")
         return Colouring(1, tuple(0 for _ in range(d.v)))
     chunk = k_min - 1
-    n_colours = -(-g.u // chunk)
-    if d.blocks and n_colours < 2:
-        # A valid GDD with u <= k_min - 1 groups cannot have blocks; kept
-        # only so malformed inputs fail loudly downstream.
-        n_colours = 2
-    return Colouring(max(n_colours, 1), tuple(gi // chunk for gi in g.group_index))
+    col = Colouring(-(-g.u // chunk), tuple(gi // chunk for gi in g.group_index))
+    if not check_colouring(d, g, col, "group-monochromatic").passed:
+        col = Colouring(g.u, g.group_index)
+        if not check_colouring(d, g, col, "group-monochromatic").passed:
+            _reject_block_inside_a_group(d, g)
+            raise InternalConsistencyError("one colour per group leaves a block monochromatic")
+    return col

@@ -7,6 +7,7 @@ g = 6 with k = 4, are rejected.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -164,7 +165,13 @@ def _td_product(
 
 
 def td_symbol_rows(k: int, g: int) -> list[tuple[int, ...]]:
-    """TD(k, g) as rows of per-group symbols, one symbol per group."""
+    """TD(k, g) as rows of per-group symbols, one symbol per group.
+
+    The first row is all zeros: row (a, b) = (0, 0) of every prime-power
+    factor takes symbol 0 in every group, the infinity group included, and
+    the product keeps it at 0.  `transforms.blow_up` relies on this to
+    embed its source design.
+    """
     if k < 2:
         raise UnsupportedOrderError("transversal designs need k >= 2")
     if g < 1:
@@ -185,30 +192,17 @@ def td_symbol_rows(k: int, g: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _td_from_rows(k: int, g: int, rows: Sequence[tuple[int, ...]]) -> tuple[Design, Grouping]:
+    """The TD(k, g) with the given symbol rows; point x of group i is i*g + x."""
+    blocks = tuple(tuple(i * g + s for i, s in enumerate(row)) for row in rows)
+    groups = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(k))
+    return Design(k * g, blocks), Grouping(k * g, groups)
+
+
 def build_td(k: int, g: int) -> tuple[Design, Grouping]:
     """A validated TD(k, g): kg points, groups of size g, g^2 blocks.
 
     Point x of group i has index i*g + x.  Raises UnsupportedOrderError
     when no construction is available (for example TD(4, 6)).
     """
-    rows = td_symbol_rows(k, g)
-    blocks = tuple(tuple(i * g + s for i, s in enumerate(row)) for row in rows)
-    design = Design(k * g, blocks)
-    grouping = Grouping(k * g, tuple(tuple(range(i * g, (i + 1) * g)) for i in range(k)))
-    return design, grouping
-
-
-def td_align_first_block(rows: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
-    """Relabel symbols per group so the first row becomes all zeros."""
-    if not rows:
-        return rows
-    perms = []
-    for i in range(k):
-        anchor = rows[0][i]
-        symbols = sorted({r[i] for r in rows})
-        rest = [s for s in symbols if s != anchor]
-        mapping = {anchor: 0}
-        for new, s in enumerate(rest, start=1):
-            mapping[s] = new
-        perms.append(mapping)
-    return [tuple(perms[i][r[i]] for i in range(k)) for r in rows]
+    return _td_from_rows(k, g, td_symbol_rows(k, g))

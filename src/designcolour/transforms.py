@@ -12,7 +12,7 @@ from .core import (
     UnsupportedParameterError,
     is_transversal,
 )
-from .td import td_align_first_block, td_symbol_rows
+from .td import td_symbol_rows
 
 
 @dataclass(frozen=True)
@@ -36,29 +36,33 @@ class BlowUp:
         return Colouring(col.c, assignment)
 
 
+def _expand(d: Design, g: Grouping, w: int, rows: list[tuple[int, ...]]) -> tuple[Design, Grouping]:
+    """Wilson's fundamental construction with a TD(k, w) given as rows.
+
+    Point x becomes x*w..x*w+w-1 and each group the copies of its points;
+    block B and row r give the block of copies B[i]*w + r[i].
+    """
+    blocks = tuple(
+        tuple(p * w + s for p, s in zip(blk, row)) for blk in d.blocks for row in rows
+    )
+    groups = tuple(tuple(p * w + a for p in grp for a in range(w)) for grp in g.groups)
+    return Design(d.v * w, blocks, d.lambda_), Grouping(d.v * w, groups)
+
+
 def blow_up(d: Design, g: Grouping, w: int) -> BlowUp:
     """Expand a k-GDD of type g^u into one of type (wg)^u.
 
     Point x becomes x*w..x*w+w-1; every block carries a copy of a TD(k, w)
-    across its points' copy columns, aligned so that the all-zero copies of
-    a block form a block again.  The source design therefore embeds, and a
-    lifted colouring is weak whenever the original is.
+    across its points' copy columns.  The TD's first row is all zeros, so
+    the all-zero copies of a block form a block again: the source design
+    embeds, and a lifted colouring is weak whenever the original is.
     """
     if w < 1:
         raise UnsupportedParameterError("expansion factor must be positive")
-    k = d.k
-    rows = td_symbol_rows(k, w) if d.blocks else []
-    rows = td_align_first_block(rows, k)
-    blocks = []
-    for blk in d.blocks:
-        if len(blk) != k:
-            raise UnsupportedParameterError("blow-up needs a uniform block size")
-        for row in rows:
-            blocks.append(tuple(blk[i] * w + row[i] for i in range(k)))
-    groups = tuple(
-        tuple(p * w + a for p in grp for a in range(w)) for grp in g.groups
-    )
-    return BlowUp(Design(d.v * w, tuple(blocks), d.lambda_), Grouping(d.v * w, groups), w)
+    rows = td_symbol_rows(d.k, w) if d.blocks else []
+    if not d.uniform:
+        raise UnsupportedParameterError("blow-up needs a uniform block size")
+    return BlowUp(*_expand(d, g, w, rows), w)
 
 
 @dataclass(frozen=True)
@@ -162,9 +166,11 @@ def equitable_gdd_colouring(d: Design, g: Grouping, c: int):
 def td_group_equitable_colouring(d: Design, g: Grouping) -> Colouring:
     """A group-equitable 2-colouring of a TD(k+2, g) with g >= 4, k > ceil(g/2).
 
-    After relabelling so the blocks through the first point run straight
-    across the groups, the first floor(g/2) symbols of every group but the
-    last are coloured 0 and the last group is coloured the other way round.
+    After relabelling so the blocks through the first point of the first
+    group run straight across the other groups, the first floor(g/2)
+    symbols of every group but the last are coloured 0 and the last group
+    is coloured the other way round.  A point's symbol is its position in
+    its group, so any point labelling works.
     """
     size = g.uniform_size
     if size is None or not is_transversal(d, g):
@@ -175,27 +181,27 @@ def td_group_equitable_colouring(d: Design, g: Grouping) -> Colouring:
         raise UnsupportedParameterError(
             f"needs group size >= 4 and k + 2 groups with k > ceil(g/2); got g={gsize}, k={big_k - 2}"
         )
-    # Relabel symbols in groups 1.. so that the s-th block through point 0
-    # meets every later group in its s-th symbol.
-    anchor_blocks = sorted(blk for blk in d.blocks if 0 in blk)
+    # Relabel symbols in groups 1.. so that the s-th block through the
+    # anchor meets every later group in its s-th symbol.
+    anchor = g.groups[0][0]
+    anchor_blocks = sorted(blk for blk in d.blocks if anchor in blk)
     if len(anchor_blocks) != gsize:
-        raise InternalConsistencyError("point 0 must lie on one block per symbol")
-    symbol_map = [{p: p - gi * gsize for p in grp} for gi, grp in enumerate(g.groups)]
+        raise InternalConsistencyError("the anchor point must lie on one block per symbol")
+    symbol = [0] * d.v
+    for grp in g.groups:
+        for x, p in enumerate(grp):
+            symbol[p] = x
+    gi = g.group_index
     for s, blk in enumerate(anchor_blocks):
         for p in blk:
-            gi = p // gsize
-            if gi > 0:
-                symbol_map[gi][p] = s
+            if gi[p] > 0:
+                symbol[p] = s
     half = gsize // 2
-    assignment = [0] * d.v
-    for gi, grp in enumerate(g.groups):
-        for p in grp:
-            sym = symbol_map[gi][p]
-            if gi < big_k - 1:
-                assignment[p] = 0 if sym < half else 1
-            else:
-                assignment[p] = 1 if sym < half else 0
-    col = Colouring(2, tuple(assignment))
+    # Colour 1: the high symbols of every group but the last, and the low
+    # symbols of the last.
+    col = Colouring(
+        2, tuple(int((symbol[p] < half) == (gi[p] == big_k - 1)) for p in range(d.v))
+    )
     report = check_group_colouring(d, g, col, "group-equitable")
     if not report.passed:
         raise InternalConsistencyError(f"constructed colouring invalid: {report.violations[:3]}")
@@ -252,23 +258,15 @@ def group_equitable_blowup(
         high = [p for p in grp if td_colouring.assignment[p] != low_colour]
         for slot, p in enumerate(low + high):
             slot_of[p] = slot
-    blocks = []
-    for blk in d.blocks:
-        for td_blk in td_design.blocks:
-            new = []
-            for i, td_point in enumerate(sorted(td_blk, key=lambda p: td_grouping.group_index[p])):
-                new.append(blk[i] * gsize + slot_of[td_point])
-            blocks.append(tuple(new))
-    v = d.v * gsize
-    groups = tuple(
-        tuple(p * gsize + a for p in grp for a in range(gsize)) for grp in g.groups
+    gi = td_grouping.group_index
+    rows = [
+        tuple(slot_of[p] for p in sorted(td_blk, key=gi.__getitem__))
+        for td_blk in td_design.blocks
+    ]
+    design, grouping = _expand(d, g, gsize, rows)
+    colouring = Colouring(
+        2, tuple(low_colour if p % gsize < half else 1 - low_colour for p in range(design.v))
     )
-    assignment = tuple(
-        low_colour if p % gsize < half else 1 - low_colour for p in range(v)
-    )
-    design = Design(v, tuple(blocks), d.lambda_)
-    grouping = Grouping(v, groups)
-    colouring = Colouring(2, assignment)
     report = check_group_colouring(design, grouping, colouring, "group-equitable")
     if not report.passed:
         raise InternalConsistencyError(f"expanded colouring invalid: {report.violations[:3]}")

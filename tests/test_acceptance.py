@@ -217,7 +217,7 @@ def test_criterion_05_top_row_worked_example():
 def test_criterion_06_packing_sweep_to_120():
     start = time.monotonic()
     for v in range(0, 121):
-        result = max_equitable_packing(v, 4, 2)
+        result = max_equitable_packing(v)
         bound = bound_max_equitable(v, 4, 2)
         if v in (6, 8, 9, 10):
             assert isinstance(result, Unachievable), v

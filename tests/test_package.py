@@ -53,3 +53,36 @@ def test_cli_module_runs_without_runpy_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert "sts21" in proc.stdout.split()
+
+
+def test_every_private_function_has_a_caller():
+    # A module-level `def _name` that nothing in the package refers to,
+    # apart from its own body, is dead code.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    dead = []
+    for module, tree in trees.items():
+        for func in tree.body:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or not func.name.startswith("_"):
+                continue
+            used = any(
+                func.name in names(node)
+                for other_tree in trees.values()
+                for node in other_tree.body
+                if node is not func
+            )
+            if not used:
+                dead.append(f"{module}:{func.name}")
+    assert dead == []

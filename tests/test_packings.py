@@ -16,7 +16,6 @@ from designcolour import (
     check_block_equitable,
     max_equitable_packing,
     pack_4n,
-    pack_4n1,
     pack_4n2_odd,
     pack_from_pairs,
     pack_small,
@@ -106,7 +105,7 @@ class TestPack4n:
             pack_4n(n)
 
     def test_pack_4n1_adds_isolated_point(self):
-        packed = pack_4n1(3)
+        packed = max_equitable_packing(13)
         assert packed.design.v == 13 and packed.size == 9
         degrees = packed.design.point_degrees()
         assert degrees[12] == 0
@@ -178,18 +177,18 @@ class TestPackSmall:
 class TestDispatcher:
     def test_small_exceptions(self):
         for v in (6, 8, 9, 10):
-            result = max_equitable_packing(v, 4, 2)
+            result = max_equitable_packing(v)
             assert isinstance(result, Unachievable)
             assert result.bound == bound_max_equitable(v, 4, 2).value
 
     def test_tiny_orders_empty(self):
         for v in (0, 1, 2, 3):
-            result = max_equitable_packing(v, 4, 2)
+            result = max_equitable_packing(v)
             assert isinstance(result, ColouredPacking) and result.size == 0
 
     @pytest.mark.parametrize("v,size", [(14, 12), (27, 42), (40, 100), (43, 110)])
     def test_spot_values(self, v, size):
-        result = max_equitable_packing(v, 4, 2)
+        result = max_equitable_packing(v)
         assert result.size == size
 
     # sha256 of `construct pack-max v` stdout, one order per dispatcher
@@ -220,7 +219,7 @@ class TestDispatcher:
 
     def test_sweep_to_60(self):
         for v in range(0, 61):
-            result = max_equitable_packing(v, 4, 2)
+            result = max_equitable_packing(v)
             bound = bound_max_equitable(v, 4, 2)
             if v in (6, 8, 9, 10):
                 assert isinstance(result, Unachievable)

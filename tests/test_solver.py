@@ -18,6 +18,7 @@ from designcolour import (
     SearchBudget,
     catalog_get,
     check_block_equitable,
+    check_colouring,
     check_group_colouring,
     check_weak,
     chromatic_lower_bound,
@@ -353,6 +354,24 @@ class TestUpperBoundColouring:
         g = Grouping(6, ((0, 1, 2), (3, 4, 5)))
         assert upper_bound_colouring(d, g).c == 1
         assert upper_bound_colouring(d, g).assignment == (0,) * 6
+
+    def test_class_gdds_of_a_design_with_shared_pairs(self):
+        # Blocks 012 and 013 share a pair, so each class GDD has a block
+        # meeting only two groups; runs of k - 1 = 2 groups then leave a
+        # block inside one colour.
+        d = Design(6, ((0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5), (0, 2, 4), (1, 3, 5)), 2)
+        classes, _ = enumerate_parallel_classes(d)
+        assert classes
+        for pc in classes:
+            gdd, grouping = pc_to_gdd(d, pc)
+            col = upper_bound_colouring(gdd, grouping)
+            assert check_colouring(gdd, grouping, col, "group-monochromatic").passed
+
+    def test_block_inside_a_group_raises(self):
+        d = Design(6, ((0, 1, 2), (0, 3, 4)))
+        g = Grouping(6, ((0, 1, 2), (3,), (4,), (5,)))
+        with pytest.raises(DesignError, match=r"block \(0, 1, 2\) lies inside one group"):
+            upper_bound_colouring(d, g)
 
     def test_chain_chi_le_chiM_le_ceiling(self):
         for name, grouping in [("sts13", None)]:

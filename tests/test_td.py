@@ -8,6 +8,7 @@ from designcolour import (
     is_transversal,
     validate_gdd,
 )
+from designcolour.td import td_symbol_rows
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -66,3 +67,17 @@ def test_trivial_order_one():
 def test_unsupported_orders_rejected(k, g):
     with pytest.raises(UnsupportedOrderError):
         build_td(k, g)
+
+
+def test_first_row_is_all_zeros():
+    # `blow_up` embeds its source through this row.
+    checked = 0
+    for k in range(2, 12):
+        for g in range(1, 61):
+            try:
+                rows = td_symbol_rows(k, g)
+            except UnsupportedOrderError:
+                continue
+            assert rows[0] == (0,) * k, (k, g)
+            checked += 1
+    assert checked > 300

@@ -1,8 +1,11 @@
 """GDD transforms and the constructive colourings attached to them."""
+import random
+
 import pytest
 
 from designcolour import (
     Colouring,
+    Design,
     DesignError,
     Grouping,
     ParallelClass,
@@ -61,6 +64,16 @@ class TestBlowUp:
         sts7 = catalog_get("sts7").design
         result = blow_up(sts7, Grouping.singletons(7), 3)
         assert chromatic_number(result.design).chi == chromatic_number(sts7).chi == 3
+
+    @pytest.mark.parametrize("name,w", [("sts7", 3), ("bibd13_4", 4), ("bibd13_4", 5), ("td44", 3)])
+    def test_source_blocks_embed_at_copy_zero(self, name, w):
+        # The TD's all-zero first row puts copy 0 of every source block in
+        # the blow-up.
+        entry = catalog_get(name)
+        grouping = entry.grouping or Grouping.singletons(entry.design.v)
+        blocks = set(blow_up(entry.design, grouping, w).design.blocks)
+        for blk in entry.design.blocks:
+            assert tuple(p * w for p in blk) in blocks
 
 
 class TestPcToGdd:
@@ -174,6 +187,19 @@ class TestTdGroupEquitable:
 
     def test_td77(self):
         d, g = build_td(7, 7)
+        col = td_group_equitable_colouring(d, g)
+        assert check_group_colouring(d, g, col, "group-equitable").passed
+
+    @pytest.mark.parametrize("k,size", [(6, 5), (7, 7)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_any_point_labelling(self, k, size, seed):
+        # A TD under a point relabelling is still a TD; its groups need not
+        # be runs of consecutive points.
+        d, g = build_td(k, size)
+        perm = list(range(d.v))
+        random.Random(seed).shuffle(perm)
+        d = Design(d.v, tuple(tuple(perm[p] for p in blk) for blk in d.blocks))
+        g = Grouping(g.v, tuple(tuple(perm[p] for p in grp) for grp in g.groups))
         col = td_group_equitable_colouring(d, g)
         assert check_group_colouring(d, g, col, "group-equitable").passed
 
