@@ -170,7 +170,7 @@ def _cmd_pclasses(args, out) -> int:
         print("histogram: chi,chi_M,count", file=out)
         for (chi, chi_m), count in analysis.histogram:
             print(f"{chi},{chi_m},{count}", file=out)
-        if any(rec.budget_exceeded for rec in analysis.records):
+        if analysis.budget_exceeded:
             return EXIT_BUDGET
         return EXIT_OK
     classes, truncated = enumerate_parallel_classes(design, args.limit)

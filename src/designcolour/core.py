@@ -78,7 +78,8 @@ class Design:
     @classmethod
     def _from_canonical(cls, v: int, blocks: Sequence[Block], lambda_: int) -> "Design":
         """A design from tuples already known to be ascending, distinct and
-        in range, as `parse_design` proves them line by line.
+        in range, as `parse_design` proves them line by line and as the
+        blocks of a `Design` are, which `pc_to_gdd` passes on in order.
 
         Only the point count, lambda and the block sizes are checked, with
         the messages and precedence of the constructor; the block list is

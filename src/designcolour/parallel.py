@@ -81,6 +81,12 @@ class PcAnalysis:
     def histogram_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.histogram)
 
+    @property
+    def budget_exceeded(self) -> int:
+        """The number of classes whose chi or chi_M search ran out of
+        budget; the histogram leaves them out."""
+        return sum(r.budget_exceeded for r in self.records)
+
 
 def _analyze_one(args) -> PcRecord:
     d, pc, idx, budget = args

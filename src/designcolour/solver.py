@@ -22,7 +22,8 @@ exhausted, so it is a certificate, not a heuristic answer.
 
 `gdd_chromatic_numbers` finds (chi, chi_M) of a GDD searching only the
 colour counts that no search-free certificate settles: a Turan-number
-lower bound, the checked `upper_bound_colouring`, and chi <= chi_M.
+lower bound, a pigeonhole lower bound on chi_M when every k-set of groups
+holds a block, the checked `upper_bound_colouring`, and chi <= chi_M.
 
 A design and mode are compiled once into a `_Problem` that holds no
 colour count: each weak ("not all equal") constraint is an int mask of
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations, islice
+from math import comb
 from typing import Iterable, Optional
 
 from .colouring import GROUP_MODES, MODES, Colouring, check_colouring, pair_stats_equitable
@@ -579,18 +582,38 @@ def chromatic_lower_bound(d: Design) -> int:
     return c
 
 
+def _met_group_sets(d: Design, g: Grouping) -> set[int]:
+    """The k-sets of groups that some block meets exactly, k = d.k, as
+    masks: bit i stands for group i.  A block's mask has k bits when it
+    meets exactly k groups."""
+    gi = g.group_index
+    k = d.k
+    met = set()
+    for blk in d.blocks:
+        mask = 0
+        for p in blk:
+            mask |= 1 << gi[p]
+        if mask.bit_count() == k:
+            met.add(mask)
+    return met
+
+
 def gdd_chromatic_numbers(
     d: Design, g: Grouping, budget: Optional[SearchBudget] = None
 ) -> tuple[Optional[int], Optional[int]]:
     """(chi, chi_M) of a GDD, searching only what no certificate settles.
 
     `chromatic_lower_bound` gives lo <= chi <= chi_M, and the checked
-    `upper_bound_colouring` gives chi_M <= top.  chi_M is the least c in
-    [lo, top) whose group-monochromatic decision is colourable, else top;
-    chi is the least c in [lo, chi_M) whose weak decision is colourable,
-    else chi_M, as every group-monochromatic colouring is weak.  No
-    decision runs a witness pass.  A block inside one group raises
-    DesignError from `upper_bound_colouring`: no chi_M exists.
+    `upper_bound_colouring` gives chi_M <= top.  When every one of the
+    C(u, k) k-sets of groups is met by a block, the pigeonhole bound
+    raises chi_M's lower bound to ceil(u / (k - 1)): fewer colours put k
+    groups on one colour, and a block inside them is monochromatic.
+    chi_M is the least c from that bound below top whose
+    group-monochromatic decision is colourable, else top; chi is the
+    least c in [lo, chi_M) whose weak decision is colourable, else chi_M,
+    as every group-monochromatic colouring is weak.  No decision runs a
+    witness pass.  A block inside one group raises DesignError from
+    `upper_bound_colouring`: no chi_M exists.
 
     Each of the two searches gets the whole budget.  A value reads None
     when its search runs out; the other is kept, and a lost chi_M leaves
@@ -598,21 +621,25 @@ def gdd_chromatic_numbers(
     """
     budget = budget or SearchBudget()
     lo = chromatic_lower_bound(d)
-    top = upper_bound_colouring(d, g)
-    if lo > top.c:
-        raise InternalConsistencyError(f"lower bound {lo} exceeds the colouring with {top.c} colours")
+    met = _met_group_sets(d, g)
+    top = _upper_bound_colouring(d, g, met)
+    lo_m = lo
+    if d.blocks and len(met) == comb(g.u, d.k):
+        lo_m = max(lo, -(-g.u // (d.k - 1)))
+    if lo_m > top.c:
+        raise InternalConsistencyError(f"lower bound {lo_m} exceeds the colouring with {top.c} colours")
 
-    def least(grouping: Optional[Grouping], mode: str, stop: int) -> Optional[int]:
+    def least(grouping: Optional[Grouping], mode: str, start: int, stop: int) -> Optional[int]:
         try:
             found, _ = _first_colourable(
-                d, grouping, mode, range(lo, stop), budget, least_witness=False
+                d, grouping, mode, range(start, stop), budget, least_witness=False
             )
         except BudgetExceededError:
             return None
         return stop if found is None else found.c
 
-    chi_m = least(g, "group-monochromatic", top.c)
-    chi = least(None, "weak", top.c if chi_m is None else chi_m)
+    chi_m = least(g, "group-monochromatic", lo_m, top.c)
+    chi = least(None, "weak", lo, top.c if chi_m is None else chi_m)
     return chi, chi_m
 
 
@@ -622,20 +649,42 @@ def upper_bound_colouring(d: Design, g: Grouping) -> Colouring:
     Groups are split into runs of k_min - 1 consecutive groups and each run
     takes one colour.  When every block meets at least k_min groups, as in
     any GDD, every block meets two runs, so chi_M <= ceil(u / (k_min - 1)).
-    A block with two points in one group may lie inside one run; then one
-    colour per group is returned if it passes, and a block inside one group,
-    which no group-monochromatic colouring serves, raises DesignError.
+    When (k_min - 1) divides u - 1, a k_min-set of groups that no block
+    meets exactly saves a colour: the lexicographically first such set
+    takes colour 0 and the other groups, in ascending order, runs of
+    k_min - 1 from colour 1, so chi_M <= (u - 1) / (k_min - 1).  This
+    colouring is tried first.  A block with two points in one group may
+    lie inside one colour; then one colour per group is returned if it
+    passes, and a block inside one group, which no group-monochromatic
+    colouring serves, raises DesignError.
     """
+    return _upper_bound_colouring(d, g, _met_group_sets(d, g))
+
+
+def _upper_bound_colouring(d: Design, g: Grouping, met: set[int]) -> Colouring:
+    """`upper_bound_colouring`, given `_met_group_sets(d, g)`."""
     k_min = d.k
     if k_min < 2:
         if d.blocks:
             raise DesignError("blocks of size below 2 are not supported")
         return Colouring(1, tuple(0 for _ in range(d.v)))
+    u = g.u
     chunk = k_min - 1
-    col = Colouring(-(-g.u // chunk), tuple(gi // chunk for gi in g.group_index))
-    if not check_colouring(d, g, col, "group-monochromatic").passed:
-        col = Colouring(g.u, g.group_index)
-        if not check_colouring(d, g, col, "group-monochromatic").passed:
-            _reject_block_inside_a_group(d, g)
-            raise InternalConsistencyError("one colour per group leaves a block monochromatic")
-    return col
+    candidates = [[gi // chunk for gi in range(u)], list(range(u))]
+    if (u - 1) % chunk == 0:
+        # Of any len(met) + 1 k-sets one is unmet, so hostile input
+        # scans at most b + 1 of them.
+        for unmet in islice(combinations(range(u), k_min), len(met) + 1):
+            if sum(1 << gi for gi in unmet) not in met:
+                colours = [0] * u
+                rest = [gi for gi in range(u) if gi not in unmet]
+                for j, gi in enumerate(rest):
+                    colours[gi] = 1 + j // chunk
+                candidates.insert(0, colours)
+                break
+    for colours in candidates:
+        col = Colouring(max(colours) + 1, tuple(colours[gi] for gi in g.group_index))
+        if check_colouring(d, g, col, "group-monochromatic").passed:
+            return col
+    _reject_block_inside_a_group(d, g)
+    raise InternalConsistencyError("one colour per group leaves a block monochromatic")

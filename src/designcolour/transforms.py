@@ -91,7 +91,7 @@ def pc_to_gdd(d: Design, pc: ParallelClass) -> tuple[Design, Grouping]:
     chosen = set(pc.block_indices)
     blocks = tuple(blk for bi, blk in enumerate(d.blocks) if bi not in chosen)
     groups = tuple(d.blocks[bi] for bi in pc.block_indices)
-    return Design(d.v, blocks, d.lambda_), Grouping(d.v, groups)
+    return Design._from_canonical(d.v, blocks, d.lambda_), Grouping(d.v, groups)
 
 
 def delete_point(d: Design, y: int) -> tuple[Design, Grouping]:

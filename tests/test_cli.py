@@ -72,6 +72,16 @@ class TestPclasses:
         assert "class_index,chi,chi_M" in text
         assert "0,2,2" in text
 
+    def test_budget_exceeded_classes_exit_4(self):
+        # Certificates settle chi_M on every class and chi on the 22 with
+        # chi_M = 3; one node cannot finish the weak search at c = 3 that
+        # the other 108 need, so they read None and leave the histogram.
+        code, text = run(["pclasses", "sts21", "--analyze", "--csv", "--budget-nodes", "1"])
+        assert code == EXIT_BUDGET
+        lines = text.splitlines()
+        assert sum(line.endswith(",None,4") for line in lines[1:131]) == 108
+        assert lines[131:] == ["histogram: chi,chi_M,count", "3,3,22"]
+
 
 class TestCatalog:
     def test_list(self):

@@ -1,6 +1,7 @@
 """Parallel-class enumeration with an independent subset-filter oracle."""
 import random
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -14,12 +15,14 @@ from designcolour import (
     catalog_get,
     chromatic_lower_bound,
     chromatic_number,
+    check_colouring,
     decide_colourable,
     enumerate_parallel_classes,
     pc_to_gdd,
     upper_bound_colouring,
 )
 from designcolour.parallel import PcRecord
+from designcolour.solver import NOT_COLOURABLE
 
 
 def relabelled_sts21(seed):
@@ -27,6 +30,35 @@ def relabelled_sts21(seed):
     perm = list(range(d.v))
     random.Random(seed).shuffle(perm)
     return Design(d.v, tuple(tuple(perm[p] for p in blk) for blk in d.blocks))
+
+
+@cache
+def bose_sts27():
+    """Bose's STS(27) on Z_9 x Z_3, point (x, i) numbered 3x + i: the
+    triples {(x, 0), (x, 1), (x, 2)} and, for x < y, {(x, i), (y, i),
+    (x o y, i + 1)}, with the idempotent commutative quasigroup
+    x o y = (x + y) / 2 = 5(x + y) mod 9."""
+    blocks = [(3 * x, 3 * x + 1, 3 * x + 2) for x in range(9)]
+    for i in range(3):
+        for x, y in combinations(range(9), 2):
+            blocks.append((3 * x + i, 3 * y + i, 3 * (5 * (x + y) % 9) + (i + 1) % 3))
+    return Design(27, tuple(blocks))
+
+
+def source_design(name, seed=None):
+    if name == "shared-pairs":
+        return Design(6, ((0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5), (0, 2, 4), (1, 3, 5)), 2)
+    if name == "sts27-bose":
+        return bose_sts27()
+    return relabelled_sts21(seed) if seed is not None else catalog_get(name).design
+
+
+def unmet_group_sets(gdd, grouping):
+    """The k-sets of group indices that no block meets exactly, k = gdd.k,
+    in lexicographic order, by brute force."""
+    gi = grouping.group_index
+    met = {tuple(sorted({gi[p] for p in blk})) for blk in gdd.blocks}
+    return [t for t in combinations(range(grouping.u), gdd.k) if t not in met]
 
 
 class TestEnumeration:
@@ -135,13 +167,18 @@ class TestAnalysis:
         analysis = analyze_parallel_classes(catalog_get("sts21").design)
         assert analysis.histogram_dict() == {(3, 3): 22, (3, 4): 108}
 
-    def test_one_search_over_budget_keeps_the_other(self):
+    def test_one_search_over_budget_keeps_the_other(self, monkeypatch):
         # A node budget between the costs of a class's two searches: the
         # cheaper search keeps its answer, the record is still flagged, and
-        # the histogram skips it.  On the stored STS(21) the chi search is
-        # always the cheaper one; this relabelling has classes of both kinds.
-        sts21 = relabelled_sts21(2)
-        classes, _ = enumerate_parallel_classes(sts21)
+        # the histogram skips it.  The group certificates settle chi_M on
+        # every STS(21) class GDD, so this runs on Bose's STS(27): a class
+        # with chi < chi_M and an unmet group triple searches both, chi_M
+        # from the lower bound up to the unmet-set colouring's count.  The
+        # design has 8,191 classes; the analysis runs on its first 40,
+        # which take seconds less and hold both kinds.
+        sts27 = bose_sts27()
+        classes, _ = enumerate_parallel_classes(sts27, limit=40)
+        monkeypatch.setattr(parallel, "enumerate_parallel_classes", lambda d: (classes, True))
 
         def cost(gdd, grouping, mode, stop):
             # one search: its search passes from the lower bound up to the
@@ -156,12 +193,12 @@ class TestAnalysis:
 
         picked = {}
         for idx, pc in enumerate(classes):
-            gdd, grouping = pc_to_gdd(sts21, pc)
+            gdd, grouping = pc_to_gdd(sts27, pc)
             chi = chromatic_number(gdd).chi
             chi_m = chromatic_number(gdd, grouping, "group-monochromatic").chi
-            if chi == chi_m:
-                # the chi search is empty; with chi < chi_M it stops at chi
-                # whether chi_M bounds it or, when chi_M runs out, top does
+            if chi == chi_m or not unmet_group_sets(gdd, grouping):
+                # with chi = chi_M the chi search is empty; with every
+                # group triple met the pigeonhole bound settles chi_M
                 continue
             top = upper_bound_colouring(gdd, grouping).c
             costs = (cost(gdd, None, "weak", chi_m), cost(gdd, grouping, "group-monochromatic", top))
@@ -173,28 +210,39 @@ class TestAnalysis:
         for chi_cheaper, (idx, pc, chi, chi_m, limit) in picked.items():
             budget = SearchBudget(node_limit=limit)
             expected = PcRecord(idx, chi, None, True) if chi_cheaper else PcRecord(idx, None, chi_m, True)
-            assert parallel._analyze_one((sts21, pc, idx, budget)) == expected
+            assert parallel._analyze_one((sts27, pc, idx, budget)) == expected
         idx, pc, chi, _, limit = picked[True]
-        analysis = analyze_parallel_classes(sts21, SearchBudget(node_limit=limit))
+        analysis = analyze_parallel_classes(sts27, SearchBudget(node_limit=limit))
         assert analysis.records[idx] == PcRecord(idx, chi, None, True)
         complete = [r for r in analysis.records if not r.budget_exceeded]
         assert all(r.chi is not None and r.chi_m is not None for r in complete)
         assert sum(analysis.histogram_dict().values()) == len(complete) < len(classes)
+        assert analysis.budget_exceeded == len(classes) - len(complete)
 
     @pytest.mark.parametrize(
-        "name,seed", [("sts9", None), ("td44", None), ("sts21", None), ("sts21", 1), ("sts21", 2), ("shared-pairs", None)]
+        "name,seed",
+        [
+            ("sts9", None),
+            ("td44", None),
+            ("sts21", None),
+            ("sts21", 1),
+            ("sts21", 2),
+            ("shared-pairs", None),
+            ("sts27-bose", None),
+        ],
     )
     def test_records_match_two_chromatic_number_oracle(self, name, seed):
         # The analysis searches only what its certificates leave open and
         # skips witness passes; two full chromatic_number calls per class
         # must give the same records.  In the shared-pairs design (lambda=2)
         # blocks meet a group in two points, so the upper bound colouring
-        # fails its check and one colour per group stands in for it.
-        if name == "shared-pairs":
-            d = Design(6, ((0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5), (0, 2, 4), (1, 3, 5)), 2)
-        else:
-            d = relabelled_sts21(seed) if seed is not None else catalog_get(name).design
-        classes, _ = enumerate_parallel_classes(d)
+        # fails its check and one colour per group stands in for it.  The
+        # first 40 classes of Bose's STS(27) have nine groups: chi_M is
+        # settled by pigeonhole where every group triple is met, and
+        # searched below the unmet-set colouring's four colours elsewhere.
+        d = source_design(name, seed)
+        limit = 40 if name == "sts27-bose" else None
+        classes, _ = enumerate_parallel_classes(d, limit)
         assert classes
         expected = []
         for idx, pc in enumerate(classes):
@@ -202,13 +250,21 @@ class TestAnalysis:
             chi = chromatic_number(gdd).chi
             chi_m = chromatic_number(gdd, grouping, "group-monochromatic").chi
             expected.append(PcRecord(idx, chi, chi_m))
-        assert analyze_parallel_classes(d).records == tuple(expected)
+        if limit is None:
+            records = analyze_parallel_classes(d).records
+        else:
+            records = tuple(
+                parallel._analyze_one((d, pc, idx, SearchBudget())) for idx, pc in enumerate(classes)
+            )
+        assert records == tuple(expected)
 
     def test_sts21_decides_only_what_no_certificate_settles(self, monkeypatch):
-        # Turan refutes c=2, the checked upper bound colouring gives
-        # chi_M <= 4, and chi <= chi_M: per class one group-monochromatic
-        # decision at c=3, one weak decision at c=3 when chi_M = 4, and no
-        # witness pass.
+        # Turan refutes c=2, so chi_M >= 3.  A class with an unmet group
+        # triple has the checked 3-colouring that gives the triple one
+        # colour; a class with all 35 triples met has chi_M >= 4 by
+        # pigeonhole, and the runs 4-colouring.  chi <= chi_M leaves one
+        # weak decision at c=3 when chi_M = 4; no group-monochromatic
+        # decision and no witness pass.
         calls = []
         decide = solver.decide_colourable
 
@@ -219,7 +275,7 @@ class TestAnalysis:
         monkeypatch.setattr(solver, "decide_colourable", spy)
         analysis = analyze_parallel_classes(catalog_get("sts21").design)
         assert analysis.histogram_dict() == {(3, 3): 22, (3, 4): 108}
-        assert Counter(calls) == {("group-monochromatic", 3, False): 130, ("weak", 3, False): 108}
+        assert Counter(calls) == {("weak", 3, False): 108}
 
     def test_sandwich_bounds_on_sts9(self):
         sts9 = catalog_get("sts9").design
@@ -231,3 +287,46 @@ class TestAnalysis:
             chi_m = chromatic_number(gdd, grouping, "group-monochromatic").chi
             assert chi_pi <= chi_d <= chi_pi + -(-sts9.v // (sts9.k * (sts9.k - 1)))
             assert chi_pi <= chi_m
+
+
+class TestGroupCertificates:
+    """The two group-level facts behind `gdd_chromatic_numbers`, checked
+    class by class against a brute-force list of unmet k-sets of groups."""
+
+    @pytest.mark.parametrize(
+        "name,seed,kinds",
+        [
+            ("sts9", None, {False}),
+            ("td44", None, {False}),
+            ("sts21", None, {False, True}),
+            ("sts21", 1, {False, True}),
+            ("sts27-bose", None, {False, True}),
+        ],
+    )
+    def test_pigeonhole_and_unmet_set_colouring(self, name, seed, kinds):
+        # All C(u, k) k-sets met: fewer than ceil(u / (k - 1)) colours put
+        # k groups on one colour, over a block, so that count minus one
+        # is refuted.  Some k-set unmet: it takes colour 0 and the other
+        # groups runs of k - 1, a checked ceil((u - 1) / (k - 1))-colouring.
+        d = source_design(name, seed)
+        limit = 40 if name == "sts27-bose" else None
+        classes, _ = enumerate_parallel_classes(d, limit)
+        seen = set()
+        for pc in classes:
+            gdd, grouping = pc_to_gdd(d, pc)
+            u, k = grouping.u, gdd.k
+            unmet = unmet_group_sets(gdd, grouping)
+            col = upper_bound_colouring(gdd, grouping)
+            assert check_colouring(gdd, grouping, col, "group-monochromatic").passed
+            if unmet:
+                rest = [gi for gi in range(u) if gi not in unmet[0]]
+                colours = dict.fromkeys(unmet[0], 0) | {gi: 1 + j // (k - 1) for j, gi in enumerate(rest)}
+                assert col.c == -(-(u - 1) // (k - 1))
+                assert col.assignment == tuple(colours[gi] for gi in grouping.group_index)
+            else:
+                c = -(-u // (k - 1))
+                assert col.c == c
+                refuted = decide_colourable(gdd, grouping, c - 1, "group-monochromatic")
+                assert refuted.status == NOT_COLOURABLE
+            seen.add(bool(unmet))
+        assert seen == kinds

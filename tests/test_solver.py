@@ -341,12 +341,20 @@ class TestUpperBoundColouring:
         assert check_group_colouring(d, g, col, "group-monochromatic").passed
 
     def test_seven_groups_blocksize_three(self):
+        # Class 0 leaves the group triple (0, 1, 2) unmet, so that triple
+        # takes one colour and groups 3-6 two more; in class 14 all 35
+        # triples are met and the runs of two groups stand.
         d = catalog_get("sts21").design
         classes, _ = enumerate_parallel_classes(d)
         gdd, grouping = pc_to_gdd(d, classes[0])
         col = upper_bound_colouring(gdd, grouping)
+        assert col.c == 3
+        assert col.assignment == (0,) * 9 + (1,) * 6 + (2,) * 6
+        assert check_group_colouring(gdd, grouping, col, "group-monochromatic").passed
+        gdd, grouping = pc_to_gdd(d, classes[14])
+        col = upper_bound_colouring(gdd, grouping)
         assert col.c == 4
-        assert col.assignment == (0,) * 6 + (1,) * 6 + (2,) * 6 + (3,) * 3
+        assert col.assignment == tuple(gi // 2 for gi in grouping.group_index)
         assert check_group_colouring(gdd, grouping, col, "group-monochromatic").passed
 
     def test_no_blocks_single_colour(self):
