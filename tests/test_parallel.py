@@ -174,8 +174,8 @@ class TestAnalysis:
         # every STS(21) class GDD, so this runs on Bose's STS(27): a class
         # with chi < chi_M and an unmet group triple searches both, chi_M
         # from the lower bound up to the unmet-set colouring's count.  The
-        # design has 8,191 classes; the analysis runs on its first 40,
-        # which take seconds less and hold both kinds.
+        # design has 8,191 classes; to keep the test short the analysis
+        # sees only the first 40, which hold classes of both kinds.
         sts27 = bose_sts27()
         classes, _ = enumerate_parallel_classes(sts27, limit=40)
         monkeypatch.setattr(parallel, "enumerate_parallel_classes", lambda d: (classes, True))
