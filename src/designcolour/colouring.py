@@ -102,11 +102,11 @@ def _check_cover(d: Design, col: Colouring) -> None:
 def check_weak(d: Design, col: Colouring) -> ValidationReport:
     """Pass iff no block is contained in a single colour class."""
     _check_cover(d, col)
-    a = col.assignment
+    colour_of = col.assignment.__getitem__
     violations = [
         Violation("monochromatic-block", (bi, blk))
         for bi, blk in enumerate(d.blocks)
-        if len({a[p] for p in blk}) == 1
+        if len(set(map(colour_of, blk))) == 1
     ]
     return ValidationReport(tuple(violations), {"mode": "weak", "c": col.c})
 

@@ -1,14 +1,20 @@
 """Exhaustive parallel-class enumeration and batch chromatic analysis."""
 from __future__ import annotations
 
+import concurrent.futures
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Design, UnsupportedParameterError
-from .solver import SearchBudget, gdd_chromatic_numbers
+from .core import Design, UnsupportedParameterError, _pair_keys
+from .solver import (
+    SearchBudget,
+    _gdd_chromatic_numbers,
+    _Problem,
+    _turan_bound,
+    chromatic_lower_bound,
+)
 from .transforms import ParallelClass, pc_to_gdd
 
 
@@ -17,29 +23,37 @@ def enumerate_parallel_classes(
 ) -> tuple[list[ParallelClass], bool]:
     """All parallel classes of a design, in ascending block-index order.
 
-    Exact-cover backtracking: always branch on the least uncovered point,
-    trying its blocks in ascending index order, so output order is
-    deterministic.  Returns (classes, truncated); a design whose block
-    size does not divide v simply has no classes.  A limit, when given,
-    must be at least 1.
+    Exact-cover backtracking (Knuth's algorithm X) over block masks:
+    `through[p]` has bit i set when block i holds point p, and a node's
+    `alive` mask holds the blocks disjoint from every block chosen above
+    it.  Each node branches on the least uncovered point, over its alive
+    blocks in ascending index order, so output order is deterministic.
+    Returns (classes, truncated); a design whose block size does not
+    divide v simply has no classes.  A limit, when given, must be at
+    least 1.
     """
     if limit is not None and limit < 1:
         raise UnsupportedParameterError(f"class limit must be at least 1, got {limit}")
     classes: list[ParallelClass] = []
     if d.v == 0 or not d.blocks or not d.uniform or d.v % d.k:
         return classes, False
+    blocks = d.blocks
     full = (1 << d.v) - 1
-    block_masks = [
-        sum(1 << p for p in blk) for blk in d.blocks
-    ]
-    by_point: list[list[int]] = [[] for _ in range(d.v)]
-    for bi, blk in enumerate(d.blocks):
+    every = (1 << d.b) - 1
+    block_masks = [sum(1 << p for p in blk) for blk in blocks]
+    # set in byte rows: or-ing 1 << bi into ints takes time quadratic in b
+    rows = [bytearray((d.b + 7) // 8) for _ in range(d.v)]
+    for bi, blk in enumerate(blocks):
         for p in blk:
-            by_point[p].append(bi)
+            rows[p][bi >> 3] |= 1 << (bi & 7)
+    through = [int.from_bytes(row, "little") for row in rows]
+    # compat[bi], the blocks disjoint from block bi, is filled in when bi
+    # is first chosen: all b rows would take b^2 bits.
+    compat: list[Optional[int]] = [None] * d.b
     chosen: list[int] = []
     truncated = False
 
-    def rec(covered: int) -> bool:
+    def rec(covered: int, alive: int) -> bool:
         """Returns False when the limit cut off the search."""
         nonlocal truncated
         if covered == full:
@@ -50,18 +64,25 @@ def enumerate_parallel_classes(
             return True
         # least uncovered point = lowest zero bit of the cover mask
         low = ((~covered) & -(~covered)).bit_length() - 1
-        for bi in by_point[low]:
-            mask = block_masks[bi]
-            if covered & mask:
-                continue
+        candidates = through[low] & alive
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            bi = bit.bit_length() - 1
+            disjoint = compat[bi]
+            if disjoint is None:
+                disjoint = every
+                for p in blocks[bi]:
+                    disjoint &= ~through[p]
+                compat[bi] = disjoint
             chosen.append(bi)
-            alive = rec(covered | mask)
+            going = rec(covered | block_masks[bi], alive & disjoint)
             chosen.pop()
-            if not alive:
+            if not going:
                 return False
         return True
 
-    rec(0)
+    rec(0, every)
     return classes, truncated
 
 
@@ -88,9 +109,67 @@ class PcAnalysis:
         return sum(r.budget_exceeded for r in self.records)
 
 
+class _DesignFacts:
+    """What the class GDDs of one design share, computed once for all.
+
+    A class GDD's blocks are the design's blocks outside the class, in the
+    design's order.  So when no pair of the design lies in two blocks, no
+    class GDD repeats a pair either, and its Turan bound depends only on
+    need = sum(|B| - 1) over its blocks, memoised per value.  And its weak
+    problem lists, for each point, the masks of the design's blocks
+    through it less the one class block through it, removed by index (a
+    repeated block may stay in the GDD), then deduplicated in block order
+    as `solver._weak_lists` does.
+    """
+
+    def __init__(self, d: Design):
+        self.d = d
+        keys = _pair_keys(d)
+        self.distinct_pairs = len(set(keys)) == len(keys)
+        self.repeated_blocks = len(set(d.blocks)) < d.b
+        self.weight = sum(len(blk) - 1 for blk in d.blocks)
+        self.bounds: dict[int, int] = {}
+        # point_masks[p]: masks of the blocks through p, in block order;
+        # slots[bi][j]: where block bi sits in the list of its j-th point
+        self.point_masks: list[list[int]] = [[] for _ in range(d.v)]
+        self.slots: list[tuple[int, ...]] = []
+        for blk in d.blocks:
+            mask = sum(1 << p for p in blk)
+            self.slots.append(tuple(len(self.point_masks[p]) for p in blk))
+            for p in blk:
+                self.point_masks[p].append(mask)
+
+    def lower_bound(self, gdd: Design, pc: ParallelClass) -> int:
+        """`chromatic_lower_bound(gdd)` of the GDD of class pc."""
+        if not self.distinct_pairs:
+            return chromatic_lower_bound(gdd)
+        if not gdd.blocks:
+            return 1
+        blocks = self.d.blocks
+        need = self.weight - sum(len(blocks[bi]) - 1 for bi in pc.block_indices)
+        bound = self.bounds.get(need)
+        if bound is None:
+            bound = self.bounds[need] = _turan_bound(self.d.v, need)
+        return bound
+
+    def weak_problem(self, pc: ParallelClass) -> _Problem:
+        """`_build_problem(gdd, None, "weak")` of the GDD of class pc."""
+        blocks, point_masks = self.d.blocks, self.point_masks
+        var_weak: list[list[int]] = [[] for _ in range(self.d.v)]
+        for bi in pc.block_indices:
+            for p, slot in zip(blocks[bi], self.slots[bi]):
+                masks = point_masks[p]
+                rest = masks[:slot] + masks[slot + 1:]
+                var_weak[p] = list(dict.fromkeys(rest)) if self.repeated_blocks else rest
+        return _Problem(self.d.v, var_weak, [])
+
+
 def _analyze_one(args) -> PcRecord:
-    d, pc, idx, budget = args
-    chi, chi_m = gdd_chromatic_numbers(*pc_to_gdd(d, pc), budget)
+    facts, pc, idx, budget = args
+    gdd, grouping = pc_to_gdd(facts.d, pc)
+    chi, chi_m = _gdd_chromatic_numbers(
+        gdd, grouping, budget, facts.lower_bound(gdd, pc), lambda: facts.weak_problem(pc)
+    )
     return PcRecord(idx, chi, chi_m, chi is None or chi_m is None)
 
 
@@ -112,14 +191,18 @@ def analyze_parallel_classes(
     For every class the blocks of the class become groups; the record holds
     the weak chromatic number and the monochromatic-group one, found by
     `gdd_chromatic_numbers`.  The histogram aggregates (chi, chi_M) pairs
-    and is independent of the worker count.
+    and is independent of the worker count.  What the class GDDs share is
+    computed once per design (`_DesignFacts`), not once per class.
     """
     budget = budget or SearchBudget()
     classes, _ = enumerate_parallel_classes(d)
-    tasks = [(d, pc, i, budget) for i, pc in enumerate(classes)]
+    facts = _DesignFacts(d) if classes else None
+    tasks = [(facts, pc, i, budget) for i, pc in enumerate(classes)]
     workers = _worker_count(jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the attribute loads concurrent.futures.process, and with it
+        # multiprocessing, only when a pool starts
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_analyze_one, tasks, chunksize=_CHUNKSIZE))
     else:
         records = [_analyze_one(t) for t in tasks]

@@ -29,7 +29,9 @@ A design and mode are compiled once into a `_Problem` that holds no
 colour count: each weak ("not all equal") constraint is an int mask of
 its members.  `chromatic_number` decides one design at several colour
 counts, and each decision reuses the last problem compiled for the same
-design, grouping and mode objects (`_compiled`).  Per colour count, an
+design, grouping and mode objects (`_compiled`).  The batch analysis of
+parallel classes derives each class GDD's weak problem from its parent
+design's and hands it in through `_first_colourable`.  Per colour count, an
 `_Engine` keeps one mask of variables per colour, so an assignment checks
 a weak constraint with two bit operations.  Its state is small (a domain
 and a colour per variable, a mask per colour), so it backtracks by
@@ -41,7 +43,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .colouring import GROUP_MODES, MODES, Colouring, check_colouring, pair_stats_equitable
 from .core import (
@@ -148,24 +150,33 @@ class _Problem:
 
     __slots__ = ("n", "var_weak", "counted", "var_ctr")
 
-    def __init__(self, n: int, weak: Iterable[Iterable[int]], counted: list[tuple[int, ...]]):
-        """`weak` yields member sets, each listing its members once."""
+    def __init__(self, n: int, var_weak: list[list[int]], counted: list[tuple[int, ...]]):
+        """`var_weak` is compiled by `_weak_lists` or, for the class GDDs
+        of one design, derived from the design's own lists."""
         self.n = n
+        self.var_weak = var_weak
         self.counted = counted
-        self.var_weak: list[list[int]] = [[] for _ in range(n)]
-        seen: set[int] = set()
-        for members in weak:
-            mask = 0
-            for x in members:
-                mask |= 1 << x
-            if mask not in seen:
-                seen.add(mask)
-                for x in members:
-                    self.var_weak[x].append(mask)
         self.var_ctr: list[list[int]] = [[] for _ in range(n)]
         for ci, members in enumerate(counted):
             for x in members:
                 self.var_ctr[x].append(ci)
+
+
+def _weak_lists(n: int, weak: Iterable[Iterable[int]]) -> list[list[int]]:
+    """`_Problem.var_weak` of the member sets `weak` yields, each listing
+    its members once: a member set's mask goes to each member's list, in
+    order, unless an earlier set had the same members."""
+    var_weak: list[list[int]] = [[] for _ in range(n)]
+    seen: set[int] = set()
+    for members in weak:
+        mask = 0
+        for x in members:
+            mask |= 1 << x
+        if mask not in seen:
+            seen.add(mask)
+            for x in members:
+                var_weak[x].append(mask)
+    return var_weak
 
 
 class _Engine:
@@ -389,16 +400,16 @@ def _build_problem(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
     if mode in GROUP_MODES and g is None:
         raise UnsupportedParameterError(f"mode {mode!r} requires a grouping")
     if mode == "weak":
-        return _Problem(d.v, d.blocks, [])
+        return _Problem(d.v, _weak_lists(d.v, d.blocks), [])
     if mode == "block-equitable":
         # blocks are sorted tuples, so equal blocks are equal tuples
-        return _Problem(d.v, [], list(dict.fromkeys(d.blocks)))
+        return _Problem(d.v, _weak_lists(d.v, ()), list(dict.fromkeys(d.blocks)))
     if g is None:
         raise InternalConsistencyError(f"mode {mode!r} reached without a grouping")
     if mode == "group-monochromatic":
         gi = g.group_index
-        return _Problem(g.u, ({gi[p] for p in blk} for blk in d.blocks), [])
-    return _Problem(d.v, d.blocks, list(g.groups))
+        return _Problem(g.u, _weak_lists(g.u, ({gi[p] for p in blk} for blk in d.blocks)), [])
+    return _Problem(d.v, _weak_lists(d.v, d.blocks), list(g.groups))
 
 
 # The last problem compiled, keyed by the identity of its (frozen) design
@@ -475,6 +486,7 @@ def _first_colourable(
     counts: Iterable[int],
     budget: SearchBudget,
     least_witness: bool = True,
+    problem: Optional[_Problem] = None,
 ) -> tuple[Optional[SolveResult], Optional[SolveResult]]:
     """Decide the colour counts in order up to the first colourable one.
 
@@ -482,7 +494,13 @@ def _first_colourable(
     last refutation before it.  One budget spans the decisions: its node
     limit bounds their nodes together, and its time limit is one deadline
     for all of them.  BudgetExceededError carries the nodes spent.
+
+    `problem`, when given, is what `_build_problem(d, g, mode)` would
+    compile; the decisions find it through `_compiled`.
     """
+    if problem is not None:
+        global _last_compiled
+        _last_compiled = (d, g, mode, problem)
     deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
     spent = 0
     refutation: Optional[SolveResult] = None
@@ -575,9 +593,15 @@ def chromatic_lower_bound(d: Design) -> int:
     keys = _pair_keys(d)
     if len(set(keys)) < len(keys):
         return 2
-    need = sum(len(blk) - 1 for blk in d.blocks)
+    return _turan_bound(d.v, sum(len(blk) - 1 for blk in d.blocks))
+
+
+def _turan_bound(v: int, need: int) -> int:
+    """The least c >= 2 whose c-colourings of v points can hold `need`
+    pairs of distinct colours: `chromatic_lower_bound` of a design with
+    blocks and no repeated pair, need = sum(|B| - 1)."""
     c = 2
-    while pair_stats_equitable(d.v, c).nm < need:
+    while pair_stats_equitable(v, c).nm < need:
         c += 1
     return c
 
@@ -586,13 +610,13 @@ def _met_group_sets(d: Design, g: Grouping) -> set[int]:
     """The k-sets of groups that some block meets exactly, k = d.k, as
     masks: bit i stands for group i.  A block's mask has k bits when it
     meets exactly k groups."""
-    gi = g.group_index
+    bits = [1 << gi for gi in g.group_index]
     k = d.k
     met = set()
     for blk in d.blocks:
         mask = 0
         for p in blk:
-            mask |= 1 << gi[p]
+            mask |= bits[p]
         if mask.bit_count() == k:
             met.add(mask)
     return met
@@ -619,8 +643,20 @@ def gdd_chromatic_numbers(
     when its search runs out; the other is kept, and a lost chi_M leaves
     the chi search bounded by top.
     """
+    return _gdd_chromatic_numbers(d, g, budget, chromatic_lower_bound(d), None)
+
+
+def _gdd_chromatic_numbers(
+    d: Design,
+    g: Grouping,
+    budget: Optional[SearchBudget],
+    lo: int,
+    weak: Optional[Callable[[], _Problem]],
+) -> tuple[Optional[int], Optional[int]]:
+    """`gdd_chromatic_numbers`, given lo = `chromatic_lower_bound(d)` and,
+    optionally, a builder of `_build_problem(d, None, "weak")` that runs
+    only when a weak decision does."""
     budget = budget or SearchBudget()
-    lo = chromatic_lower_bound(d)
     met = _met_group_sets(d, g)
     top = _upper_bound_colouring(d, g, met)
     lo_m = lo
@@ -629,17 +665,20 @@ def gdd_chromatic_numbers(
     if lo_m > top.c:
         raise InternalConsistencyError(f"lower bound {lo_m} exceeds the colouring with {top.c} colours")
 
-    def least(grouping: Optional[Grouping], mode: str, start: int, stop: int) -> Optional[int]:
+    def least(
+        grouping: Optional[Grouping], mode: str, start: int, stop: int, problem: Optional[_Problem] = None
+    ) -> Optional[int]:
         try:
             found, _ = _first_colourable(
-                d, grouping, mode, range(start, stop), budget, least_witness=False
+                d, grouping, mode, range(start, stop), budget, False, problem
             )
         except BudgetExceededError:
             return None
         return stop if found is None else found.c
 
     chi_m = least(g, "group-monochromatic", lo_m, top.c)
-    chi = least(None, "weak", lo, top.c if chi_m is None else chi_m)
+    stop = top.c if chi_m is None else chi_m
+    chi = least(None, "weak", lo, stop, weak() if weak is not None and lo < stop else None)
     return chi, chi_m
 
 
@@ -671,7 +710,7 @@ def _upper_bound_colouring(d: Design, g: Grouping, met: set[int]) -> Colouring:
     u = g.u
     chunk = k_min - 1
     candidates = [[gi // chunk for gi in range(u)], list(range(u))]
-    if (u - 1) % chunk == 0:
+    if (u - 1) % chunk == 0 and len(met) < comb(u, k_min):
         # Of any len(met) + 1 k-sets one is unmet, so hostile input
         # scans at most b + 1 of them.
         for unmet in islice(combinations(range(u), k_min), len(met) + 1):

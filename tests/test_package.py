@@ -55,6 +55,21 @@ def test_cli_module_runs_without_runpy_warning():
     assert "sts21" in proc.stdout.split()
 
 
+def test_start_up_does_not_load_multiprocessing():
+    # `parallel` reaches ProcessPoolExecutor through `concurrent.futures`
+    # only when `--jobs` starts a pool, so a command that starts none does
+    # not pay for importing `multiprocessing`.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import io, sys; import designcolour.cli; "
+        "designcolour.cli.cli_main(['catalog', 'get', 'sts21'], out=io.StringIO()); "
+        "print('multiprocessing' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_every_private_function_has_a_caller():
     # A module-level `def _name` that nothing in the package refers to,
     # apart from its own body, is dead code.

@@ -45,12 +45,62 @@ def bose_sts27():
     return Design(27, tuple(blocks))
 
 
+def random_sts(v, seed):
+    """A seeded random STS(v), v = 1 or 3 (mod 6), by Stinson's
+    hill-climbing: a live point x and two of its uncovered partners y, z
+    make the block xyz, which replaces the block through yz if there is
+    one."""
+    rng = random.Random(seed)
+    third = {}  # third[x, y]: the third point of the block through x and y
+    blocks = set()
+    while len(blocks) < v * (v - 1) // 6:
+        live = [x for x in range(v) if sum((x, y) in third for y in range(v)) < v - 1]
+        x = rng.choice(live)
+        y, z = rng.sample([y for y in range(v) if y != x and (x, y) not in third], 2)
+        if (y, z) in third:
+            w = third[y, z]
+            blocks.remove(tuple(sorted((y, z, w))))
+            for a, b in combinations((y, z, w), 2):
+                del third[a, b], third[b, a]
+        blocks.add(tuple(sorted((x, y, z))))
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            third[a, b] = third[b, a] = c
+    return Design(v, tuple(blocks))
+
+
 def source_design(name, seed=None):
     if name == "shared-pairs":
         return Design(6, ((0, 1, 2), (3, 4, 5), (0, 1, 3), (2, 4, 5), (0, 2, 4), (1, 3, 5)), 2)
+    if name == "repeated-block":
+        # shared-pairs with (0, 1, 2) twice: a class GDD may keep one copy
+        # of a class block, or both copies of another block
+        return Design(6, source_design("shared-pairs").blocks + ((0, 1, 2),), 2)
     if name == "sts27-bose":
         return bose_sts27()
+    if name.startswith("random-sts"):
+        return random_sts(int(name[len("random-sts"):]), seed)
     return relabelled_sts21(seed) if seed is not None else catalog_get(name).design
+
+
+def reference_parallel_classes(d, limit=None):
+    """Plain exact cover with point sets: branch on the least uncovered
+    point over its blocks in ascending index order that miss every
+    covered point; stop, truncated, at the limit-th class."""
+    classes = []
+
+    def rec(covered, chosen):
+        if len(covered) == d.v:
+            classes.append(tuple(chosen))
+            return limit is None or len(classes) < limit
+        low = min(set(range(d.v)) - covered)
+        for bi, blk in enumerate(d.blocks):
+            if low in blk and not covered.intersection(blk):
+                if not rec(covered | set(blk), chosen + [bi]):
+                    return False
+        return True
+
+    complete = rec(set(), [])
+    return classes, not complete
 
 
 def unmet_group_sets(gdd, grouping):
@@ -98,6 +148,20 @@ class TestEnumeration:
             with pytest.raises(UnsupportedParameterError):
                 enumerate_parallel_classes(sts9, limit=limit)
 
+    @pytest.mark.parametrize(
+        "name,seed",
+        [("sts9", None), ("td44", None), ("random-sts15", 3), ("random-sts15", 8), ("random-sts21", 5)],
+    )
+    def test_block_mask_cover_matches_plain_exact_cover(self, name, seed):
+        d = source_design(name, seed)
+        everything, _ = reference_parallel_classes(d)
+        count = len(everything)
+        assert count >= 2
+        for limit in (None, 1, count // 2 + 1, count):
+            expected = reference_parallel_classes(d, limit)
+            classes, truncated = enumerate_parallel_classes(d, limit)
+            assert ([pc.block_indices for pc in classes], truncated) == expected
+
     def test_greedy_samples_are_found(self):
         sts21 = catalog_get("sts21").design
         classes, _ = enumerate_parallel_classes(sts21)
@@ -129,10 +193,11 @@ class TestAnalysis:
         assert analysis.histogram == ()
 
     def test_parallel_jobs_match_serial(self):
-        sts9 = catalog_get("sts9").design
-        serial = analyze_parallel_classes(sts9)
-        fanned = analyze_parallel_classes(sts9, jobs=2)
-        assert serial == fanned
+        for name, seed in [("sts9", None), ("sts21", 3), ("shared-pairs", None)]:
+            d = source_design(name, seed)
+            serial = analyze_parallel_classes(d)
+            fanned = analyze_parallel_classes(d, jobs=2)
+            assert serial == fanned
 
     def test_pool_matches_serial_on_sts21(self):
         # 130 classes make 33 chunks, so two workers start where there are
@@ -207,10 +272,11 @@ class TestAnalysis:
             if len(picked) == 2:
                 break
         assert set(picked) == {True, False}
+        facts = parallel._DesignFacts(sts27)
         for chi_cheaper, (idx, pc, chi, chi_m, limit) in picked.items():
             budget = SearchBudget(node_limit=limit)
             expected = PcRecord(idx, chi, None, True) if chi_cheaper else PcRecord(idx, None, chi_m, True)
-            assert parallel._analyze_one((sts27, pc, idx, budget)) == expected
+            assert parallel._analyze_one((facts, pc, idx, budget)) == expected
         idx, pc, chi, _, limit = picked[True]
         analysis = analyze_parallel_classes(sts27, SearchBudget(node_limit=limit))
         assert analysis.records[idx] == PcRecord(idx, chi, None, True)
@@ -253,8 +319,9 @@ class TestAnalysis:
         if limit is None:
             records = analyze_parallel_classes(d).records
         else:
+            facts = parallel._DesignFacts(d)
             records = tuple(
-                parallel._analyze_one((d, pc, idx, SearchBudget())) for idx, pc in enumerate(classes)
+                parallel._analyze_one((facts, pc, idx, SearchBudget())) for idx, pc in enumerate(classes)
             )
         assert records == tuple(expected)
 
@@ -330,3 +397,47 @@ class TestGroupCertificates:
                 assert refuted.status == NOT_COLOURABLE
             seen.add(bool(unmet))
         assert seen == kinds
+
+
+class TestDesignFacts:
+    """What `analyze_parallel_classes` derives once per design equals
+    what each class GDD would compute for itself."""
+
+    @pytest.mark.parametrize(
+        "name,seed",
+        [
+            ("sts9", None),
+            ("td44", None),
+            ("sts21", None),
+            ("sts21", 1),
+            ("sts21", 2),
+            ("sts27-bose", None),
+            ("shared-pairs", None),
+            ("repeated-block", None),
+        ],
+    )
+    def test_class_facts_match_the_class_gdd(self, name, seed, monkeypatch):
+        d = source_design(name, seed)
+        limit = 40 if name == "sts27-bose" else None
+        classes, _ = enumerate_parallel_classes(d, limit)
+        assert classes
+        facts = parallel._DesignFacts(d)
+        assert facts.distinct_pairs == (d.lambda_ == 1)
+        assert facts.repeated_blocks == (name == "repeated-block")
+        for pc in classes:
+            gdd, grouping = pc_to_gdd(d, pc)
+            problem = facts.weak_problem(pc)
+            assert problem.var_weak == solver._build_problem(gdd, None, "weak").var_weak
+            lo = facts.lower_bound(gdd, pc)
+            assert lo == chromatic_lower_bound(gdd)
+            for c in range(lo, gdd.v + 1):
+                monkeypatch.setattr(solver, "_last_compiled", (None, None, None, None))
+                compiled = decide_colourable(gdd, None, c, "weak", least_witness=False)
+                derived, refuted = solver._first_colourable(
+                    gdd, None, "weak", [c], SearchBudget(), False, problem
+                )
+                assert solver._last_compiled[3] is problem
+                assert (derived or refuted) == compiled
+                if compiled.colourable:
+                    break
+
