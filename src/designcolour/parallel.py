@@ -25,9 +25,10 @@ def enumerate_parallel_classes(
 
     Exact-cover backtracking (Knuth's algorithm X) over block masks:
     `through[p]` has bit i set when block i holds point p, and a node's
-    `alive` mask holds the blocks disjoint from every block chosen above
-    it.  Each node branches on the least uncovered point, over its alive
-    blocks in ascending index order, so output order is deterministic.
+    `dead` mask, the union of `through` over the points covered above it,
+    holds the blocks that meet a chosen block.  Each node branches on the
+    least uncovered point, over its blocks outside `dead` in ascending
+    index order, so output order is deterministic.
     Returns (classes, truncated); a design whose block size does not
     divide v simply has no classes.  A limit, when given, must be at
     least 1.
@@ -39,21 +40,19 @@ def enumerate_parallel_classes(
         return classes, False
     blocks = d.blocks
     full = (1 << d.v) - 1
-    every = (1 << d.b) - 1
     block_masks = [sum(1 << p for p in blk) for blk in blocks]
     # set in byte rows: or-ing 1 << bi into ints takes time quadratic in b
-    rows = [bytearray((d.b + 7) // 8) for _ in range(d.v)]
+    through: list = [bytearray((d.b + 7) // 8) for _ in range(d.v)]
     for bi, blk in enumerate(blocks):
         for p in blk:
-            rows[p][bi >> 3] |= 1 << (bi & 7)
-    through = [int.from_bytes(row, "little") for row in rows]
-    # compat[bi], the blocks disjoint from block bi, is filled in when bi
-    # is first chosen: all b rows would take b^2 bits.
-    compat: list[Optional[int]] = [None] * d.b
+            through[p][bi >> 3] |= 1 << (bi & 7)
+    for p, row in enumerate(through):
+        # row by row, so the rows and their ints never all coexist
+        through[p] = int.from_bytes(row, "little")
     chosen: list[int] = []
     truncated = False
 
-    def rec(covered: int, alive: int) -> bool:
+    def rec(covered: int, dead: int) -> bool:
         """Returns False when the limit cut off the search."""
         nonlocal truncated
         if covered == full:
@@ -64,25 +63,22 @@ def enumerate_parallel_classes(
             return True
         # least uncovered point = lowest zero bit of the cover mask
         low = ((~covered) & -(~covered)).bit_length() - 1
-        candidates = through[low] & alive
+        candidates = through[low] & ~dead
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit
             bi = bit.bit_length() - 1
-            disjoint = compat[bi]
-            if disjoint is None:
-                disjoint = every
-                for p in blocks[bi]:
-                    disjoint &= ~through[p]
-                compat[bi] = disjoint
+            meets = dead
+            for p in blocks[bi]:
+                meets |= through[p]
             chosen.append(bi)
-            going = rec(covered | block_masks[bi], alive & disjoint)
+            going = rec(covered | block_masks[bi], meets)
             chosen.pop()
             if not going:
                 return False
         return True
 
-    rec(0, every)
+    rec(0, 0)
     return classes, truncated
 
 
@@ -112,11 +108,11 @@ class PcAnalysis:
 class _DesignFacts:
     """What the class GDDs of one design share, computed once for all.
 
-    A class GDD's blocks are the design's blocks outside the class, in the
-    design's order.  So when no pair of the design lies in two blocks, no
-    class GDD repeats a pair either, and its Turan bound depends only on
-    need = sum(|B| - 1) over its blocks, memoised per value.  And its weak
-    problem lists, for each point, the masks of the design's blocks
+    d is uniform and k divides v, as in any design with a parallel class,
+    so every class GDD keeps b - v/k of d's blocks, in d's order.  When no
+    pair of d lies in two blocks, no class GDD repeats a pair either, and
+    all share one Turan bound on need = (b - v/k)(k - 1).  And a class
+    GDD's weak problem lists, for each point, the masks of d's blocks
     through it less the one class block through it, removed by index (a
     repeated block may stay in the GDD), then deduplicated in block order
     as `solver._weak_lists` does.
@@ -124,11 +120,15 @@ class _DesignFacts:
 
     def __init__(self, d: Design):
         self.d = d
+        kept = d.b - d.v // d.k
         keys = _pair_keys(d)
-        self.distinct_pairs = len(set(keys)) == len(keys)
-        self.repeated_blocks = len(set(d.blocks)) < d.b
-        self.weight = sum(len(blk) - 1 for blk in d.blocks)
-        self.bounds: dict[int, int] = {}
+        # bound: chromatic_lower_bound of every class GDD, or None when d
+        # repeats a pair and each class GDD must be tested for one
+        self.bound: Optional[int] = None
+        if not kept:
+            self.bound = 1
+        elif len(set(keys)) == len(keys):
+            self.bound = _turan_bound(d.v, kept * (d.k - 1))
         # point_masks[p]: masks of the blocks through p, in block order;
         # slots[bi][j]: where block bi sits in the list of its j-th point
         self.point_masks: list[list[int]] = [[] for _ in range(d.v)]
@@ -139,18 +139,9 @@ class _DesignFacts:
             for p in blk:
                 self.point_masks[p].append(mask)
 
-    def lower_bound(self, gdd: Design, pc: ParallelClass) -> int:
-        """`chromatic_lower_bound(gdd)` of the GDD of class pc."""
-        if not self.distinct_pairs:
-            return chromatic_lower_bound(gdd)
-        if not gdd.blocks:
-            return 1
-        blocks = self.d.blocks
-        need = self.weight - sum(len(blocks[bi]) - 1 for bi in pc.block_indices)
-        bound = self.bounds.get(need)
-        if bound is None:
-            bound = self.bounds[need] = _turan_bound(self.d.v, need)
-        return bound
+    def lower_bound(self, gdd: Design) -> int:
+        """`chromatic_lower_bound(gdd)` of a class GDD of d."""
+        return chromatic_lower_bound(gdd) if self.bound is None else self.bound
 
     def weak_problem(self, pc: ParallelClass) -> _Problem:
         """`_build_problem(gdd, None, "weak")` of the GDD of class pc."""
@@ -159,8 +150,7 @@ class _DesignFacts:
         for bi in pc.block_indices:
             for p, slot in zip(blocks[bi], self.slots[bi]):
                 masks = point_masks[p]
-                rest = masks[:slot] + masks[slot + 1:]
-                var_weak[p] = list(dict.fromkeys(rest)) if self.repeated_blocks else rest
+                var_weak[p] = list(dict.fromkeys(masks[:slot] + masks[slot + 1:]))
         return _Problem(self.d.v, var_weak, [])
 
 
@@ -168,9 +158,23 @@ def _analyze_one(args) -> PcRecord:
     facts, pc, idx, budget = args
     gdd, grouping = pc_to_gdd(facts.d, pc)
     chi, chi_m = _gdd_chromatic_numbers(
-        gdd, grouping, budget, facts.lower_bound(gdd, pc), lambda: facts.weak_problem(pc)
+        gdd, grouping, budget, facts.lower_bound(gdd), lambda: facts.weak_problem(pc)
     )
     return PcRecord(idx, chi, chi_m, chi is None or chi_m is None)
+
+
+# A pool worker's design facts, handed over once when the worker starts
+# rather than pickled with every chunk of tasks.
+_worker_facts: Optional[_DesignFacts] = None
+
+
+def _start_worker(facts: _DesignFacts) -> None:
+    global _worker_facts
+    _worker_facts = facts
+
+
+def _analyze_in_worker(args) -> PcRecord:
+    return _analyze_one((_worker_facts, *args))
 
 
 _CHUNKSIZE = 4
@@ -197,15 +201,17 @@ def analyze_parallel_classes(
     budget = budget or SearchBudget()
     classes, _ = enumerate_parallel_classes(d)
     facts = _DesignFacts(d) if classes else None
-    tasks = [(facts, pc, i, budget) for i, pc in enumerate(classes)]
+    tasks = [(pc, i, budget) for i, pc in enumerate(classes)]
     workers = _worker_count(jobs, len(tasks))
     if workers > 1:
         # the attribute loads concurrent.futures.process, and with it
         # multiprocessing, only when a pool starts
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_analyze_one, tasks, chunksize=_CHUNKSIZE))
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(facts,)
+        ) as pool:
+            records = list(pool.map(_analyze_in_worker, tasks, chunksize=_CHUNKSIZE))
     else:
-        records = [_analyze_one(t) for t in tasks]
+        records = [_analyze_one((facts, *t)) for t in tasks]
     records.sort(key=lambda r: r.class_index)
     counter = Counter(
         (r.chi, r.chi_m) for r in records if r.chi is not None and r.chi_m is not None

@@ -77,6 +77,9 @@ def source_design(name, seed=None):
         return Design(6, source_design("shared-pairs").blocks + ((0, 1, 2),), 2)
     if name == "sts27-bose":
         return bose_sts27()
+    if name == "sts3":
+        # one block, one class: the class GDD has no blocks
+        return Design(3, ((0, 1, 2),))
     if name.startswith("random-sts"):
         return random_sts(int(name[len("random-sts"):]), seed)
     return relabelled_sts21(seed) if seed is not None else catalog_get(name).design
@@ -414,6 +417,7 @@ class TestDesignFacts:
             ("sts27-bose", None),
             ("shared-pairs", None),
             ("repeated-block", None),
+            ("sts3", None),
         ],
     )
     def test_class_facts_match_the_class_gdd(self, name, seed, monkeypatch):
@@ -422,13 +426,13 @@ class TestDesignFacts:
         classes, _ = enumerate_parallel_classes(d, limit)
         assert classes
         facts = parallel._DesignFacts(d)
-        assert facts.distinct_pairs == (d.lambda_ == 1)
-        assert facts.repeated_blocks == (name == "repeated-block")
+        # one bound for all class GDDs unless d repeats a pair
+        assert (facts.bound is None) == (d.lambda_ > 1)
         for pc in classes:
             gdd, grouping = pc_to_gdd(d, pc)
             problem = facts.weak_problem(pc)
             assert problem.var_weak == solver._build_problem(gdd, None, "weak").var_weak
-            lo = facts.lower_bound(gdd, pc)
+            lo = facts.lower_bound(gdd)
             assert lo == chromatic_lower_bound(gdd)
             for c in range(lo, gdd.v + 1):
                 monkeypatch.setattr(solver, "_last_compiled", (None, None, None, None))
