@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress, islice
+from itertools import combinations, compress, islice, repeat
 from math import comb
-from operator import eq, ne
+from operator import eq
 from typing import Optional, Sequence
 
 Block = tuple[int, ...]
@@ -177,20 +177,20 @@ class Grouping:
 class LeaveGraph:
     """The graph of pairs left uncovered by a packing with lambda = 1.
 
-    It holds the covered pairs, each (p, q) coded as ``p*v + q``, in
-    ascending order; the edge set is enumerated on first access.
+    It holds the packing and the number of pairs it leaves uncovered; the
+    edge set is derived from the blocks on first access.
     """
 
-    v: int
-    covered: tuple[int, ...] = field(repr=False)
+    design: Design = field(repr=False)
+    edge_count: int
 
     @property
-    def edge_count(self) -> int:
-        return comb(self.v, 2) - len(self.covered)
+    def v(self) -> int:
+        return self.design.v
 
     @cached_property
     def edges(self) -> frozenset[Pair]:
-        v, covered = self.v, set(self.covered)
+        v, covered = self.v, set(_pair_keys(self.design))
         return frozenset(
             (p, q) for p, q in combinations(range(v), 2) if p * v + q not in covered
         )
@@ -240,7 +240,9 @@ def admissible(v_or_u: int, g: int, k: int, lambda_: int) -> bool:
 def _pair_keys(d: Design) -> list[int]:
     """Every pair p < q of every block, coded as ``p*v + q``: b*C(k,2) ints.
 
-    This is the one place pairs are counted.  Blocks are sorted, so p < q
+    Pair multiplicities are counted from these keys when lambda > 1, for
+    sparse designs and for failure listings; `_neighbour_masks` settles
+    the lambda = 1 structure without them.  Blocks are sorted, so p < q
     within a block; the keys come column by column over the blocks of
     each size, not in ascending order.
     """
@@ -255,13 +257,87 @@ def _pair_keys(d: Design) -> list[int]:
     return keys
 
 
+# A neighbour mask costs about one bit per point, a pair key about 288
+# bits (a 28-byte int and its 8-byte list slot).  The kernel runs while
+# the v * v mask bits stay within this many per pair cover they replace.
+_MASK_BITS_PER_COVER = 256
+
+# A failed BIBD or GDD check lists at most this many pairs; a larger
+# listing, and the O(v^2) walk that would make it, are refused.
+_MAX_LISTED_PAIRS = 1 << 20
+
+
+def _pair_covers(d: Design) -> int:
+    """The sum of C(|B|, 2) over the blocks: pair covers, repeats included."""
+    return sum(map(comb, map(len, d.blocks), repeat(2)))
+
+
+def _neighbour_masks(d: Design) -> Optional[list[int]]:
+    """The lambda = 1 pair kernel: for each point p, the mask of p and of
+    every point that shares a block with p, or 0 when p is on no block.
+
+    It walks each block once and ORs the block's point bits into each
+    member's mask.  Point p lies on a repeated pair exactly when its mask
+    has at most sum(|B| - 1) bits over the blocks B through p, and the
+    blocks cover sum(popcount - 1) / 2 distinct pairs over the points on
+    some block (`_mask_pairs`).  Returns None for a sparse design, whose
+    v * v mask bits would outweigh the pair keys they replace, so a huge
+    v with few blocks allocates nothing of size v.
+    """
+    v = d.v
+    if v * v > _MASK_BITS_PER_COVER * _pair_covers(d):
+        return None
+    bit = [1 << p for p in range(v)]
+    masks = [0] * v
+    for blk in d.blocks:
+        m = 0
+        for p in blk:
+            m |= bit[p]
+        for p in blk:
+            masks[p] |= m
+    return masks
+
+
+def _mask_pairs(masks: list[int]) -> int:
+    """The number of distinct pairs that neighbour masks cover."""
+    return (sum(map(int.bit_count, masks)) - len(masks) + masks.count(0)) // 2
+
+
+def _distinct_pairs(d: Design) -> Optional[int]:
+    """The number of pairs the blocks of d cover when no pair lies in two
+    blocks, and None when some pair does."""
+    masks = _neighbour_masks(d)
+    if masks is None:
+        keys = _pair_keys(d)
+        distinct, covers = len(set(keys)), len(keys)
+    else:
+        distinct, covers = _mask_pairs(masks), _pair_covers(d)
+    return distinct if distinct == covers else None
+
+
+def _covers_exactly(d: Design, pairs: int) -> bool:
+    """Whether the blocks cover `pairs` distinct pairs, each lambda_ times."""
+    if d.lambda_ == 1:
+        return _distinct_pairs(d) == pairs
+    counts = Counter(_pair_keys(d))
+    return len(counts) == pairs and not set(counts.values()) - {d.lambda_}
+
+
 def _cross_pair_violations(
-    kind: str, d: Design, counts: Counter, gi: Sequence[int]
+    kind: str, d: Design, gi: Sequence[int], cross: int
 ) -> list[Violation]:
-    """Every pair of points in distinct groups (``gi[p] != gi[q]``) whose
-    count is not lambda_, in lexicographic order.  O(v^2), so it runs only
-    once a check has failed."""
+    """Every pair of points in distinct groups (``gi[p] != gi[q]``, `cross`
+    of them) whose count is not lambda_, in lexicographic order.  O(v^2),
+    so it runs only once a check has failed, and raises
+    UnsupportedParameterError rather than list more than
+    `_MAX_LISTED_PAIRS` pairs."""
     v, lambda_ = d.v, d.lambda_
+    counts = Counter(_pair_keys(d))
+    met = sum(n == lambda_ and gi[key // v] != gi[key % v] for key, n in counts.items())
+    if cross - met > _MAX_LISTED_PAIRS:
+        raise UnsupportedParameterError(
+            f"{cross - met} pairs fail, more than the {_MAX_LISTED_PAIRS} a report lists"
+        )
     violations = []
     for p in range(v):
         base, gp = p * v, gi[p]
@@ -273,15 +349,39 @@ def _cross_pair_violations(
     return violations
 
 
+def _repeated_pair_violations(d: Design, masks: list[int]) -> list[Violation]:
+    """The pairs of a lambda = 1 design that lie in two or more blocks,
+    with their counts, in lexicographic order.  Only the blocks through
+    the points that the kernel's masks flag are walked pair by pair."""
+    v = d.v
+    count = [0] * v
+    for blk in d.blocks:
+        n = len(blk) - 1
+        for p in blk:
+            count[p] += n
+    flagged = {p for p, m in enumerate(masks) if m and m.bit_count() <= count[p]}
+    through: Counter = Counter()
+    for blk in d.blocks:
+        if not flagged.isdisjoint(blk):
+            for i, p in enumerate(blk):
+                if p in flagged:
+                    through.update(p * v + q for q in blk[i + 1:])
+    return [
+        Violation("pair-multiplicity", (divmod(key, v), n))
+        for key, n in sorted(through.items())
+        if n > 1
+    ]
+
+
 def validate_bibd(d: Design) -> ValidationReport:
     """Check that every unordered pair of points occurs in exactly lambda_ blocks."""
     violations: list[Violation] = []
     if not d.uniform:
         violations.append(Violation("nonuniform-blocks", tuple(sorted(d._sizes))))
-    counts = Counter(_pair_keys(d))
-    if len(counts) != comb(d.v, 2) or set(counts.values()) - {d.lambda_}:
+    pairs = comb(d.v, 2)
+    if not _covers_exactly(d, pairs):
         # every pair is a cross pair of the singleton grouping
-        violations += _cross_pair_violations("pair-multiplicity", d, counts, range(d.v))
+        violations += _cross_pair_violations("pair-multiplicity", d, range(d.v), pairs)
     details = {
         "v": d.v,
         "k": d.k,
@@ -302,7 +402,10 @@ def validate_gdd(d: Design, g: Grouping) -> ValidationReport:
         raise DesignError("grouping is over a different point count")
     violations: list[Violation] = []
     gi = g.group_index
+    group_of = gi.__getitem__
     for bi, blk in enumerate(d.blocks):
+        if len(set(map(group_of, blk))) == len(blk):
+            continue
         used = {}
         for p in blk:
             grp = gi[p]
@@ -310,12 +413,11 @@ def validate_gdd(d: Design, g: Grouping) -> ValidationReport:
                 violations.append(Violation("within-group-pair-in-block", (bi, blk, (used[grp], p))))
             else:
                 used[grp] = p
-    counts = Counter(_pair_keys(d))
-    # With no within-group pair every key is a cross pair, so the cross
-    # pairs are all covered iff there are as many keys as cross pairs.
+    # With no within-group pair every pair a block covers is a cross
+    # pair, so the cross pairs are all covered iff as many are covered.
     cross = comb(d.v, 2) - sum(comb(len(grp), 2) for grp in g.groups)
-    if violations or len(counts) != cross or set(counts.values()) - {d.lambda_}:
-        violations += _cross_pair_violations("cross-pair-multiplicity", d, counts, gi)
+    if violations or not _covers_exactly(d, cross):
+        violations += _cross_pair_violations("cross-pair-multiplicity", d, gi, cross)
     uniform = g.uniform_size is not None
     details = {
         "v": d.v,
@@ -331,25 +433,36 @@ def validate_gdd(d: Design, g: Grouping) -> ValidationReport:
 
 
 def validate_packing(d: Design) -> tuple[ValidationReport, Optional[LeaveGraph]]:
-    """Check that no pair exceeds multiplicity lambda_; return the leave for lambda_=1."""
+    """Check that no pair exceeds multiplicity lambda_; return the leave for lambda_=1.
+
+    With lambda_ = 1 the neighbour-mask kernel decides; lambda_ > 1 and
+    sparse designs count sorted pair keys.
+    """
     violations: list[Violation] = []
     if not d.uniform:
         violations.append(Violation("nonuniform-blocks", tuple(sorted(d._sizes))))
-    keys = _pair_keys(d)
-    # Sorted, a repeated pair shows as two equal neighbours, and the keys
-    # are in the lexicographic order of their pairs.
-    keys.sort()
-    if any(map(eq, keys, islice(keys, 1, None))):
-        # count only the covers beyond the first: a key's extra count is
-        # one less than its multiplicity, and absent for most keys
-        extra = Counter(compress(islice(keys, 1, None), map(eq, keys, islice(keys, 1, None))))
-        violations += [
-            Violation("pair-multiplicity", (divmod(key, d.v), n + 1))
-            for key, n in extra.items()
-            if n >= d.lambda_
-        ]
-        keys = list(compress(keys, chain((True,), map(ne, islice(keys, 1, None), keys))))
-    leave = LeaveGraph(d.v, tuple(keys)) if d.lambda_ == 1 else None
+    masks = _neighbour_masks(d) if d.lambda_ == 1 else None
+    if masks is not None:
+        covered = _mask_pairs(masks)
+        if covered < _pair_covers(d):
+            violations += _repeated_pair_violations(d, masks)
+    else:
+        keys = _pair_keys(d)
+        # Sorted, a repeated pair shows as two equal neighbours, and the
+        # keys are in the lexicographic order of their pairs.
+        keys.sort()
+        repeats = sum(map(eq, keys, islice(keys, 1, None)))
+        if repeats:
+            # count only the covers beyond the first: a key's extra count
+            # is one less than its multiplicity, and absent for most keys
+            extra = Counter(compress(islice(keys, 1, None), map(eq, keys, islice(keys, 1, None))))
+            violations += [
+                Violation("pair-multiplicity", (divmod(key, d.v), n + 1))
+                for key, n in extra.items()
+                if n >= d.lambda_
+            ]
+        covered = len(keys) - repeats
+    leave = LeaveGraph(d, comb(d.v, 2) - covered) if d.lambda_ == 1 else None
     details = {"v": d.v, "k": d.k, "lambda": d.lambda_, "blocks": d.b, "size": d.b}
     return ValidationReport(tuple(violations), details), leave
 

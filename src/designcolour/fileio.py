@@ -67,7 +67,10 @@ def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colour
         if line.startswith("block:"):
             if header is None:
                 raise ParseError(line_no, "block before design header")
-            pts = _ints(line_no, line[len("block:"):])
+            try:
+                pts = tuple(map(point, line[len("block:"):].split()))
+            except KeyError:
+                pts = _ints(line_no, line[len("block:"):])
             # One test for the common case: strictly ascending within
             # [0, v) means distinct, in range and ascending.
             if not (pts and pts[0] >= 0 and pts[-1] < header[0] and all(map(lt, pts, pts[1:]))):
@@ -80,6 +83,10 @@ def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colour
             if not m:
                 raise ParseError(line_no, "malformed design header")
             header = tuple(int(x) for x in m.groups())
+            # Canonical point names map to one shared int each.  Other
+            # tokens, and points past the table's min(v, len(text))
+            # entries, fall back to `_ints`, so a huge v costs O(len(text)).
+            point = {str(p): p for p in range(min(header[0], len(text)))}.__getitem__
         elif line.startswith("group:"):
             if header is None:
                 raise ParseError(line_no, "group before design header")

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Design, UnsupportedParameterError, _pair_keys
+from .core import Design, UnsupportedParameterError, _distinct_pairs
 from .solver import (
     SearchBudget,
     _gdd_chromatic_numbers,
@@ -121,13 +121,12 @@ class _DesignFacts:
     def __init__(self, d: Design):
         self.d = d
         kept = d.b - d.v // d.k
-        keys = _pair_keys(d)
         # bound: chromatic_lower_bound of every class GDD, or None when d
         # repeats a pair and each class GDD must be tested for one
         self.bound: Optional[int] = None
         if not kept:
             self.bound = 1
-        elif len(set(keys)) == len(keys):
+        elif _distinct_pairs(d) is not None:
             self.bound = _turan_bound(d.v, kept * (d.k - 1))
         # point_masks[p]: masks of the blocks through p, in block order;
         # slots[bi][j]: where block bi sits in the list of its j-th point

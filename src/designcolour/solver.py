@@ -52,7 +52,7 @@ from .core import (
     Grouping,
     InternalConsistencyError,
     UnsupportedParameterError,
-    _pair_keys,
+    _distinct_pairs,
 )
 
 COLOURABLE = "colourable"
@@ -590,8 +590,7 @@ def chromatic_lower_bound(d: Design) -> int:
     """
     if not d.blocks:
         return 1
-    keys = _pair_keys(d)
-    if len(set(keys)) < len(keys):
+    if _distinct_pairs(d) is None:
         return 2
     return _turan_bound(d.v, sum(len(blk) - 1 for blk in d.blocks))
 

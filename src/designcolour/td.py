@@ -11,7 +11,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Design, Grouping, InternalConsistencyError, UnsupportedParameterError
+from .core import (
+    Design,
+    Grouping,
+    InternalConsistencyError,
+    UnsupportedParameterError,
+    validate_gdd,
+)
 
 
 class UnsupportedOrderError(UnsupportedParameterError):
@@ -205,4 +211,8 @@ def build_td(k: int, g: int) -> tuple[Design, Grouping]:
     Point x of group i has index i*g + x.  Raises UnsupportedOrderError
     when no construction is available (for example TD(4, 6)).
     """
-    return _td_from_rows(k, g, td_symbol_rows(k, g))
+    design, grouping = _td_from_rows(k, g, td_symbol_rows(k, g))
+    report = validate_gdd(design, grouping)
+    if not report.passed:
+        raise InternalConsistencyError(f"TD({k},{g}) invalid: {report.violations[:3]}")
+    return design, grouping

@@ -1,4 +1,6 @@
 """Catalog integrity and the design file format round-trips."""
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,15 @@ class TestParseErrors:
         text = HEADER + "block: +0 1 \uff13\nblock:0\t1  2\n  block: 1 2 3\n"
         design, _, _ = parse_design(text)
         assert design.blocks == ((0, 1, 2), (0, 1, 3), (1, 2, 3))
+        # tokens that are no canonical point name take the int() path
+        text = "design v=12 k=3 lambda=1\nblock: 01 +2 1_0\nblock: \uff10 \uff11 \uff11\uff11\n"
+        design, _, _ = parse_design(text)
+        assert design.blocks == ((0, 1, 11), (1, 2, 10))
+
+    def test_points_share_one_int(self):
+        text = "design v=999 k=2 lambda=1\n" + "".join(f"block: {p} 500\n" for p in range(100))
+        design, _, _ = parse_design(text)
+        assert len({id(blk[1]) for blk in design.blocks}) == 1
 
     def test_duplicate_point_names_line(self):
         text = "design v=4 k=3 lambda=1\nblock: 0 1 1\n"
@@ -200,6 +211,21 @@ class TestParseErrors:
         text = f"design v={2**62} k=2 lambda=1\ncolouring c=2\ncolour: 0 1\n"
         with pytest.raises(ParseError, match="every point once, ascending"):
             parse_design(text)
+
+    def test_huge_header_order_with_block_lines(self):
+        # The point-name table has min(v, len(text)) entries, so a huge v
+        # costs memory in proportion to the text only.
+        text = f"design v={2**62} k=3 lambda=1\n" + "".join(
+            f"block: {i} {i + 1} {i + 2}\n" for i in range(0, 3000, 3)
+        )
+        tracemalloc.start()
+        try:
+            design, _, _ = parse_design(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert design.v == 2**62 and design.b == 1000
+        assert peak < 200 * len(text)
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\ndesign v=3 k=3 lambda=1\nblock: 0 1 2  # the only block\n"

@@ -126,6 +126,14 @@ class TestConstructVerify:
         assert code == EXIT_OK
         assert "colouring-block-eq: pass" in report
 
+    def test_oversized_failure_listing_is_unsupported(self, tmp_path):
+        # 1,124,247 uncovered pairs: more than a BIBD report lists
+        path = tmp_path / "sparse.design"
+        path.write_text("design v=1500 k=3 lambda=1\nblock: 0 1 2\n")
+        assert run(["verify", str(path), "--as", "bibd"]) == (EXIT_UNSUPPORTED, "")
+        code, report = run(["verify", str(path), "--as", "packing"])
+        assert code == EXIT_OK and "leave-edges: 1124247" in report
+
     def test_pack_max_unachievable(self):
         code, text = run(["construct", "pack-max", "9"])
         assert code == EXIT_UNSUPPORTED

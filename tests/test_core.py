@@ -1,4 +1,5 @@
 """Structural validation against brute-force pair-count oracles."""
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -9,6 +10,7 @@ from designcolour import (
     Design,
     DesignError,
     Grouping,
+    UnsupportedParameterError,
     admissible,
     catalog_get,
     is_transversal,
@@ -16,7 +18,7 @@ from designcolour import (
     validate_gdd,
     validate_packing,
 )
-from designcolour.packings import pack_4n2_odd
+from designcolour.packings import max_equitable_packing, pack_4n2_odd
 from designcolour.td import build_td
 from designcolour.transforms import delete_point
 
@@ -193,6 +195,57 @@ class TestValidatePacking:
         report, _ = validate_packing(Design(6, ((0, 1, 2, 3), (0, 1, 4, 5))))
         assert not report.passed
         assert report.violations[0].witness[0] == (0, 1)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHostileDesigns:
+    HUGE = Design(2**40, ((0, 1, 2), (3, 4, 5)))
+
+    def test_packing_of_huge_order_allocates_no_masks(self):
+        # v * v mask bits would dwarf the 6 pair keys, so the keys decide
+        (report, leave), peak = traced_peak(validate_packing, self.HUGE)
+        assert report.passed
+        assert leave.v == 2**40 and leave.edge_count == comb(2**40, 2) - 6
+        assert peak < 1 << 20
+
+    def test_bibd_of_huge_order_refuses_to_list(self):
+        # every one of the C(2**40, 2) - 6 uncovered pairs is a violation
+        with pytest.raises(UnsupportedParameterError, match="pairs fail"):
+            validate_bibd(self.HUGE)
+
+    def test_gdd_of_huge_order_has_no_grouping(self):
+        # a grouping of 2**40 points cannot be built, and a smaller one is
+        # rejected before anything of size v is allocated
+        with pytest.raises(DesignError, match="groups do not cover"):
+            Grouping(2**40, ((0, 1, 2), (3, 4, 5)))
+        with pytest.raises(DesignError, match="different point count"):
+            validate_gdd(self.HUGE, Grouping(6, ((0, 1, 2), (3, 4, 5))))
+
+    def test_wide_matching_stays_small(self):
+        # 10**5 points on 5*10**4 disjoint pairs: v-bit masks for every
+        # point would take over a GiB; the sorted keys take about 3 MiB
+        matching = Design(10**5, tuple((2 * i, 2 * i + 1) for i in range(5 * 10**4)))
+        (report, leave), peak = traced_peak(validate_packing, matching)
+        assert report.passed and leave.edge_count == comb(10**5, 2) - 5 * 10**4
+        assert peak < 16 << 20
+
+
+def test_max_packing_validation_memory_guard():
+    # The mask kernel peaks at about 80 KiB here; the sorted list of
+    # 87,120 pair keys it replaced peaked at about 4,080 KiB.
+    design = max_equitable_packing(482).design
+    (report, leave), peak = traced_peak(validate_packing, design)
+    assert report.passed and leave.edge_count == comb(482, 2) - 6 * design.b
+    assert peak < 1 << 20
 
 
 class TestTransversal:

@@ -1,5 +1,6 @@
 """Randomized cross-checks: solver vs enumeration and vs its earlier
 engine, validators vs pair loops, files vs round-trip."""
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -24,6 +25,7 @@ from designcolour import (
     validate_packing,
 )
 from designcolour.colouring import GROUP_MODES, MODES
+from designcolour.packings import max_equitable_packing
 from designcolour.td import build_td
 from designcolour.transforms import delete_point
 
@@ -207,12 +209,33 @@ def oracle_packing(d):
     return violations, details, edges
 
 
+@lru_cache(maxsize=None)
+def wide_packing(v):
+    return max_equitable_packing(v).design
+
+
 @st.composite
 def validator_cases(draw):
-    """A design with a grouping: either random blocks (mixed sizes,
-    repeated and over-covered pairs, within-group pairs) or a relabelled
-    BIBD or GDD, possibly with lambda 2 and a block dropped or repeated."""
-    if draw(st.booleans()):
+    """A design with a grouping: random blocks (mixed sizes, repeated and
+    over-covered pairs, within-group pairs); a relabelled BIBD or GDD,
+    possibly with lambda 2 and a block dropped or repeated; or a maximum
+    packing on 65-130 points, wider than one machine word, possibly cut
+    to a few blocks (a sparse design), with lambda 2, or with up to three
+    blocks given one point swapped."""
+    source = draw(st.sampled_from(["random", "catalog", "wide"]))
+    if source == "wide":
+        v = draw(st.integers(65, 130))
+        blocks = [list(blk) for blk in wide_packing(v).blocks]
+        if draw(st.booleans()):
+            del blocks[draw(st.integers(0, 8)):]
+        for _ in range(draw(st.integers(0, min(3, len(blocks))))):
+            blk = blocks[draw(st.integers(0, len(blocks) - 1))]
+            pos = draw(st.integers(0, len(blk) - 1))
+            blk[pos] = draw(st.sampled_from([p for p in range(v) if p not in blk]))
+        groups_mod = draw(st.integers(1, 4))
+        labels = [p % groups_mod for p in range(v)]
+        lambda_ = draw(st.integers(1, 2))
+    elif source == "random":
         v = draw(st.integers(2, 9))
         blocks = draw(st.lists(
             st.lists(st.integers(0, v - 1), min_size=2, max_size=min(v, 5), unique=True),

@@ -2,12 +2,14 @@
 import pytest
 
 from designcolour import (
+    InternalConsistencyError,
     UnsupportedOrderError,
     build_td,
     field_table,
     is_transversal,
     validate_gdd,
 )
+from designcolour import td
 from designcolour.td import td_symbol_rows
 
 
@@ -61,6 +63,21 @@ def test_composite_orders_via_product(k, g):
 def test_trivial_order_one():
     d, grouping = build_td(6, 1)
     assert d.b == 1 and grouping.u == 6
+
+
+def test_corrupted_symbol_row_raises(monkeypatch):
+    # build_td validates what it builds: one symbol moved in one row puts
+    # a cross pair in two blocks and leaves another uncovered.
+    rows = td_symbol_rows(4, 5)
+
+    def corrupted(k, g):
+        bad = list(rows)
+        bad[7] = (bad[7][0], bad[7][1], (bad[7][2] + 1) % g, bad[7][3])
+        return bad
+
+    monkeypatch.setattr(td, "td_symbol_rows", corrupted)
+    with pytest.raises(InternalConsistencyError, match=r"TD\(4,5\) invalid"):
+        build_td(4, 5)
 
 
 @pytest.mark.parametrize("k,g", [(4, 6), (4, 10), (4, 2), (5, 3), (6, 4), (5, 12)])
