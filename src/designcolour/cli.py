@@ -104,36 +104,37 @@ def _print_report(report, out) -> None:
 
 
 def _cmd_verify(args, out) -> int:
-    design, grouping, stored_col = _load(args.design)
+    design, grouping, colouring = _load(args.design)
     kind = args.as_
     if kind is None:
         kind = "gdd" if grouping is not None else "bibd"
+    if kind == "gdd" and grouping is None:
+        print("error: no grouping present for GDD validation", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    if args.colouring:
+        with open(args.colouring, encoding="utf-8") as fh:
+            colouring = parse_colouring(fh.read())
+    mode_name = args.mode or ("weak" if args.colouring else None)
+    # usage errors come before any report line
+    if mode_name is not None and colouring is None:
+        print("error: --mode needs a colouring, from --colouring or the design file", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    if mode_name is not None and MODE_NAMES[mode_name] in GROUP_MODES and grouping is None:
+        print("error: group colouring modes need a grouping", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     if kind == "bibd":
         report = validate_bibd(design)
     elif kind == "gdd":
-        if grouping is None:
-            print("error: no grouping present for GDD validation", file=sys.stderr)
-            return EXIT_UNSUPPORTED
         report = validate_gdd(design, grouping)
     else:
         report, leave = validate_packing(design)
         if leave is not None:
             print(f"leave-edges: {leave.edge_count}", file=out)
-    colouring = stored_col
-    if args.colouring:
-        with open(args.colouring, encoding="utf-8") as fh:
-            colouring = parse_colouring(fh.read())
-        if args.mode is None:
-            args.mode = "weak"
     _print_report(report, out)
     code = EXIT_OK if report.passed else EXIT_VALIDATION
-    if colouring is not None and args.mode:
-        mode = MODE_NAMES[args.mode]
-        if mode in GROUP_MODES and grouping is None:
-            print("error: group colouring modes need a grouping", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        colrep = check_colouring(design, grouping, colouring, mode)
-        print(f"colouring-{args.mode}: {colrep.verdict}", file=out)
+    if mode_name is not None:
+        colrep = check_colouring(design, grouping, colouring, MODE_NAMES[mode_name])
+        print(f"colouring-{mode_name}: {colrep.verdict}", file=out)
         for violation in colrep.violations:
             print(f"colouring-violation: {violation}", file=out)
         if not colrep.passed:
@@ -198,9 +199,15 @@ def _cmd_bound(args, out) -> int:
 
 def _cmd_catalog(args, out) -> int:
     if args.action == "list":
+        if args.name is not None:
+            print(f"error: catalog list takes no name, got {args.name!r}", file=sys.stderr)
+            return EXIT_UNSUPPORTED
         for name in catalog_names():
             print(name, file=out)
         return EXIT_OK
+    if args.name is None:
+        print("error: catalog get needs a name argument", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     entry = catalog_get(args.name)
     out.write(render_design(entry.design, entry.grouping, entry.colouring))
     return EXIT_OK

@@ -8,13 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Design, UnsupportedParameterError, _distinct_pairs
-from .solver import (
-    SearchBudget,
-    _gdd_chromatic_numbers,
-    _Problem,
-    _turan_bound,
-    chromatic_lower_bound,
-)
+from .solver import SearchBudget, _gdd_chromatic_numbers, _turan_bound, chromatic_lower_bound
 from .transforms import ParallelClass, pc_to_gdd
 
 
@@ -30,13 +24,13 @@ def enumerate_parallel_classes(
     least uncovered point, over its blocks outside `dead` in ascending
     index order, so output order is deterministic.
     Returns (classes, truncated); a design whose block size does not
-    divide v simply has no classes.  A limit, when given, must be at
-    least 1.
+    divide v, or with fewer than v/k blocks, simply has no classes.  A
+    limit, when given, must be at least 1.
     """
     if limit is not None and limit < 1:
         raise UnsupportedParameterError(f"class limit must be at least 1, got {limit}")
     classes: list[ParallelClass] = []
-    if d.v == 0 or not d.blocks or not d.uniform or d.v % d.k:
+    if d.v == 0 or not d.blocks or not d.uniform or d.v % d.k or d.b * d.k < d.v:
         return classes, False
     blocks = d.blocks
     full = (1 << d.v) - 1
@@ -109,13 +103,9 @@ class _DesignFacts:
     """What the class GDDs of one design share, computed once for all.
 
     d is uniform and k divides v, as in any design with a parallel class,
-    so every class GDD keeps b - v/k of d's blocks, in d's order.  When no
-    pair of d lies in two blocks, no class GDD repeats a pair either, and
-    all share one Turan bound on need = (b - v/k)(k - 1).  And a class
-    GDD's weak problem lists, for each point, the masks of d's blocks
-    through it less the one class block through it, removed by index (a
-    repeated block may stay in the GDD), then deduplicated in block order
-    as `solver._weak_lists` does.
+    so every class GDD keeps b - v/k of d's blocks.  When no pair of d
+    lies in two blocks, no class GDD repeats a pair either, and all share
+    one Turan bound on need = (b - v/k)(k - 1).
     """
 
     def __init__(self, d: Design):
@@ -128,37 +118,16 @@ class _DesignFacts:
             self.bound = 1
         elif _distinct_pairs(d) is not None:
             self.bound = _turan_bound(d.v, kept * (d.k - 1))
-        # point_masks[p]: masks of the blocks through p, in block order;
-        # slots[bi][j]: where block bi sits in the list of its j-th point
-        self.point_masks: list[list[int]] = [[] for _ in range(d.v)]
-        self.slots: list[tuple[int, ...]] = []
-        for blk in d.blocks:
-            mask = sum(1 << p for p in blk)
-            self.slots.append(tuple(len(self.point_masks[p]) for p in blk))
-            for p in blk:
-                self.point_masks[p].append(mask)
 
     def lower_bound(self, gdd: Design) -> int:
         """`chromatic_lower_bound(gdd)` of a class GDD of d."""
         return chromatic_lower_bound(gdd) if self.bound is None else self.bound
 
-    def weak_problem(self, pc: ParallelClass) -> _Problem:
-        """`_build_problem(gdd, None, "weak")` of the GDD of class pc."""
-        blocks, point_masks = self.d.blocks, self.point_masks
-        var_weak: list[list[int]] = [[] for _ in range(self.d.v)]
-        for bi in pc.block_indices:
-            for p, slot in zip(blocks[bi], self.slots[bi]):
-                masks = point_masks[p]
-                var_weak[p] = list(dict.fromkeys(masks[:slot] + masks[slot + 1:]))
-        return _Problem(self.d.v, var_weak, [])
-
 
 def _analyze_one(args) -> PcRecord:
     facts, pc, idx, budget = args
     gdd, grouping = pc_to_gdd(facts.d, pc)
-    chi, chi_m = _gdd_chromatic_numbers(
-        gdd, grouping, budget, facts.lower_bound(gdd), lambda: facts.weak_problem(pc)
-    )
+    chi, chi_m = _gdd_chromatic_numbers(gdd, grouping, budget, facts.lower_bound(gdd))
     return PcRecord(idx, chi, chi_m, chi is None or chi_m is None)
 
 

@@ -25,17 +25,13 @@ colour counts that no search-free certificate settles: a Turan-number
 lower bound, a pigeonhole lower bound on chi_M when every k-set of groups
 holds a block, the checked `upper_bound_colouring`, and chi <= chi_M.
 
-A design and mode are compiled once into a `_Problem` that holds no
-colour count: each weak ("not all equal") constraint is an int mask of
-its members.  `chromatic_number` decides one design at several colour
-counts, and each decision reuses the last problem compiled for the same
-design, grouping and mode objects (`_compiled`).  The batch analysis of
-parallel classes derives each class GDD's weak problem from its parent
-design's and hands it in through `_first_colourable`.  Per colour count, an
-`_Engine` keeps one mask of variables per colour, so an assignment checks
-a weak constraint with two bit operations.  Its state is small (a domain
-and a colour per variable, a mask per colour), so it backtracks by
-restoring a copy of that state rather than by logging every change.
+Each decision compiles its design and mode into a `_Problem` that holds
+no colour count: each weak ("not all equal") constraint is an int mask of
+its members.  Per colour count, an `_Engine` keeps one mask of variables
+per colour, so an assignment checks a weak constraint with two bit
+operations.  Its state is small (a domain and a colour per variable, a
+mask per colour), so it backtracks by restoring a copy of that state
+rather than by logging every change.
 """
 from __future__ import annotations
 
@@ -43,7 +39,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .colouring import GROUP_MODES, MODES, Colouring, check_colouring, pair_stats_equitable
 from .core import (
@@ -144,15 +140,12 @@ class _Problem:
     is listed in `var_weak[x]` for each member x, in the order of the
     deduplicated member sets.  A counted constraint is a sorted member tuple,
     and `var_ctr[x]` lists the indices of those holding x.  Nothing here
-    depends on the colour count, so `chromatic_number` compiles a design
-    once for all the counts it decides (see `_compiled`).
+    depends on the colour count.
     """
 
     __slots__ = ("n", "var_weak", "counted", "var_ctr")
 
     def __init__(self, n: int, var_weak: list[list[int]], counted: list[tuple[int, ...]]):
-        """`var_weak` is compiled by `_weak_lists` or, for the class GDDs
-        of one design, derived from the design's own lists."""
         self.n = n
         self.var_weak = var_weak
         self.counted = counted
@@ -412,22 +405,6 @@ def _build_problem(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
     return _Problem(d.v, _weak_lists(d.v, d.blocks), list(g.groups))
 
 
-# The last problem compiled, keyed by the identity of its (frozen) design
-# and grouping: chromatic_number decides one design at several colour
-# counts, and each decision finds its problem here.
-_last_compiled: tuple = (None, None, None, None)
-
-
-def _compiled(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
-    global _last_compiled
-    last_d, last_g, last_mode, problem = _last_compiled
-    if d is last_d and g is last_g and mode == last_mode:
-        return problem
-    problem = _build_problem(d, g, mode)
-    _last_compiled = (d, g, mode, problem)
-    return problem
-
-
 def decide_colourable(
     d: Design,
     g: Optional[Grouping],
@@ -446,7 +423,7 @@ def decide_colourable(
     if c < 1:
         raise DesignError("colour count must be at least 1")
     tracker = _Budget(budget or SearchBudget())
-    engine = _Engine(_compiled(d, g, mode), c, tracker)
+    engine = _Engine(_build_problem(d, g, mode), c, tracker)
     try:
         solution = engine.search(most_constrained=True)
     except _Exhausted:
@@ -486,7 +463,6 @@ def _first_colourable(
     counts: Iterable[int],
     budget: SearchBudget,
     least_witness: bool = True,
-    problem: Optional[_Problem] = None,
 ) -> tuple[Optional[SolveResult], Optional[SolveResult]]:
     """Decide the colour counts in order up to the first colourable one.
 
@@ -494,13 +470,7 @@ def _first_colourable(
     last refutation before it.  One budget spans the decisions: its node
     limit bounds their nodes together, and its time limit is one deadline
     for all of them.  BudgetExceededError carries the nodes spent.
-
-    `problem`, when given, is what `_build_problem(d, g, mode)` would
-    compile; the decisions find it through `_compiled`.
     """
-    if problem is not None:
-        global _last_compiled
-        _last_compiled = (d, g, mode, problem)
     deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
     spent = 0
     refutation: Optional[SolveResult] = None
@@ -642,19 +612,13 @@ def gdd_chromatic_numbers(
     when its search runs out; the other is kept, and a lost chi_M leaves
     the chi search bounded by top.
     """
-    return _gdd_chromatic_numbers(d, g, budget, chromatic_lower_bound(d), None)
+    return _gdd_chromatic_numbers(d, g, budget, chromatic_lower_bound(d))
 
 
 def _gdd_chromatic_numbers(
-    d: Design,
-    g: Grouping,
-    budget: Optional[SearchBudget],
-    lo: int,
-    weak: Optional[Callable[[], _Problem]],
+    d: Design, g: Grouping, budget: Optional[SearchBudget], lo: int
 ) -> tuple[Optional[int], Optional[int]]:
-    """`gdd_chromatic_numbers`, given lo = `chromatic_lower_bound(d)` and,
-    optionally, a builder of `_build_problem(d, None, "weak")` that runs
-    only when a weak decision does."""
+    """`gdd_chromatic_numbers`, given lo = `chromatic_lower_bound(d)`."""
     budget = budget or SearchBudget()
     met = _met_group_sets(d, g)
     top = _upper_bound_colouring(d, g, met)
@@ -664,20 +628,16 @@ def _gdd_chromatic_numbers(
     if lo_m > top.c:
         raise InternalConsistencyError(f"lower bound {lo_m} exceeds the colouring with {top.c} colours")
 
-    def least(
-        grouping: Optional[Grouping], mode: str, start: int, stop: int, problem: Optional[_Problem] = None
-    ) -> Optional[int]:
+    def least(grouping: Optional[Grouping], mode: str, start: int, stop: int) -> Optional[int]:
         try:
-            found, _ = _first_colourable(
-                d, grouping, mode, range(start, stop), budget, False, problem
-            )
+            found, _ = _first_colourable(d, grouping, mode, range(start, stop), budget, False)
         except BudgetExceededError:
             return None
         return stop if found is None else found.c
 
     chi_m = least(g, "group-monochromatic", lo_m, top.c)
     stop = top.c if chi_m is None else chi_m
-    chi = least(None, "weak", lo, stop, weak() if weak is not None and lo < stop else None)
+    chi = least(None, "weak", lo, stop)
     return chi, chi_m
 
 

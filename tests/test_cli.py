@@ -1,6 +1,12 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 import io
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import designcolour
 from designcolour.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -102,6 +108,10 @@ class TestCatalog:
     def test_unknown_entry(self):
         code, _ = run(["catalog", "get", "nothere"])
         assert code == EXIT_UNSUPPORTED
+
+    def test_get_without_a_name(self, capsys):
+        assert run(["catalog", "get"]) == (EXIT_UNSUPPORTED, "")
+        assert capsys.readouterr().err == "error: catalog get needs a name argument\n"
 
 
 class TestConstructVerify:
@@ -237,8 +247,35 @@ class TestExitCodes:
             ["pclasses", "sts9", "--csv"],
             ["construct", "pc-to-gdd", "sts9", "--class-index", "-1"],
             ["construct", "pc-to-gdd", "sts9", "--class-index", "-5"],
+            ["verify", "pack7", "--as", "packing", "--mode", "group-eq"],
+            ["verify", "sts9", "--mode", "block-eq"],
+            ["catalog", "list", "sts9"],
         ):
             assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
+
+    def test_huge_order_with_too_few_blocks(self, tmp_path):
+        # two blocks cannot cover 2**36 points, so no class search starts
+        # and nothing of size v is allocated; one process at a time, each
+        # under a 1 GiB address-space limit
+        path = tmp_path / "huge.design"
+        path.write_text("design v=68719476736 k=2 lambda=1\nblock: 0 1\nblock: 2 3\n")
+        src = str(Path(designcolour.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        for argv, expected in (
+            (["pclasses", str(path)], (EXIT_OK, "classes: 0\n")),
+            (["pclasses", str(path), "--analyze"], (EXIT_OK, "histogram: chi,chi_M,count\n")),
+            (["construct", "pc-to-gdd", str(path)], (EXIT_UNSUPPORTED, "")),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "designcolour.cli", *argv],
+                capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_memory,
+            )
+            assert (proc.returncode, proc.stdout) == expected, (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr, argv
 
 
 class TestDeterminism:

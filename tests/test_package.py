@@ -101,3 +101,18 @@ def test_every_private_function_has_a_caller():
             if not used:
                 dead.append(f"{module}:{func.name}")
     assert dead == []
+
+
+def test_no_hidden_module_state():
+    # No function rebinds a module-level name, except the pool initializer
+    # `parallel._start_worker`, which hands each worker its design facts.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+            for name in node.names
+        ]
+    assert found == ["parallel.py:_worker_facts"]

@@ -420,7 +420,7 @@ class TestDesignFacts:
             ("sts3", None),
         ],
     )
-    def test_class_facts_match_the_class_gdd(self, name, seed, monkeypatch):
+    def test_class_facts_match_the_class_gdd(self, name, seed):
         d = source_design(name, seed)
         limit = 40 if name == "sts27-bose" else None
         classes, _ = enumerate_parallel_classes(d, limit)
@@ -429,19 +429,6 @@ class TestDesignFacts:
         # one bound for all class GDDs unless d repeats a pair
         assert (facts.bound is None) == (d.lambda_ > 1)
         for pc in classes:
-            gdd, grouping = pc_to_gdd(d, pc)
-            problem = facts.weak_problem(pc)
-            assert problem.var_weak == solver._build_problem(gdd, None, "weak").var_weak
-            lo = facts.lower_bound(gdd)
-            assert lo == chromatic_lower_bound(gdd)
-            for c in range(lo, gdd.v + 1):
-                monkeypatch.setattr(solver, "_last_compiled", (None, None, None, None))
-                compiled = decide_colourable(gdd, None, c, "weak", least_witness=False)
-                derived, refuted = solver._first_colourable(
-                    gdd, None, "weak", [c], SearchBudget(), False, problem
-                )
-                assert solver._last_compiled[3] is problem
-                assert (derived or refuted) == compiled
-                if compiled.colourable:
-                    break
+            gdd, _ = pc_to_gdd(d, pc)
+            assert facts.lower_bound(gdd) == chromatic_lower_bound(gdd)
 

@@ -27,7 +27,6 @@ from designcolour import (
     enumerate_parallel_classes,
     upper_bound_colouring,
 )
-from designcolour import solver
 from designcolour.solver import (
     BUDGET_EXCEEDED,
     COLOURABLE,
@@ -234,19 +233,6 @@ class TestChromatic:
         refutation = result.refutation
         assert (refutation.c, refutation.status) == (3, NOT_COLOURABLE)
         assert (refutation.search_nodes, refutation.witness_nodes) == (7354, 0)
-
-    def test_one_compiled_problem_serves_every_colour_count(self, monkeypatch):
-        compiled = []
-        build = solver._build_problem
-        monkeypatch.setattr(solver, "_last_compiled", (None, None, None, None))
-        monkeypatch.setattr(solver, "_build_problem", lambda *a: compiled.append(a) or build(*a))
-        d = catalog_get("sts13").design
-        assert chromatic_number(d).chi == 3
-        assert compiled == [(d, None, "weak")]
-        # an equal design that is another object is compiled afresh
-        twin = Design(d.v, d.blocks)
-        assert decide_colourable(twin, None, 3, "weak") == decide_colourable(d, None, 3, "weak")
-        assert [a[0] is twin for a in compiled] == [False, True, False]
 
     def test_group_monochromatic_on_td(self):
         d, g = build_td(4, 4)
