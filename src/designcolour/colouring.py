@@ -221,7 +221,10 @@ def brute_min_monochrome(
     v = d.v
     if g.v != v:
         raise DesignError("grouping is over a different point count")
-    if c > 1 and v * log2(c) > limit_bits:
+    if c == 1:
+        # one colouring, all zeros: every cross-group pair is monochrome
+        return comb(v, 2) - sum(comb(len(grp), 2) for grp in g.groups), Colouring(1, (0,) * v)
+    if v * log2(c) > limit_bits:
         raise InstanceTooLargeError(
             f"enumerating {c}^{v} colourings exceeds the {limit_bits}-bit guard"
         )

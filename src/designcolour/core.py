@@ -11,9 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import combinations, compress, islice, repeat
+from itertools import combinations, groupby, repeat
 from math import comb
-from operator import eq
 from typing import Optional, Sequence
 
 Block = tuple[int, ...]
@@ -106,7 +105,7 @@ class Design:
 
     def pair_multiplicities(self) -> dict[Pair, int]:
         """Coverage count for every pair that occurs in at least one block."""
-        return {divmod(key, self.v): n for key, n in Counter(_pair_keys(self)).items()}
+        return {divmod(key, self.v): n for key, n in _pair_counts(self).items()}
 
     def point_degrees(self) -> list[int]:
         deg = [0] * self.v
@@ -190,10 +189,10 @@ class LeaveGraph:
 
     @cached_property
     def edges(self) -> frozenset[Pair]:
-        v, covered = self.v, set(_pair_keys(self.design))
-        return frozenset(
-            (p, q) for p, q in combinations(range(v), 2) if p * v + q not in covered
-        )
+        v = self.v
+        # every pair is a cross pair of the singleton grouping
+        missing = _missing_cross_pairs(v, range(v), _pair_counts(self.design))
+        return frozenset(map(divmod, missing, repeat(v)))
 
 
 @dataclass(frozen=True)
@@ -237,33 +236,49 @@ def admissible(v_or_u: int, g: int, k: int, lambda_: int) -> bool:
     ) % (k * (k - 1)) == 0
 
 
-def _pair_keys(d: Design) -> list[int]:
-    """Every pair p < q of every block, coded as ``p*v + q``: b*C(k,2) ints.
+def _pair_counts(d: Design) -> Counter:
+    """How many blocks hold each pair p < q, keyed by ``p*v + q``.
 
-    Pair multiplicities are counted from these keys when lambda > 1, for
-    sparse designs and for failure listings; `_neighbour_masks` settles
-    the lambda = 1 structure without them.  Blocks are sorted, so p < q
-    within a block; the keys come column by column over the blocks of
-    each size, not in ascending order.
+    The table serves lambda > 1, sparse designs and failure listings;
+    `_neighbour_masks` settles the lambda = 1 structure without it.
+    Blocks are sorted, so p < q within a block; the keys are built column
+    by column over the blocks of each size.
     """
     v = d.v
     by_size: dict[int, list[Block]] = {}
     for blk in d.blocks:
         by_size.setdefault(len(blk), []).append(blk)
-    keys: list[int] = []
+    counts: Counter = Counter()
     for k, blocks in by_size.items():
         for i, j in combinations(range(k), 2):
-            keys += [blk[i] * v + blk[j] for blk in blocks]
-    return keys
+            counts.update([blk[i] * v + blk[j] for blk in blocks])
+    return counts
 
 
-# A neighbour mask costs about one bit per point, a pair key about 288
-# bits (a 28-byte int and its 8-byte list slot).  The kernel runs while
-# the v * v mask bits stay within this many per pair cover they replace.
+def _missing_cross_pairs(v: int, gi: Sequence[int], counts: Counter) -> list[int]:
+    """The keys ``p*v + q``, ascending, of the pairs p < q in distinct
+    groups (``gi[p] != gi[q]``) that no block holds.  Points are visited
+    group by group, each checked only against the points of later groups:
+    O(v log v) plus one test per cross pair."""
+    missing: list[int] = []
+    later: list[int] = []
+    groups = [list(grp) for _, grp in groupby(sorted(range(v), key=gi.__getitem__), gi.__getitem__)]
+    for grp in reversed(groups):
+        for p in grp:
+            missing += [key for q in later if (key := p * v + q if p < q else q * v + p) not in counts]
+        later += grp
+    missing.sort()
+    return missing
+
+
+# A neighbour mask costs about one bit per point, a pair key over 288
+# bits (a 28-byte int and its entry in the pair-count table).  The kernel
+# runs while the v * v mask bits stay within this many per pair cover
+# they replace.
 _MASK_BITS_PER_COVER = 256
 
 # A failed BIBD or GDD check lists at most this many pairs; a larger
-# listing, and the O(v^2) walk that would make it, are refused.
+# listing, and the walk over the cross pairs that would make it, are refused.
 _MAX_LISTED_PAIRS = 1 << 20
 
 
@@ -307,19 +322,15 @@ def _distinct_pairs(d: Design) -> Optional[int]:
     """The number of pairs the blocks of d cover when no pair lies in two
     blocks, and None when some pair does."""
     masks = _neighbour_masks(d)
-    if masks is None:
-        keys = _pair_keys(d)
-        distinct, covers = len(set(keys)), len(keys)
-    else:
-        distinct, covers = _mask_pairs(masks), _pair_covers(d)
-    return distinct if distinct == covers else None
+    distinct = len(_pair_counts(d)) if masks is None else _mask_pairs(masks)
+    return distinct if distinct == _pair_covers(d) else None
 
 
 def _covers_exactly(d: Design, pairs: int) -> bool:
     """Whether the blocks cover `pairs` distinct pairs, each lambda_ times."""
     if d.lambda_ == 1:
         return _distinct_pairs(d) == pairs
-    counts = Counter(_pair_keys(d))
+    counts = _pair_counts(d)
     return len(counts) == pairs and not set(counts.values()) - {d.lambda_}
 
 
@@ -327,26 +338,23 @@ def _cross_pair_violations(
     kind: str, d: Design, gi: Sequence[int], cross: int
 ) -> list[Violation]:
     """Every pair of points in distinct groups (``gi[p] != gi[q]``, `cross`
-    of them) whose count is not lambda_, in lexicographic order.  O(v^2),
-    so it runs only once a check has failed, and raises
+    of them) whose count is not lambda_, in lexicographic order.  It walks
+    the cross pairs, so it runs only once a check has failed, and raises
     UnsupportedParameterError rather than list more than
     `_MAX_LISTED_PAIRS` pairs."""
     v, lambda_ = d.v, d.lambda_
-    counts = Counter(_pair_keys(d))
-    met = sum(n == lambda_ and gi[key // v] != gi[key % v] for key, n in counts.items())
-    if cross - met > _MAX_LISTED_PAIRS:
+    counts = _pair_counts(d)
+    covered = [key for key in counts if gi[key // v] != gi[key % v]]
+    wrong = [key for key in covered if counts[key] != lambda_]
+    failing = cross - len(covered) + len(wrong)
+    if failing > _MAX_LISTED_PAIRS:
         raise UnsupportedParameterError(
-            f"{cross - met} pairs fail, more than the {_MAX_LISTED_PAIRS} a report lists"
+            f"{failing} pairs fail, more than the {_MAX_LISTED_PAIRS} a report lists"
         )
-    violations = []
-    for p in range(v):
-        base, gp = p * v, gi[p]
-        for q in range(p + 1, v):
-            if gi[q] != gp:
-                got = counts.get(base + q, 0)
-                if got != lambda_:
-                    violations.append(Violation(kind, ((p, q), got)))
-    return violations
+    return [
+        Violation(kind, (divmod(key, v), counts[key]))
+        for key in sorted(_missing_cross_pairs(v, gi, counts) + wrong)
+    ]
 
 
 def _repeated_pair_violations(d: Design, masks: list[int]) -> list[Violation]:
@@ -436,7 +444,7 @@ def validate_packing(d: Design) -> tuple[ValidationReport, Optional[LeaveGraph]]
     """Check that no pair exceeds multiplicity lambda_; return the leave for lambda_=1.
 
     With lambda_ = 1 the neighbour-mask kernel decides; lambda_ > 1 and
-    sparse designs count sorted pair keys.
+    sparse designs read the pair-count table.
     """
     violations: list[Violation] = []
     if not d.uniform:
@@ -447,21 +455,12 @@ def validate_packing(d: Design) -> tuple[ValidationReport, Optional[LeaveGraph]]
         if covered < _pair_covers(d):
             violations += _repeated_pair_violations(d, masks)
     else:
-        keys = _pair_keys(d)
-        # Sorted, a repeated pair shows as two equal neighbours, and the
-        # keys are in the lexicographic order of their pairs.
-        keys.sort()
-        repeats = sum(map(eq, keys, islice(keys, 1, None)))
-        if repeats:
-            # count only the covers beyond the first: a key's extra count
-            # is one less than its multiplicity, and absent for most keys
-            extra = Counter(compress(islice(keys, 1, None), map(eq, keys, islice(keys, 1, None))))
-            violations += [
-                Violation("pair-multiplicity", (divmod(key, d.v), n + 1))
-                for key, n in extra.items()
-                if n >= d.lambda_
-            ]
-        covered = len(keys) - repeats
+        counts = _pair_counts(d)
+        violations += [
+            Violation("pair-multiplicity", (divmod(key, d.v), counts[key]))
+            for key in sorted(key for key, n in counts.items() if n > d.lambda_)
+        ]
+        covered = len(counts)
     leave = LeaveGraph(d, comb(d.v, 2) - covered) if d.lambda_ == 1 else None
     details = {"v": d.v, "k": d.k, "lambda": d.lambda_, "blocks": d.b, "size": d.b}
     return ValidationReport(tuple(violations), details), leave

@@ -43,37 +43,37 @@ def enumerate_parallel_classes(
     for p, row in enumerate(through):
         # row by row, so the rows and their ints never all coexist
         through[p] = int.from_bytes(row, "little")
+    # The open node's cover, the blocks meeting it and its candidates not
+    # yet tried are in locals; one level per chosen block waits on `stack`.
+    stack: list[tuple[int, int, int]] = []
     chosen: list[int] = []
-    truncated = False
-
-    def rec(covered: int, dead: int) -> bool:
-        """Returns False when the limit cut off the search."""
-        nonlocal truncated
-        if covered == full:
-            classes.append(ParallelClass(tuple(chosen)))
-            if limit is not None and len(classes) >= limit:
-                truncated = True
-                return False
-            return True
-        # least uncovered point = lowest zero bit of the cover mask
-        low = ((~covered) & -(~covered)).bit_length() - 1
-        candidates = through[low] & ~dead
-        while candidates:
-            bit = candidates & -candidates
-            candidates ^= bit
-            bi = bit.bit_length() - 1
-            meets = dead
-            for p in blocks[bi]:
-                meets |= through[p]
-            chosen.append(bi)
-            going = rec(covered | block_masks[bi], meets)
+    covered = dead = 0
+    candidates = through[0]
+    while True:
+        while not candidates:
+            if not stack:
+                return classes, False
+            covered, dead, candidates = stack.pop()
             chosen.pop()
-            if not going:
-                return False
-        return True
-
-    rec(0, 0)
-    return classes, truncated
+        bit = candidates & -candidates
+        candidates ^= bit
+        bi = bit.bit_length() - 1
+        meets = dead
+        for p in blocks[bi]:
+            meets |= through[p]
+        cover = covered | block_masks[bi]
+        if cover == full:
+            classes.append(ParallelClass((*chosen, bi)))
+            if limit is not None and len(classes) >= limit:
+                return classes, True
+            continue
+        # least uncovered point = lowest zero bit of the cover mask
+        low = ((~cover) & -(~cover)).bit_length() - 1
+        below = through[low] & ~meets
+        if below:
+            stack.append((covered, dead, candidates))
+            chosen.append(bi)
+            covered, dead, candidates = cover, meets, below
 
 
 @dataclass(frozen=True)

@@ -340,47 +340,59 @@ class _Engine:
         """
         self.most_constrained = most_constrained
         initial = (self.dom[:], self.cls[:], self.colour[:])
-        solution = list(self.colour) if self._dfs(0) else None
+        solution = list(self.colour) if self._dfs() else None
         self._restore(initial)
         self.max_used = -1
         return solution
 
-    def _dfs(self, start: int) -> bool:
-        """Extend the current assignment; variables below `start` are set.
-        A failure leaves the last branch tried for the caller to restore."""
+    def _dfs(self) -> bool:
+        """Extend the current assignment depth first; a failure leaves the
+        last branch tried for `search` to restore.  The open frame (x,
+        start, saved, the colours still allowed, snapshot) lives in locals,
+        and the frames above it that have a colour left wait on `stack`,
+        so depth costs no recursion.  A frame on its last colour is not
+        kept: its failure falls to the nearest frame with a colour left,
+        whose snapshot undoes it."""
         colour = self.colour
         dom = self.dom
-        n = self.n
-        while start < n and colour[start] != -1:
-            start += 1
-        if start == n:
-            return True
-        x = start
-        if self.most_constrained:
-            fewest = dom[x].bit_count()
-            for y in range(x + 1, n):
-                if colour[y] == -1:
-                    size = dom[y].bit_count()
-                    if size < fewest:
-                        x, fewest = y, size
-        saved = self.max_used
-        allowed = dom[x] & ((1 << min(saved + 2, self.c)) - 1)
-        snapshot = None
-        colr = 0
-        while allowed:
-            if allowed & 1:
-                if not self.budget.spend():
+        n, c = self.n, self.c
+        spend = self.budget.spend
+        stack: list[tuple] = []
+        start = 0
+        while True:
+            while start < n and colour[start] != -1:
+                start += 1
+            if start == n:
+                return True
+            x = start
+            if self.most_constrained:
+                fewest = dom[x].bit_count()
+                for y in range(x + 1, n):
+                    if colour[y] == -1:
+                        size = dom[y].bit_count()
+                        if size < fewest:
+                            x, fewest = y, size
+            saved = self.max_used
+            allowed = dom[x] & ((1 << min(saved + 2, c)) - 1)
+            snapshot = None
+            while True:
+                while not allowed:
+                    if not stack:
+                        return False
+                    x, start, saved, allowed, snapshot = stack.pop()
+                bit = allowed & -allowed
+                allowed ^= bit
+                if not spend():
                     raise _Exhausted
                 if snapshot is not None:
                     self._restore(snapshot)
                     self.max_used = saved
-                elif allowed > 1:
+                elif allowed:
                     snapshot = (dom[:], self.cls[:], colour[:])
-                if self._assign(x, colr) and self._dfs(start):
-                    return True
-            allowed >>= 1
-            colr += 1
-        return False
+                if self._assign(x, bit.bit_length() - 1):
+                    if allowed:
+                        stack.append((x, start, saved, allowed, snapshot))
+                    break
 
 
 def _build_problem(d: Design, g: Optional[Grouping], mode: str) -> _Problem:

@@ -277,6 +277,37 @@ class TestExitCodes:
             assert (proc.returncode, proc.stdout) == expected, (argv, proc.stderr)
             assert "Traceback" not in proc.stderr, argv
 
+    def test_deep_searches_and_long_listings(self, tmp_path):
+        # a colouring search one variable deep per point, an exact cover
+        # one block deep per block, and a failure listing of one cross
+        # pair per point of a giant group; one process at a time
+        v = 100_000
+        files = {
+            "deep.design": "design v=5000 k=2 lambda=1\nblock: 0 1\n",
+            "disjoint.design": "design v=4000 k=4 lambda=1\n"
+            + "".join(f"block: {i} {i + 1} {i + 2} {i + 3}\n" for i in range(0, 4000, 4)),
+            "giant.design": f"design v={v} k=2 lambda=1\nblock: 0 {v - 1}\n"
+            + "group: " + " ".join(map(str, range(v - 1))) + f"\ngroup: {v - 1}\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        src = str(Path(designcolour.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for argv, code, head in (
+            (["chromatic", "deep.design"], EXIT_OK, "chi: 2\nrefuted-at: 1 nodes: 1\n"),
+            (["pclasses", "disjoint.design"], EXIT_OK, "classes: 1\n"),
+            (["verify", "giant.design", "--as", "gdd"], EXIT_VALIDATION, "verdict: fail\n"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "designcolour.cli", *argv],
+                capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+            )
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert proc.stdout.startswith(head), argv
+            assert "Traceback" not in proc.stderr, argv
+        # every point of the giant group but 0 misses the singleton
+        assert f"violations: {v - 2}\n" in proc.stdout
+
 
 class TestDeterminism:
     def test_identical_bytes_on_repeat(self):

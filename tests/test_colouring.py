@@ -262,6 +262,18 @@ class TestBruteMinMonochrome:
         with pytest.raises(InstanceTooLargeError):
             brute_min_monochrome(d, g, 3)
 
+    def test_one_colour_needs_no_search(self):
+        # the all-zero colouring is the only one, so every cross-group pair
+        # is monochrome; 2,000 points would be 2,000 levels of search
+        d, g = build_td(3, 3)
+        minimum, witness = brute_min_monochrome(d, g, 1)
+        assert minimum == count_monochrome_cross_pairs(d, witness, g).m == 27
+        v = 2000
+        g = Grouping(v, (tuple(range(0, v, 2)), tuple(range(1, v, 2))))
+        minimum, witness = brute_min_monochrome(Design(v, ((0, 1),)), g, 1)
+        assert minimum == (v // 2) ** 2
+        assert witness == Colouring(1, (0,) * v)
+
 
 @settings(max_examples=40)
 @given(st.integers(2, 9), st.data())

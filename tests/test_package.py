@@ -116,3 +116,49 @@ def test_no_hidden_module_state():
             for name in node.names
         ]
     assert found == ["parallel.py:_worker_facts"]
+
+
+# The functions that call themselves, each with the bound on its depth.
+BOUNDED_RECURSION = {
+    "colouring.py:brute_min_monochrome.rec": "one level per point, at most 24 by the enumeration guard",
+    "packings.py:max_equitable_packing": "one step, from an order 4n + 1 or 4n + 3 to one it builds directly",
+    "packings.py:_rotation_families.rec": "at most 40,000 nodes, the search's own cap",
+}
+
+
+def test_no_unbounded_recursion():
+    # Python stops at about 1,000 frames, so a search that recurses once
+    # per point, variable or block fails on large inputs.  A method calls
+    # itself through `self`; a bare name inside a method, or a call like
+    # `super().__init__`, only shares the name.
+    found = []
+
+    def visit(node, prefix, path, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", path, True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                for call in ast.walk(child):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = call.func
+                    if in_class:
+                        hit = (
+                            isinstance(func, ast.Attribute)
+                            and func.attr == name
+                            and isinstance(func.value, ast.Name)
+                            and func.value.id in ("self", "cls")
+                        )
+                    else:
+                        hit = isinstance(func, ast.Name) and func.id == name
+                    if hit:
+                        found.append(f"{path}:{prefix}{name}")
+                        break
+                visit(child, f"{prefix}{name}.", path, False)
+            else:
+                visit(child, prefix, path, in_class)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "", path.name, False)
+    assert sorted(found) == sorted(BOUNDED_RECURSION)

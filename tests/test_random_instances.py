@@ -221,7 +221,8 @@ def validator_cases(draw):
     possibly with lambda 2 and a block dropped or repeated; or a maximum
     packing on 65-130 points, wider than one machine word, possibly cut
     to a few blocks (a sparse design), with lambda 2, or with up to three
-    blocks given one point swapped."""
+    blocks given one point swapped, and grouped by residue or with all but
+    at most three points in one group."""
     source = draw(st.sampled_from(["random", "catalog", "wide"]))
     if source == "wide":
         v = draw(st.integers(65, 130))
@@ -232,8 +233,13 @@ def validator_cases(draw):
             blk = blocks[draw(st.integers(0, len(blocks) - 1))]
             pos = draw(st.integers(0, len(blk) - 1))
             blk[pos] = draw(st.sampled_from([p for p in range(v) if p not in blk]))
-        groups_mod = draw(st.integers(1, 4))
-        labels = [p % groups_mod for p in range(v)]
+        if draw(st.booleans()):
+            labels = [0] * v
+            for p in draw(st.lists(st.integers(0, v - 1), max_size=3, unique=True)):
+                labels[p] = p + 1
+        else:
+            groups_mod = draw(st.integers(1, 4))
+            labels = [p % groups_mod for p in range(v)]
         lambda_ = draw(st.integers(1, 2))
     elif source == "random":
         v = draw(st.integers(2, 9))
