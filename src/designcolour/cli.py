@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation failure, 3 parse error, 4 budget
-exceeded, 5 unsupported parameters or unknown names.  Output is plain
-`key: value` text (CSV where noted) and is deterministic for fixed inputs.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 validation
+failure, 3 parse error, 4 budget exceeded, 5 unsupported parameters or
+unknown names.  Output is plain `key: value` text (CSV where noted) and
+is deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -400,7 +401,15 @@ def cli_main(argv: Optional[list[str]] = None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout closed it early.  Point stdout at devnull so
+        # that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

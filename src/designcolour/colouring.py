@@ -181,16 +181,16 @@ def check_colouring(
 
 
 def count_monochrome_cross_pairs(
-    d_or_v, col: Colouring, g: Optional[Grouping] = None
+    d: Design, col: Colouring, g: Optional[Grouping] = None
 ) -> PairStats:
-    """Exact monochrome-pair counts over a point set.
+    """Exact monochrome-pair counts over the points of a design.
 
     With a grouping, only pairs of points from distinct groups are counted;
-    otherwise all pairs.  The design argument is only used for its point
-    count, so a bare integer is accepted.  Counted from colour-class sizes
-    in O(v): the pairs within a class, less those within a group.
+    otherwise all pairs.  Only the design's point count is read, not its
+    blocks.  Counted from colour-class sizes in O(v): the pairs within a
+    class, less those within a group.
     """
-    v = d_or_v.v if isinstance(d_or_v, Design) else int(d_or_v)
+    v = d.v
     if col.v != v:
         raise DesignError("colouring is over a different point count")
     a = col.assignment

@@ -149,8 +149,11 @@ def _rotation_families(n: int) -> list[tuple[int, int, int]]:
     (i+z,2)} for i in Z_2n.  The n/2 families must use distinct circular
     differences x, distinct differences z - y, and their translated pair
     positions {y, z, y-x, z-x} must partition Z_2n.  Found by a seeded
-    backtracking search (deterministic); verified to succeed for every
-    even 4 <= n <= 62, far beyond the orders the dispatcher needs.
+    backtracking search (deterministic).  `pack_4n` sends every
+    n = 2 (mod 4) with n >= 10 here, and the search is not known to
+    succeed at all of them: on a 2-vCPU host it found families for
+    n = 70, 78 and 90 in 27.5 s, 65.2 s and 1.9 s, and raised
+    UnsupportedOrderError for n = 94 and 98 after 337.5 s and 361.0 s.
     """
     if n % 2 or n < 4:
         raise UnsupportedParameterError("rotation families exist for even n >= 4 only")
@@ -547,10 +550,13 @@ def pack_small(v: int) -> ColouredPacking:
 
 
 def max_equitable_packing(v: int) -> Union[ColouredPacking, Unachievable]:
-    """Maximum block-equitably 2-colourable PD(v, 4, 1) for any v >= 0.
+    """Maximum block-equitably 2-colourable PD(v, 4, 1) for v >= 0.
 
-    Total dispatcher over the residue of v mod 4; the four orders whose
-    bound value cannot be met return an Unachievable marker instead.
+    Dispatcher over the residue of v mod 4; the four orders whose bound
+    value cannot be met return an Unachievable marker instead.  Orders
+    v = 4n and 4n + 1 with n = 2 (mod 4), n >= 10, rest on the rotation
+    search of `_rotation_families`, which raises UnsupportedOrderError at
+    n = 94 and 98 after about 6 minutes each.
     """
     if v < 0:
         raise UnsupportedParameterError("v must be non-negative")

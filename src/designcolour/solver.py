@@ -25,13 +25,14 @@ colour counts that no search-free certificate settles: a Turan-number
 lower bound, a pigeonhole lower bound on chi_M when every k-set of groups
 holds a block, the checked `upper_bound_colouring`, and chi <= chi_M.
 
-Each decision compiles its design and mode into a `_Problem` that holds
-no colour count: each weak ("not all equal") constraint is an int mask of
-its members.  Per colour count, an `_Engine` keeps one mask of variables
-per colour, so an assignment checks a weak constraint with two bit
-operations.  Its state is small (a domain and a colour per variable, a
-mask per colour), so it backtracks by restoring a copy of that state
-rather than by logging every change.
+Each decision compiles its design and mode into constraints: each weak
+("not all equal") constraint is an int mask of its members, and each
+counted constraint a member tuple.  An `_Engine` keeps one mask of
+variables per colour, so an assignment checks a weak constraint with two
+bit operations.  Its whole state is four small lists (a domain and a
+colour per variable, a mask per colour, and the counters of the counted
+constraints), so it backtracks by restoring one copy of them rather than
+by logging every change.
 """
 from __future__ import annotations
 
@@ -117,48 +118,25 @@ class _Budget:
         )
         self.nodes = 0
 
-    def spend(self) -> bool:
-        """Account one node; False when the budget is exhausted."""
+    def spend(self) -> None:
+        """Account one node; raises _Exhausted when the budget runs out."""
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
-            return False
+            raise _Exhausted
         if self.deadline is not None and self.nodes % 256 == 0:
             if time.monotonic() > self.deadline:
-                return False
-        return True
+                raise _Exhausted
 
 
 class _Exhausted(Exception):
     pass
 
 
-class _Problem:
-    """A design and mode compiled into constraints, for every colour count.
-
-    Variables are points, or groups in the group-monochromatic mode.  A
-    weak ("not all equal") constraint is the int mask of its members; it
-    is listed in `var_weak[x]` for each member x, in the order of the
-    deduplicated member sets.  A counted constraint is a sorted member tuple,
-    and `var_ctr[x]` lists the indices of those holding x.  Nothing here
-    depends on the colour count.
-    """
-
-    __slots__ = ("n", "var_weak", "counted", "var_ctr")
-
-    def __init__(self, n: int, var_weak: list[list[int]], counted: list[tuple[int, ...]]):
-        self.n = n
-        self.var_weak = var_weak
-        self.counted = counted
-        self.var_ctr: list[list[int]] = [[] for _ in range(n)]
-        for ci, members in enumerate(counted):
-            for x in members:
-                self.var_ctr[x].append(ci)
-
-
 def _weak_lists(n: int, weak: Iterable[Iterable[int]]) -> list[list[int]]:
-    """`_Problem.var_weak` of the member sets `weak` yields, each listing
-    its members once: a member set's mask goes to each member's list, in
-    order, unless an earlier set had the same members."""
+    """For each variable, the masks of the weak constraints holding it:
+    a mask per member set that `weak` yields, listing its members once,
+    goes to each member's list in order, unless an earlier set had the
+    same members."""
     var_weak: list[list[int]] = [[] for _ in range(n)]
     seen: set[int] = set()
     for members in weak:
@@ -175,21 +153,25 @@ def _weak_lists(n: int, weak: Iterable[Iterable[int]]) -> list[list[int]]:
 class _Engine:
     """Backtracking colourer over 'not all equal' and counted constraints.
 
-    Weak constraints forbid a member set from being single-coloured;
-    counted constraints bound every colour's count within a member set by
-    [floor, cap], both computed from the colour count.  Domains are
-    bitmasks; an assignment strips or restricts the domains it rules out,
-    and a domain left with one colour forces that colour, cascading until
-    nothing changes or a constraint fails.
+    Variables are points, or groups in the group-monochromatic mode.  A
+    weak ("not all equal") constraint is the int mask of its members,
+    listed in `var_weak[x]` for each member x; it forbids its members from
+    being single-coloured.  A counted constraint is a member tuple, and
+    `var_ctr[x]` lists the indices of those holding x; it bounds every
+    colour's count within its members by [floor, cap], both computed from
+    the colour count.  Domains are bitmasks; an assignment strips or
+    restricts the domains it rules out, and a domain left with one colour
+    forces that colour, cascading until nothing changes or a constraint
+    fails.
 
     Colour classes are int masks: `cls[colour]` holds the variables
     assigned that colour.  Assigning x the colour r sets x's bit in
     `cls[r]`; for each weak mask m on x, `rest = m & ~cls[r]` is the
     members not coloured r.  An empty `rest` is a single-coloured
     constraint, a failure; a single bit whose variable is unassigned
-    loses r from its domain.  Counted constraints keep flat counters
-    indexed by ci * c + colour, with the assignments and the total floor
-    deficit per constraint.
+    loses r from its domain.  Counted constraint ci keeps c + 2 entries
+    of the flat list `ctr` from ci * (c + 2): its count of each colour,
+    its members left unassigned and its total floor deficit.
 
     `search` runs one depth-first pass.  The branching variable is the
     unassigned one with the fewest colours left in its domain (lowest
@@ -198,35 +180,41 @@ class _Engine:
     variable may take at most one colour above the highest used so far,
     which breaks the symmetry between unused colours.
 
-    Undo is by snapshot.  A `_dfs` frame with more than one colour to try
-    copies the domains, the colour classes and the assignment before its
-    first branch and restores them before each later one; a failed frame
-    leaves its last branch for its caller to undo, and `search` restores
-    the initial state at the end.  Counters are not copied: `_restore`
-    takes back the increments of each variable assigned since the copy,
-    so `_assign` sets a variable's bit and applies all of its increments
-    before any check can fail.  `max_used` is restored by each `_dfs` frame.
+    The state is the four lists `dom`, `cls`, `colour` and `ctr`, and undo
+    is by one copy of them.  A `_dfs` frame with more than one colour to
+    try copies them before its first branch and restores them before each
+    later one; a failed frame leaves its last branch for its caller to
+    undo, and `search` restores the initial state at the end.  `max_used`
+    is restored by each `_dfs` frame.
     """
 
-    def __init__(self, problem: _Problem, c: int, budget: _Budget):
-        n = problem.n
+    def __init__(
+        self,
+        n: int,
+        var_weak: list[list[int]],
+        counted: list[tuple[int, ...]],
+        c: int,
+        budget: _Budget,
+    ):
         self.n = n
         self.c = c
-        self.var_weak = problem.var_weak
-        self.counted = problem.counted
-        self.var_ctr = problem.var_ctr
-        sizes = [len(m) for m in problem.counted]
+        self.var_weak = var_weak
+        self.counted = counted
+        self.var_ctr: list[list[int]] = [[] for _ in range(n)]
+        for ci, members in enumerate(counted):
+            for x in members:
+                self.var_ctr[x].append(ci)
+        sizes = [len(m) for m in counted]
         self.caps = [-(-size // c) for size in sizes]
         self.floors = [size // c for size in sizes]
         self.budget = budget
         self.colour = [-1] * n
         self.dom = [(1 << c) - 1] * n
         self.cls = [0] * c
-        self.t_cnt = [0] * (c * len(sizes))
-        self.t_ass = [0] * len(sizes)
-        self.deficit = [c * fl for fl in self.floors]
+        self.ctr: list[int] = []
+        for size, fl in zip(sizes, self.floors):
+            self.ctr += [0] * c + [size, c * fl]
         self.max_used = -1
-        self.most_constrained = False
 
     def _restrict(self, y: int, mask: int, forced: list) -> bool:
         dom = self.dom
@@ -246,8 +234,8 @@ class _Engine:
         colour = self.colour
         dom = self.dom
         cls = self.cls
-        t_cnt, t_ass = self.t_cnt, self.t_ass
-        floors, caps, deficit = self.floors, self.caps, self.deficit
+        ctr = self.ctr
+        floors, caps = self.floors, self.caps
         counted = self.counted
         forced = [(x0, colr0)]
         while forced:
@@ -265,13 +253,6 @@ class _Engine:
             same = cls[colr] | (1 << x)
             cls[colr] = same
             others = ~same
-            var_ctr = self.var_ctr[x]
-            for ci in var_ctr:
-                k = ci * c + colr
-                if t_cnt[k] < floors[ci]:
-                    deficit[ci] -= 1
-                t_cnt[k] += 1
-                t_ass[ci] += 1
             for mask in self.var_weak[x]:
                 rest = mask & others
                 if not rest:
@@ -286,51 +267,34 @@ class _Engine:
                         if not old & (old - 1):
                             forced.append((y, old.bit_length() - 1))
             strip = ~bit
-            for ci in var_ctr:
-                cnt = t_cnt[ci * c + colr]
-                if cnt > caps[ci]:
-                    return False
-                members = counted[ci]
-                remaining = len(members) - t_ass[ci]
-                if deficit[ci] > remaining:
+            for ci in self.var_ctr[x]:
+                base = ci * (c + 2)
+                cnt = ctr[base + colr] + 1
+                ctr[base + colr] = cnt
+                left = ctr[base + c] - 1
+                ctr[base + c] = left
+                fl = floors[ci]
+                deficit = ctr[base + c + 1]
+                if cnt <= fl:
+                    deficit -= 1
+                    ctr[base + c + 1] = deficit
+                if cnt > caps[ci] or deficit > left:
                     return False
                 if cnt == caps[ci]:
-                    for y in members:
+                    for y in counted[ci]:
                         if colour[y] == -1:
                             if not self._restrict(y, strip, forced):
                                 return False
-                if deficit[ci] == remaining and remaining > 0:
-                    fl = floors[ci]
-                    base = ci * c
+                if deficit == left and left > 0:
                     need = 0
                     for cc in range(c):
-                        if t_cnt[base + cc] < fl:
+                        if ctr[base + cc] < fl:
                             need |= 1 << cc
-                    for y in members:
+                    for y in counted[ci]:
                         if colour[y] == -1:
                             if not self._restrict(y, need, forced):
                                 return False
         return True
-
-    def _restore(self, snapshot: tuple[list[int], list[int], list[int]]) -> None:
-        """Put back the domains, colour classes and assignment of a copy,
-        and take back the counter increments made since it was taken."""
-        dom, cls, colour = snapshot
-        if self.counted:
-            c = self.c
-            t_cnt, t_ass = self.t_cnt, self.t_ass
-            floors, deficit, var_ctr = self.floors, self.deficit, self.var_ctr
-            for x, colr in enumerate(self.colour):
-                if colr != colour[x]:
-                    for ci in var_ctr[x]:
-                        k = ci * c + colr
-                        t_cnt[k] -= 1
-                        t_ass[ci] -= 1
-                        if t_cnt[k] < floors[ci]:
-                            deficit[ci] += 1
-        self.dom[:] = dom
-        self.cls[:] = cls
-        self.colour[:] = colour
 
     def search(self, most_constrained: bool) -> Optional[list[int]]:
         """First solution of one depth-first pass, or None.
@@ -338,14 +302,14 @@ class _Engine:
         The engine is back in its initial state afterwards, so it can run
         another pass.  Raises _Exhausted via the budget when limits run out.
         """
-        self.most_constrained = most_constrained
-        initial = (self.dom[:], self.cls[:], self.colour[:])
-        solution = list(self.colour) if self._dfs() else None
-        self._restore(initial)
+        dom, cls, colour, ctr = self.dom, self.cls, self.colour, self.ctr
+        initial = (dom[:], cls[:], colour[:], ctr[:])
+        solution = colour[:] if self._dfs(most_constrained) else None
+        dom[:], cls[:], colour[:], ctr[:] = initial
         self.max_used = -1
         return solution
 
-    def _dfs(self) -> bool:
+    def _dfs(self, most_constrained: bool) -> bool:
         """Extend the current assignment depth first; a failure leaves the
         last branch tried for `search` to restore.  The open frame (x,
         start, saved, the colours still allowed, snapshot) lives in locals,
@@ -353,8 +317,7 @@ class _Engine:
         so depth costs no recursion.  A frame on its last colour is not
         kept: its failure falls to the nearest frame with a colour left,
         whose snapshot undoes it."""
-        colour = self.colour
-        dom = self.dom
+        dom, cls, colour, ctr = self.dom, self.cls, self.colour, self.ctr
         n, c = self.n, self.c
         spend = self.budget.spend
         stack: list[tuple] = []
@@ -365,7 +328,7 @@ class _Engine:
             if start == n:
                 return True
             x = start
-            if self.most_constrained:
+            if most_constrained:
                 fewest = dom[x].bit_count()
                 for y in range(x + 1, n):
                     if colour[y] == -1:
@@ -382,21 +345,23 @@ class _Engine:
                     x, start, saved, allowed, snapshot = stack.pop()
                 bit = allowed & -allowed
                 allowed ^= bit
-                if not spend():
-                    raise _Exhausted
+                spend()
                 if snapshot is not None:
-                    self._restore(snapshot)
+                    dom[:], cls[:], colour[:], ctr[:] = snapshot
                     self.max_used = saved
                 elif allowed:
-                    snapshot = (dom[:], self.cls[:], colour[:])
+                    snapshot = (dom[:], cls[:], colour[:], ctr[:])
                 if self._assign(x, bit.bit_length() - 1):
                     if allowed:
                         stack.append((x, start, saved, allowed, snapshot))
                     break
 
 
-def _build_problem(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
-    """Translate a design and mode into engine constraints.
+def _build_problem(
+    d: Design, g: Optional[Grouping], mode: str
+) -> tuple[int, list[list[int]], list[tuple[int, ...]]]:
+    """Translate a design and mode into the engine's variable count, weak
+    masks per variable and counted member tuples.
 
     For the group-monochromatic mode the variables are groups, not points.
     """
@@ -405,16 +370,16 @@ def _build_problem(d: Design, g: Optional[Grouping], mode: str) -> _Problem:
     if mode in GROUP_MODES and g is None:
         raise UnsupportedParameterError(f"mode {mode!r} requires a grouping")
     if mode == "weak":
-        return _Problem(d.v, _weak_lists(d.v, d.blocks), [])
+        return d.v, _weak_lists(d.v, d.blocks), []
     if mode == "block-equitable":
         # blocks are sorted tuples, so equal blocks are equal tuples
-        return _Problem(d.v, _weak_lists(d.v, ()), list(dict.fromkeys(d.blocks)))
+        return d.v, _weak_lists(d.v, ()), list(dict.fromkeys(d.blocks))
     if g is None:
         raise InternalConsistencyError(f"mode {mode!r} reached without a grouping")
     if mode == "group-monochromatic":
         gi = g.group_index
-        return _Problem(g.u, _weak_lists(g.u, ({gi[p] for p in blk} for blk in d.blocks)), [])
-    return _Problem(d.v, _weak_lists(d.v, d.blocks), list(g.groups))
+        return g.u, _weak_lists(g.u, ({gi[p] for p in blk} for blk in d.blocks)), []
+    return d.v, _weak_lists(d.v, d.blocks), list(g.groups)
 
 
 def decide_colourable(
@@ -435,7 +400,7 @@ def decide_colourable(
     if c < 1:
         raise DesignError("colour count must be at least 1")
     tracker = _Budget(budget or SearchBudget())
-    engine = _Engine(_build_problem(d, g, mode), c, tracker)
+    engine = _Engine(*_build_problem(d, g, mode), c, tracker)
     try:
         solution = engine.search(most_constrained=True)
     except _Exhausted:

@@ -308,6 +308,31 @@ class TestExitCodes:
         # every point of the giant group but 0 misses the singleton
         assert f"violations: {v - 2}\n" in proc.stdout
 
+    def test_reader_closing_stdout_early(self, tmp_path):
+        # the listing of a v = 20,000 giant group outgrows a pipe buffer,
+        # so the process is still writing when its reader goes away
+        v = 20_000
+        (tmp_path / "giant.design").write_text(
+            f"design v={v} k=2 lambda=1\nblock: 0 {v - 1}\n"
+            + "group: " + " ".join(map(str, range(v - 1))) + f"\ngroup: {v - 1}\n"
+        )
+        src = str(Path(designcolour.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "designcolour.cli", "verify", "giant.design", "--as", "gdd"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+        )
+        try:
+            assert proc.stdout.read(300).startswith(b"verdict: fail\n")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert stderr == b""
+
 
 class TestDeterminism:
     def test_identical_bytes_on_repeat(self):

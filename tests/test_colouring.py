@@ -281,7 +281,7 @@ def test_group_counts_consistency(v, data):
     c = data.draw(st.integers(2, 4))
     assignment = tuple(data.draw(st.integers(0, c - 1)) for _ in range(v))
     col = Colouring(c, assignment)
-    stats = count_monochrome_cross_pairs(v, col)
+    stats = count_monochrome_cross_pairs(Design(v, ()), col)
     mono = sum(1 for p, q in combinations(range(v), 2) if assignment[p] == assignment[q])
     assert stats.m == mono
     assert stats.total == comb(v, 2)
@@ -300,13 +300,13 @@ def test_grouped_counts_match_brute_force(v, data):
     cross = [(p, q) for p, q in combinations(range(v), 2) if labels[p] != labels[q]]
     mono = sum(1 for p, q in cross if assignment[p] == assignment[q])
     pm = Fraction(mono, len(cross)) if cross else Fraction(0)
-    assert count_monochrome_cross_pairs(v, Colouring(c, assignment), g) == (
+    assert count_monochrome_cross_pairs(Design(v, ()), Colouring(c, assignment), g) == (
         PairStats(len(cross) - mono, mono, pm)
     )
 
 
 def test_pair_counts_reject_mismatched_point_counts():
     with pytest.raises(DesignError, match="^colouring is over a different point count$"):
-        count_monochrome_cross_pairs(5, Colouring(2, (0,) * 4), Grouping(4, ((0, 1), (2, 3))))
+        count_monochrome_cross_pairs(Design(5, ()), Colouring(2, (0,) * 4), Grouping(4, ((0, 1), (2, 3))))
     with pytest.raises(DesignError, match="^grouping is over a different point count$"):
-        count_monochrome_cross_pairs(4, Colouring(2, (0,) * 4), Grouping(5, ((0, 1), (2, 3, 4))))
+        count_monochrome_cross_pairs(Design(4, ()), Colouring(2, (0,) * 4), Grouping(5, ((0, 1), (2, 3, 4))))

@@ -590,6 +590,8 @@ def deep_instances():
         pytest.param(*delete_point(sts13, 0), id="sts13-less-a-point"),
         # group-equitable: 909 nodes at c=2
         pytest.param(*build_td(4, 5), id="td45"),
+        # group-equitable: 10,233 nodes at c=2, over 28 variables
+        pytest.param(*build_td(4, 7), id="td47"),
         # group-equitable: 683 nodes at c=3
         pytest.param(*delete_point(sts21, 0), id="sts21-less-a-point"),
         # block-equitable: 523 nodes at c=3
@@ -602,7 +604,7 @@ def deep_instances():
 @pytest.mark.parametrize("design, grouping", deep_instances())
 def test_engine_matches_counter_engine_on_deep_trees(design, grouping):
     # The drawn designs have at most 9 points, so their trees are a few
-    # levels deep; these have 12 to 24 variables, and a branch may restore
+    # levels deep; these have 12 to 28 variables, and a branch may restore
     # state that many assignments have changed.
     for mode in MODES:
         if grouping is None and mode in GROUP_MODES:
