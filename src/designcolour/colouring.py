@@ -8,6 +8,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, repeat
 from math import comb, log2
 from typing import Optional
 
@@ -111,11 +113,52 @@ def check_weak(d: Design, col: Colouring) -> ValidationReport:
     return ValidationReport(tuple(violations), {"mode": "weak", "c": col.c})
 
 
+# The most colour-count sums `_equitable_violations` keeps decoded.
+_DECODED_SUMS = 256
+# Above this many bits of point codes and decoded sums, each at most t*c
+# bits, every set is counted one by one.
+_MAX_CODE_BITS = 1 << 26
+
+
+def _unbalanced_sums(t: int, c: int):
+    """A cached test of whether a sum of codes 1 << (t*colour) has, in its
+    t-bit digits, a colour count outside [floor(s/c), ceil(s/c)], s being
+    the digit sum; only the nonzero digits are visited."""
+    mask = (1 << t) - 1
+
+    def unbalanced(total: int) -> bool:
+        counts = []
+        while total:
+            shift = (total & -total).bit_length() - 1
+            shift -= shift % t
+            n = total >> shift & mask
+            counts.append(n)
+            total ^= n << shift
+        s = sum(counts)
+        lo, hi = s // c, -(-s // c)
+        # a colour missing from the digits counts 0
+        return not all(lo <= n <= hi for n in counts) or 0 < lo and len(counts) < c
+
+    return lru_cache(_DECODED_SUMS)(unbalanced)
+
+
 def _equitable_violations(kind: str, sets, a, c: int) -> list[Violation]:
     """Violations of every colour whose count in a member set of size s
-    lies outside [floor(s/c), ceil(s/c)], set by set, colour by colour."""
+    lies outside [floor(s/c), ceil(s/c)], set by set, colour by colour.
+
+    Point p gets the code 1 << (t*a[p]), 2**t above every set size, so a
+    set's code sum holds its colour counts as t-bit digits; the sums are
+    taken in C and only the sets whose sum fails are counted one by one.
+    """
+    t = max(map(len, sets), default=0).bit_length() or 1
+    suspects = range(len(sets))
+    if t * c * (len(a) + _DECODED_SUMS) <= _MAX_CODE_BITS:
+        code = [1 << t * colr for colr in a]
+        sums = map(sum, map(map, repeat(code.__getitem__), sets))
+        suspects = compress(suspects, map(_unbalanced_sums(t, c), sums))
     violations = []
-    for i, members in enumerate(sets):
+    for i in suspects:
+        members = sets[i]
         s = len(members)
         lo, hi = s // c, -(-s // c)
         counts = [0] * c

@@ -400,6 +400,16 @@ def validate_bibd(d: Design) -> ValidationReport:
     return ValidationReport(tuple(violations), details)
 
 
+def _is_gdd(d: Design, g: Grouping) -> bool:
+    """Whether `validate_gdd` passes, without listing what fails."""
+    group_of = g.group_index.__getitem__
+    if any(len(set(map(group_of, blk))) < len(blk) for blk in d.blocks):
+        return False
+    # With no within-group pair every pair a block covers is a cross
+    # pair, so the cross pairs are all covered iff as many are covered.
+    return _covers_exactly(d, comb(d.v, 2) - sum(comb(len(grp), 2) for grp in g.groups))
+
+
 def validate_gdd(d: Design, g: Grouping) -> ValidationReport:
     """Check the group divisible design axioms.
 
@@ -409,22 +419,20 @@ def validate_gdd(d: Design, g: Grouping) -> ValidationReport:
     if g.v != d.v:
         raise DesignError("grouping is over a different point count")
     violations: list[Violation] = []
-    gi = g.group_index
-    group_of = gi.__getitem__
-    for bi, blk in enumerate(d.blocks):
-        if len(set(map(group_of, blk))) == len(blk):
-            continue
-        used = {}
-        for p in blk:
-            grp = gi[p]
-            if grp in used:
-                violations.append(Violation("within-group-pair-in-block", (bi, blk, (used[grp], p))))
-            else:
-                used[grp] = p
-    # With no within-group pair every pair a block covers is a cross
-    # pair, so the cross pairs are all covered iff as many are covered.
-    cross = comb(d.v, 2) - sum(comb(len(grp), 2) for grp in g.groups)
-    if violations or not _covers_exactly(d, cross):
+    if not _is_gdd(d, g):
+        gi = g.group_index
+        group_of = gi.__getitem__
+        for bi, blk in enumerate(d.blocks):
+            if len(set(map(group_of, blk))) == len(blk):
+                continue
+            used = {}
+            for p in blk:
+                grp = gi[p]
+                if grp in used:
+                    violations.append(Violation("within-group-pair-in-block", (bi, blk, (used[grp], p))))
+                else:
+                    used[grp] = p
+        cross = comb(d.v, 2) - sum(comb(len(grp), 2) for grp in g.groups)
         violations += _cross_pair_violations("cross-pair-multiplicity", d, gi, cross)
     uniform = g.uniform_size is not None
     details = {

@@ -15,6 +15,7 @@ byte for byte when the input was canonical.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from operator import lt
 from typing import Optional
 
@@ -53,6 +54,39 @@ def _check_block(line_no: int, pts: tuple[int, ...], v: int) -> None:
         raise ParseError(line_no, "block points must be ascending")
 
 
+# Lines per bulk parse: bounds the token lists a run of block lines makes.
+_CHUNK = 256
+
+
+def _bulk_blocks(lines: list[str], i: int, point, blocks: list[tuple[int, ...]]) -> int:
+    """Parse the run of `block: ` lines from lines[i], at most `_CHUNK`
+    of them, with one split and column-wise checks.
+
+    Appends the blocks and returns the run's length when every line holds
+    the same number of canonical point names, strictly ascending; else
+    appends nothing and returns minus that length, for the per-line checks.
+    """
+    starts = list(map(str.startswith, lines[i:i + _CHUNK], repeat("block: ")))
+    starts.append(False)
+    n = starts.index(False)
+    tokens = " ".join(lines[i:i + n]).split()
+    t, rem = divmod(len(tokens), n)
+    if rem or t < 2:
+        return -n
+    # Every line opens with a tag, so when deleting every t-th token
+    # leaves no tag to fail the name table, every line holds t tokens.
+    del tokens[::t]
+    try:
+        pts = list(map(point, tokens))
+    except KeyError:
+        return -n
+    t -= 1
+    if not all(all(map(lt, pts[j::t], pts[j + 1::t])) for j in range(t - 1)):
+        return -n
+    blocks += zip(*[iter(pts)] * t)
+    return n
+
+
 def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
     """Parse a design file; raises ParseError with a line number on bad input."""
     header = None
@@ -60,7 +94,17 @@ def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colour
     groups: list[tuple[int, ...]] = []
     colour_c: Optional[int] = None
     colour_lines: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    bulk_from = line_no = 0  # lines before `bulk_from` failed a bulk parse
+    while line_no < len(lines):
+        raw = lines[line_no]
+        if line_no >= bulk_from and header is not None and raw.startswith("block: "):
+            n = _bulk_blocks(lines, line_no, point, blocks)
+            if n > 0:
+                line_no += n
+                continue
+            bulk_from = line_no - n
+        line_no += 1
         line = _strip(raw) if "#" in raw else raw.strip()
         if not line:
             continue
@@ -94,10 +138,6 @@ def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colour
             if any(p < 0 or p >= header[0] for p in pts):
                 raise ParseError(line_no, f"point out of range [0, {header[0]})")
             groups.append(pts)
-        elif _COLOURING_RE.match(line):
-            if colour_c is not None:
-                raise ParseError(line_no, "duplicate colouring header")
-            colour_c = int(_COLOURING_RE.match(line).group(1))
         elif line.startswith("colour:"):
             if colour_c is None:
                 raise ParseError(line_no, "colour line before colouring header")
@@ -105,8 +145,13 @@ def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colour
             if len(vals) != 2:
                 raise ParseError(line_no, "colour line needs point and colour")
             colour_lines.append(vals)
+        elif _COLOURING_RE.match(line):
+            if colour_c is not None:
+                raise ParseError(line_no, "duplicate colouring header")
+            colour_c = int(_COLOURING_RE.match(line).group(1))
         else:
             raise ParseError(line_no, f"unrecognized line {line!r}")
+    del lines  # before the blocks are sorted, which copies the list
     if header is None:
         raise ParseError(1, "missing design header")
     v, k, lam = header

@@ -3,6 +3,8 @@ colourings that come with them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+
 from .colouring import Colouring, check_group_colouring
 from .core import (
     Design,
@@ -10,6 +12,8 @@ from .core import (
     Grouping,
     InternalConsistencyError,
     UnsupportedParameterError,
+    _covers_exactly,
+    _is_gdd,
     is_transversal,
 )
 from .td import td_symbol_rows
@@ -56,13 +60,18 @@ def blow_up(d: Design, g: Grouping, w: int) -> BlowUp:
     across its points' copy columns.  The TD's first row is all zeros, so
     the all-zero copies of a block form a block again: the source design
     embeds, and a lifted colouring is weak whenever the original is.
+    Raises InternalConsistencyError if a GDD yields no GDD.
     """
     if w < 1:
         raise UnsupportedParameterError("expansion factor must be positive")
     rows = td_symbol_rows(d.k, w) if d.blocks else []
     if not d.uniform:
         raise UnsupportedParameterError("blow-up needs a uniform block size")
-    return BlowUp(*_expand(d, g, w, rows), w)
+    design, grouping = _expand(d, g, w, rows)
+    # a source that is no GDD, such as a packing, yields none either
+    if not _is_gdd(design, grouping) and _is_gdd(d, g):
+        raise InternalConsistencyError(f"the blow-up of a GDD by {w} is not a GDD")
+    return BlowUp(design, grouping, w)
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,8 @@ def pc_to_gdd(d: Design, pc: ParallelClass) -> tuple[Design, Grouping]:
 
 def delete_point(d: Design, y: int) -> tuple[Design, Grouping]:
     """Delete a point of a BIBD with lambda=1; the blocks through it become
-    groups.  Points above y shift down by one to stay contiguous."""
+    groups.  Points above y shift down by one to stay contiguous.  Raises
+    InternalConsistencyError if a BIBD yields no GDD."""
     if not 0 <= y < d.v:
         raise UnsupportedParameterError(f"point {y} out of range")
     if d.lambda_ != 1:
@@ -112,7 +122,11 @@ def delete_point(d: Design, y: int) -> tuple[Design, Grouping]:
             groups.append(tuple(relabel(p) for p in blk if p != y))
         else:
             blocks.append(tuple(relabel(p) for p in blk))
-    return Design(d.v - 1, tuple(blocks), 1), Grouping(d.v - 1, tuple(groups))
+    design, grouping = Design(d.v - 1, tuple(blocks), 1), Grouping(d.v - 1, tuple(groups))
+    # a source that holds every pair once, uniform or not, leaves a GDD
+    if not _is_gdd(design, grouping) and _covers_exactly(d, comb(d.v, 2)):
+        raise InternalConsistencyError(f"deleting point {y} of a BIBD left no GDD")
+    return design, grouping
 
 
 def remove_blocks(d: Design, beta) -> Design:

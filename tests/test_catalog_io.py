@@ -1,5 +1,13 @@
 """Catalog integrity and the design file format round-trips."""
+import hashlib
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
+from operator import lt
+from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +16,7 @@ from hypothesis import strategies as st
 from designcolour import (
     Colouring,
     Design,
+    DesignError,
     Grouping,
     ParseError,
     catalog_get,
@@ -19,7 +28,17 @@ from designcolour import (
     render_design,
     validate_bibd,
 )
+import designcolour
+import designcolour.fileio as fileio
 from designcolour.catalog import UnknownEntryError
+from designcolour.fileio import (
+    _COLOURING_RE,
+    _DESIGN_RE,
+    _check_block,
+    _colouring_from_lines,
+    _ints,
+    _strip,
+)
 
 
 class TestCatalog:
@@ -231,3 +250,220 @@ class TestParseErrors:
         text = "# header\n\ndesign v=3 k=3 lambda=1\nblock: 0 1 2  # the only block\n"
         design, _, _ = parse_design(text)
         assert design.b == 1
+
+
+def parse_design_line_by_line(text: str):
+    """Oracle: the parser that checks each line on its own, one at a time."""
+    header = None
+    blocks: list[tuple[int, ...]] = []
+    groups: list[tuple[int, ...]] = []
+    colour_c: Optional[int] = None
+    colour_lines: list[tuple[int, int]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = _strip(raw) if "#" in raw else raw.strip()
+        if not line:
+            continue
+        if line.startswith("block:"):
+            if header is None:
+                raise ParseError(line_no, "block before design header")
+            try:
+                pts = tuple(map(point, line[len("block:"):].split()))
+            except KeyError:
+                pts = _ints(line_no, line[len("block:"):])
+            if not (pts and pts[0] >= 0 and pts[-1] < header[0] and all(map(lt, pts, pts[1:]))):
+                _check_block(line_no, pts, header[0])
+            blocks.append(pts)
+        elif line.startswith("design "):
+            if header is not None:
+                raise ParseError(line_no, "duplicate design header")
+            m = _DESIGN_RE.match(line)
+            if not m:
+                raise ParseError(line_no, "malformed design header")
+            header = tuple(int(x) for x in m.groups())
+            point = {str(p): p for p in range(min(header[0], len(text)))}.__getitem__
+        elif line.startswith("group:"):
+            if header is None:
+                raise ParseError(line_no, "group before design header")
+            pts = _ints(line_no, line[len("group:"):])
+            if any(p < 0 or p >= header[0] for p in pts):
+                raise ParseError(line_no, f"point out of range [0, {header[0]})")
+            groups.append(pts)
+        elif _COLOURING_RE.match(line):
+            if colour_c is not None:
+                raise ParseError(line_no, "duplicate colouring header")
+            colour_c = int(_COLOURING_RE.match(line).group(1))
+        elif line.startswith("colour:"):
+            if colour_c is None:
+                raise ParseError(line_no, "colour line before colouring header")
+            vals = _ints(line_no, line[len("colour:"):])
+            if len(vals) != 2:
+                raise ParseError(line_no, "colour line needs point and colour")
+            colour_lines.append(vals)
+        else:
+            raise ParseError(line_no, f"unrecognized line {line!r}")
+    if header is None:
+        raise ParseError(1, "missing design header")
+    v, k, lam = header
+    try:
+        design = Design._from_canonical(v, blocks, lam)
+    except DesignError as exc:
+        raise ParseError(1, str(exc)) from None
+    if design.blocks and design.k != k:
+        raise ParseError(1, f"header k={k} but the least block size is {design.k}")
+    grouping = None
+    if groups:
+        try:
+            grouping = Grouping(v, tuple(groups))
+        except DesignError as exc:
+            raise ParseError(1, str(exc)) from None
+    colouring = None
+    if colour_c is not None:
+        colouring = _colouring_from_lines(v, colour_c, colour_lines)
+    return design, grouping, colouring
+
+
+def parse_outcome(parse, text):
+    """The parsed triple, or the (line_no, message) of the ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+_FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+def _point_token(rng, p: int) -> str:
+    """p as a canonical name, or now and then as another spelling int() reads."""
+    name = str(p)
+    spelling = rng.randrange(12)
+    if spelling == 0:
+        return "0" + name
+    if spelling == 1:
+        return "+" + name
+    if spelling == 2 and p >= 10:
+        return name[0] + "_" + name[1:]
+    if spelling == 3:
+        return name.translate(_FULLWIDTH)
+    return name
+
+
+def _block_line(rng, pts, plain: bool) -> str:
+    if plain:
+        return "block: " + " ".join(map(str, pts))
+    line = ("block:" + rng.choice(["", " ", "\t"])) + " ".join(_point_token(rng, p) for p in pts)
+    return rng.choice(["", " ", "\t "]) + line + rng.choice(["", "  ", "\t", " # note"])
+
+
+def _mutated_block(rng, pts, v: int) -> list:
+    """pts with a duplicate, out-of-range, descending or non-integer
+    point, or no points at all."""
+    pts = list(pts)
+    fault = rng.randrange(5)
+    if fault == 4:
+        return []
+    if fault == 0:
+        pts.insert(rng.randrange(len(pts)), rng.choice(pts))
+        pts.sort()
+    elif fault == 1:
+        pts[rng.choice([0, -1])] = rng.choice([-1, v, v + 7])
+    elif fault == 2:
+        i = rng.randrange(len(pts) - 1)
+        pts[i], pts[i + 1] = pts[i + 1], pts[i]
+    else:
+        pts[rng.randrange(len(pts))] = rng.choice(["x", "2.0", "1e3", "--1"])
+    return pts
+
+
+def random_design_text(rng) -> str:
+    """Runs of block lines, mostly canonical, some longer than a bulk
+    chunk and some of mixed block sizes, among comments, blank lines,
+    group lines and a colouring; sometimes with one faulty line."""
+    v = rng.choice([rng.randint(6, 40), 10**6])
+    sizes = rng.choice([[3], [4], [3, 4], [2, 3, 5]])
+    lines = rng.choice([[], ["# a design"], ["", "  # a design", "\t"]])
+    lines.append(rng.choice(["", "  "]) + f"design v={v} k={min(sizes)} lambda={rng.randint(1, 2)}")
+    block_lines = []
+    for _ in range(rng.randint(1, 3)):
+        mixed = rng.random() < 0.3
+        size = rng.choice(sizes)
+        for _ in range(rng.choice([rng.randint(0, 6), rng.randint(200, 400)])):
+            pts = sorted(rng.sample(range(min(v, 40)), rng.choice(sizes) if mixed else size))
+            if v > 40 and rng.random() < 0.05:
+                pts[-1] = rng.randrange(40, v)
+            block_lines.append(len(lines))
+            lines.append(_block_line(rng, pts, rng.random() < 0.9))
+        lines += rng.choice([[], [""], ["# between runs"], ["   ", "#"]])
+    if v <= 40 and rng.random() < 0.3:
+        order = rng.sample(range(v), v)
+        cut = rng.randint(1, v - 1)
+        lines += ["group: " + " ".join(map(str, sorted(grp))) for grp in (order[:cut], order[cut:])]
+    if v <= 40 and rng.random() < 0.3:
+        lines.append("colouring c=2")
+        lines += [f"colour: {p} {rng.randrange(2)}" for p in range(v)]
+    if block_lines and rng.random() < 0.5:
+        i = rng.choice(block_lines)
+        pts = sorted(rng.sample(range(min(v, 40)), rng.choice(sizes)))
+        lines[i] = "block: " + " ".join(map(str, _mutated_block(rng, pts, v)))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 5, None]))
+def test_parse_matches_the_line_by_line_parser(seed, chunk):
+    # small chunks put chunk ends inside every run; None keeps the default
+    text = random_design_text(random.Random(seed))
+    saved = fileio._CHUNK
+    fileio._CHUNK = chunk or saved
+    try:
+        outcome = parse_outcome(parse_design, text)
+    finally:
+        fileio._CHUNK = saved
+    assert outcome == parse_outcome(parse_design_line_by_line, text)
+
+
+def test_parse_is_linear_when_no_chunk_is_uniform(tmp_path, monkeypatch):
+    # 200,000 block lines: sizes alternating 3 and 4, so every chunk takes
+    # the per-line checks; then uniform lines with a bad last line.  Each
+    # file is parsed in its own process, one at a time, and no line may
+    # enter two bulk parses.
+    n = 200_000
+    files = {
+        "mixed.design": "design v=1000 k=3 lambda=1\n" + "".join(
+            f"block: {i % 900} {i % 900 + 1} {i % 900 + 2}{'' if i % 2 else ' 999'}\n" for i in range(n)
+        ),
+        "bad_last.design": "design v=1000 k=3 lambda=1\n" + "".join(
+            f"block: {i % 900} {i % 900 + 1} {i % 900 + 2}\n" for i in range(n)
+        ) + "block: 5 4 3\n",
+    }
+    src = str(Path(designcolour.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import hashlib, pathlib, sys\n"
+        "from designcolour import ParseError, parse_design\n"
+        "try:\n"
+        "    outcome = parse_design(pathlib.Path(sys.argv[1]).read_text())\n"
+        "except ParseError as exc:\n"
+        "    outcome = exc.line_no, str(exc)\n"
+        "print(hashlib.sha256(repr(outcome).encode()).hexdigest())\n"
+    )
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / name)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        expected = repr(parse_outcome(parse_design_line_by_line, text))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == hashlib.sha256(expected.encode()).hexdigest(), name
+    bulk_blocks = fileio._bulk_blocks
+    scanned = []
+
+    def counted(*args):
+        done = bulk_blocks(*args)
+        scanned.append(abs(done))
+        return done
+
+    monkeypatch.setattr(fileio, "_bulk_blocks", counted)
+    parse_design(files["mixed.design"])
+    assert sum(scanned) == n

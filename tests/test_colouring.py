@@ -3,9 +3,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import designcolour.colouring as colouring_module
 
 from designcolour import (
     Colouring,
@@ -24,7 +28,8 @@ from designcolour import (
     pair_stats_equitable,
 )
 from designcolour.colouring import GROUP_MODES, MODES
-from designcolour.packings import pack_from_pairs, pairs_for_s
+from designcolour.core import Violation
+from designcolour.packings import max_equitable_packing, pack_from_pairs, pairs_for_s
 from designcolour.td import build_td
 from designcolour.transforms import delete_point
 
@@ -310,3 +315,78 @@ def test_pair_counts_reject_mismatched_point_counts():
         count_monochrome_cross_pairs(Design(5, ()), Colouring(2, (0,) * 4), Grouping(4, ((0, 1), (2, 3))))
     with pytest.raises(DesignError, match="^grouping is over a different point count$"):
         count_monochrome_cross_pairs(Design(4, ()), Colouring(2, (0,) * 4), Grouping(5, ((0, 1), (2, 3, 4))))
+
+
+def equitable_violations_by_counting(kind, sets, a, c):
+    """Oracle: every set's colour counts, counted point by point."""
+    violations = []
+    for i, members in enumerate(sets):
+        s = len(members)
+        lo, hi = s // c, -(-s // c)
+        counts = [0] * c
+        for p in members:
+            counts[a[p]] += 1
+        for colr, n in enumerate(counts):
+            if not lo <= n <= hi:
+                violations.append(Violation(kind, (i, members, colr, n)))
+    return violations
+
+
+@st.composite
+def sets_and_colourings(draw):
+    """Mixed-size blocks and a grouping on points coloured round robin
+    along runs of consecutive points, so most blocks and groups are
+    equitable, then relabelled and with a few points flipped; or a random
+    colouring from part of the palette."""
+    rng = draw(st.randoms(use_true_random=False))
+    v = draw(st.integers(2, 16))
+    sizes = draw(st.lists(st.integers(2, min(v, 7)), min_size=1, max_size=12))
+    c = draw(st.sampled_from([*range(1, max(sizes) + 4), 50]))
+    palette = rng.sample(range(c), rng.randint(1, c))
+    if draw(st.booleans()):
+        a = [palette[p % len(palette)] for p in range(v)]
+        for p in rng.sample(range(v), rng.randint(0, min(3, v))):
+            a[p] = rng.randrange(c)
+    else:
+        a = [rng.choice(palette) for _ in range(v)]
+    starts = [rng.randrange(v - s + 1) for s in sizes]
+    blocks = [tuple(range(p, p + s)) for p, s in zip(starts, sizes)]
+    cuts = sorted(rng.sample(range(1, v), rng.randint(0, v - 1)))
+    groups = [tuple(range(p, q)) for p, q in zip([0, *cuts], [*cuts, v])]
+    label = rng.sample(range(v), v)
+    assignment = [0] * v
+    for p, colr in enumerate(a):
+        assignment[label[p]] = colr
+    design = Design(v, tuple(tuple(label[p] for p in blk) for blk in blocks))
+    grouping = Grouping(v, tuple(tuple(label[p] for p in grp) for grp in groups))
+    return design, grouping, Colouring(c, tuple(assignment))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_and_colourings(), st.booleans())
+def test_equitable_checks_match_counting(parts, count_every_set):
+    # count_every_set turns the code sums off, as for a huge palette
+    d, g, col = parts
+    a = col.assignment
+    saved = colouring_module._MAX_CODE_BITS
+    colouring_module._MAX_CODE_BITS = -1 if count_every_set else saved
+    try:
+        block_report = check_block_equitable(d, col)
+        group_report = check_group_colouring(d, g, col, "group-equitable")
+    finally:
+        colouring_module._MAX_CODE_BITS = saved
+    assert block_report.violations == tuple(
+        equitable_violations_by_counting("block-colour-count", d.blocks, a, col.c)
+    )
+    assert group_report.violations == check_weak(d, col).violations + tuple(
+        equitable_violations_by_counting("group-colour-count", g.groups, a, col.c)
+    )
+
+
+def test_block_equitable_check_of_the_986_packing_with_1000_colours():
+    d = max_equitable_packing(986).design
+    rng = random.Random(986)
+    col = Colouring(1000, tuple(rng.randrange(1000) for _ in range(d.v)))
+    expected = equitable_violations_by_counting("block-colour-count", d.blocks, col.assignment, 1000)
+    assert expected
+    assert check_block_equitable(d, col).violations == tuple(expected)

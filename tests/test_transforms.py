@@ -8,6 +8,7 @@ from designcolour import (
     Design,
     DesignError,
     Grouping,
+    InternalConsistencyError,
     ParallelClass,
     UnsupportedParameterError,
     blow_up,
@@ -27,6 +28,7 @@ from designcolour import (
 )
 from designcolour.parallel import enumerate_parallel_classes
 from designcolour.td import build_td
+import designcolour.transforms as transforms
 from designcolour.transforms import NONEXISTENT
 
 
@@ -75,6 +77,17 @@ class TestBlowUp:
         for blk in entry.design.blocks:
             assert tuple(p * w for p in blk) in blocks
 
+    def test_packing_source_passes_through(self):
+        # a packing is no GDD, so its blow-up need not be one
+        entry = catalog_get("pack7")
+        result = blow_up(entry.design, Grouping.singletons(entry.design.v), 3)
+        assert not validate_gdd(result.design, result.grouping).passed
+
+    def test_broken_td_rows_raise(self, monkeypatch):
+        monkeypatch.setattr(transforms, "td_symbol_rows", lambda k, w: [(0,) * k] * (w * w))
+        with pytest.raises(InternalConsistencyError, match="blow-up of a GDD by 2"):
+            blow_up(catalog_get("sts7").design, Grouping.singletons(7), 2)
+
 
 class TestPcToGdd:
     def test_sts9_class_gives_2_chromatic_gdd(self):
@@ -105,6 +118,15 @@ class TestDeletePoint:
     def test_bad_point(self):
         with pytest.raises(DesignError):
             delete_point(catalog_get("sts7").design, 9)
+
+    def test_non_bibd_source_passes_through(self):
+        d, g = delete_point(Design(5, ((0, 1, 2), (0, 3, 4))), 0)
+        assert g.groups == ((0, 1), (2, 3)) and not validate_gdd(d, g).passed
+
+    def test_lost_block_raises(self, monkeypatch):
+        monkeypatch.setattr(transforms, "Design", lambda v, blocks, lam: Design(v, blocks[1:], lam))
+        with pytest.raises(InternalConsistencyError, match="deleting point 6 of a BIBD"):
+            delete_point(catalog_get("sts7").design, 6)
 
 
 class TestRemoveBlocks:
