@@ -120,6 +120,12 @@ def _cmd_verify(args, out) -> int:
     if mode_name is not None and colouring is None:
         print("error: --mode needs a colouring, from --colouring or the design file", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    if colouring is not None and colouring.v != design.v:
+        print(
+            f"error: the colouring has {colouring.v} points, the design {design.v}",
+            file=sys.stderr,
+        )
+        return EXIT_UNSUPPORTED
     if mode_name is not None and MODE_NAMES[mode_name] in GROUP_MODES and grouping is None:
         print("error: group colouring modes need a grouping", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -104,11 +104,13 @@ def _check_cover(d: Design, col: Colouring) -> None:
 def check_weak(d: Design, col: Colouring) -> ValidationReport:
     """Pass iff no block is contained in a single colour class."""
     _check_cover(d, col)
-    colour_of = col.assignment.__getitem__
+    a = col.assignment
+    # a block whose first and last points differ in colour passes without
+    # building its colour set
     violations = [
         Violation("monochromatic-block", (bi, blk))
         for bi, blk in enumerate(d.blocks)
-        if len(set(map(colour_of, blk))) == 1
+        if a[blk[0]] == a[blk[-1]] and len(set(map(a.__getitem__, blk))) == 1
     ]
     return ValidationReport(tuple(violations), {"mode": "weak", "c": col.c})
 

@@ -8,7 +8,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Design, UnsupportedParameterError, _distinct_pairs
-from .solver import SearchBudget, _gdd_chromatic_numbers, _turan_bound, chromatic_lower_bound
+from .solver import (
+    SearchBudget,
+    _gdd_chromatic_numbers,
+    _turan_bound,
+    chromatic_lower_bound,
+    decide_colourable,
+)
 from .transforms import ParallelClass, pc_to_gdd
 
 
@@ -106,9 +112,15 @@ class _DesignFacts:
     so every class GDD keeps b - v/k of d's blocks.  When no pair of d
     lies in two blocks, no class GDD repeats a pair either, and all share
     one Turan bound on need = (b - v/k)(k - 1).
+
+    A class GDD is d less some blocks, on the same points, so a weak
+    colouring of d is one of every class GDD.  With a budget, and a
+    shared bound below which no class GDD is colourable, d itself is
+    searched once for a weak colouring with that many colours; its
+    checked witness settles chi = bound for every class.
     """
 
-    def __init__(self, d: Design):
+    def __init__(self, d: Design, budget: Optional[SearchBudget] = None):
         self.d = d
         kept = d.b - d.v // d.k
         # bound: chromatic_lower_bound of every class GDD, or None when d
@@ -118,6 +130,14 @@ class _DesignFacts:
             self.bound = 1
         elif _distinct_pairs(d) is not None:
             self.bound = _turan_bound(d.v, kept * (d.k - 1))
+        # hi: the colour count of a checked weak colouring of d, and so an
+        # upper bound on every class GDD's chi; None when not searched or
+        # not found within the budget
+        self.hi: Optional[int] = None
+        if budget is not None and kept and self.bound is not None:
+            found = decide_colourable(d, None, self.bound, "weak", budget, least_witness=False)
+            if found.colourable:
+                self.hi = self.bound
 
     def lower_bound(self, gdd: Design) -> int:
         """`chromatic_lower_bound(gdd)` of a class GDD of d."""
@@ -127,7 +147,7 @@ class _DesignFacts:
 def _analyze_one(args) -> PcRecord:
     facts, pc, idx, budget = args
     gdd, grouping = pc_to_gdd(facts.d, pc)
-    chi, chi_m = _gdd_chromatic_numbers(gdd, grouping, budget, facts.lower_bound(gdd))
+    chi, chi_m = _gdd_chromatic_numbers(gdd, grouping, budget, facts.lower_bound(gdd), facts.hi)
     return PcRecord(idx, chi, chi_m, chi is None or chi_m is None)
 
 
@@ -164,11 +184,18 @@ def analyze_parallel_classes(
     the weak chromatic number and the monochromatic-group one, found by
     `gdd_chromatic_numbers`.  The histogram aggregates (chi, chi_M) pairs
     and is independent of the worker count.  What the class GDDs share is
-    computed once per design (`_DesignFacts`), not once per class.
+    computed once per design (`_DesignFacts`), not once per class, before
+    any worker starts.  Its search of d for a weak colouring may try at
+    most one node per class, within the caller's node and time limits.
     """
     budget = budget or SearchBudget()
     classes, _ = enumerate_parallel_classes(d)
-    facts = _DesignFacts(d) if classes else None
+    facts = None
+    if classes:
+        limit = len(classes)
+        if budget.node_limit is not None:
+            limit = min(limit, budget.node_limit)
+        facts = _DesignFacts(d, SearchBudget(limit, budget.time_limit))
     tasks = [(pc, i, budget) for i, pc in enumerate(classes)]
     workers = _worker_count(jobs, len(tasks))
     if workers > 1:

@@ -593,9 +593,16 @@ def gdd_chromatic_numbers(
 
 
 def _gdd_chromatic_numbers(
-    d: Design, g: Grouping, budget: Optional[SearchBudget], lo: int
+    d: Design,
+    g: Grouping,
+    budget: Optional[SearchBudget],
+    lo: int,
+    hi: Optional[int] = None,
 ) -> tuple[Optional[int], Optional[int]]:
-    """`gdd_chromatic_numbers`, given lo = `chromatic_lower_bound(d)`."""
+    """`gdd_chromatic_numbers`, given lo = `chromatic_lower_bound(d)` and,
+    when known, hi: the colour count of a checked weak colouring of d.
+    chi is then searched below hi only, and is hi when nothing below is
+    colourable; chi_M is found as without it."""
     budget = budget or SearchBudget()
     met = _met_group_sets(d, g)
     top = _upper_bound_colouring(d, g, met)
@@ -604,6 +611,8 @@ def _gdd_chromatic_numbers(
         lo_m = max(lo, -(-g.u // (d.k - 1)))
     if lo_m > top.c:
         raise InternalConsistencyError(f"lower bound {lo_m} exceeds the colouring with {top.c} colours")
+    if hi is not None and hi < lo:
+        raise InternalConsistencyError(f"lower bound {lo} exceeds the weak colouring with {hi} colours")
 
     def least(grouping: Optional[Grouping], mode: str, start: int, stop: int) -> Optional[int]:
         try:
@@ -614,6 +623,8 @@ def _gdd_chromatic_numbers(
 
     chi_m = least(g, "group-monochromatic", lo_m, top.c)
     stop = top.c if chi_m is None else chi_m
+    if hi is not None:
+        stop = min(stop, hi)
     chi = least(None, "weak", lo, stop)
     return chi, chi_m
 

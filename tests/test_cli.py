@@ -253,6 +253,15 @@ class TestExitCodes:
         ):
             assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
 
+    def test_colouring_over_another_point_count(self, tmp_path, capsys):
+        # a usage error, found before any report line
+        path = tmp_path / "two.colouring"
+        path.write_text("colouring c=2\n0 0\n1 1\n")
+        for extra in ([], ["--mode", "weak"], ["--as", "bibd", "--mode", "block-eq"]):
+            argv = ["verify", "sts7", "--colouring", str(path), *extra]
+            assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
+            assert "the colouring has 2 points, the design 7" in capsys.readouterr().err
+
     def test_huge_order_with_too_few_blocks(self, tmp_path):
         # two blocks cannot cover 2**36 points, so no class search starts
         # and nothing of size v is allocated; one process at a time, each

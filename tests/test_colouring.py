@@ -390,3 +390,22 @@ def test_block_equitable_check_of_the_986_packing_with_1000_colours():
     expected = equitable_violations_by_counting("block-colour-count", d.blocks, col.assignment, 1000)
     assert expected
     assert check_block_equitable(d, col).violations == tuple(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10), st.integers(1, 3), st.data())
+def test_weak_check_matches_comparing_every_point(v, c, data):
+    # mixed block sizes and at most three colours, so blocks whose first
+    # and last points share a colour while a middle point does not are
+    # common
+    blocks = data.draw(
+        st.lists(st.lists(st.integers(0, v - 1), min_size=2, max_size=min(v, 6), unique=True), max_size=12)
+    )
+    a = tuple(data.draw(st.lists(st.integers(0, c - 1), min_size=v, max_size=v)))
+    d = Design(v, tuple(map(tuple, blocks)))
+    expected = tuple(
+        Violation("monochromatic-block", (bi, blk))
+        for bi, blk in enumerate(d.blocks)
+        if all(a[p] == a[blk[0]] for p in blk)
+    )
+    assert check_weak(d, Colouring(c, a)).violations == expected

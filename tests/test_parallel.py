@@ -80,6 +80,12 @@ def source_design(name, seed=None):
     if name == "sts3":
         # one block, one class: the class GDD has no blocks
         return Design(3, ((0, 1, 2),))
+    if name == "two-k4":
+        # two K4 graphs on 0-3 and 4-7 joined by the matching i, i + 4: the
+        # class of that matching leaves two K4s, chi 4 above the shared
+        # Turan bound of 2, and the design is not 2-colourable either
+        edges = [e for part in (range(4), range(4, 8)) for e in combinations(part, 2)]
+        return Design(8, tuple(edges + [(i, i + 4) for i in range(4)]))
     if name.startswith("random-sts"):
         return random_sts(int(name[len("random-sts"):]), seed)
     return relabelled_sts21(seed) if seed is not None else catalog_get(name).design
@@ -432,3 +438,115 @@ class TestDesignFacts:
             gdd, _ = pc_to_gdd(d, pc)
             assert facts.lower_bound(gdd) == chromatic_lower_bound(gdd)
 
+
+
+def oracle_records(d, classes):
+    """Each class's (chi, chi_M) from two full chromatic_number calls."""
+    records = []
+    for idx, pc in enumerate(classes):
+        gdd, grouping = pc_to_gdd(d, pc)
+        chi = chromatic_number(gdd).chi
+        chi_m = chromatic_number(gdd, grouping, "group-monochromatic").chi
+        records.append(PcRecord(idx, chi, chi_m))
+    return tuple(records)
+
+
+class TestDesignColouring:
+    """A weak colouring of the design is one of every class GDD, so one
+    checked search of the design at the shared Turan bound settles chi
+    for all classes; the analysis gives it one node per class."""
+
+    def spy_on_design_search(self, monkeypatch):
+        results = []
+        decide = parallel.decide_colourable
+
+        def spy(*args, **kwargs):
+            results.append(decide(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(parallel, "decide_colourable", spy)
+        return results
+
+    @pytest.mark.parametrize("name,seed", [("sts27-bose", None), ("random-sts21", 0)])
+    def test_found_within_one_node_per_class(self, monkeypatch, name, seed):
+        # Bose's STS(27) is 3-colourable in 33 nodes, inside the 40-class
+        # limit the analysis sees here; the seed-0 random STS(21) has 34
+        # classes and a 3-colouring found in 14 nodes
+        d = source_design(name, seed)
+        classes, _ = enumerate_parallel_classes(d, 40 if name == "sts27-bose" else None)
+        monkeypatch.setattr(parallel, "enumerate_parallel_classes", lambda d: (classes, False))
+        results = self.spy_on_design_search(monkeypatch)
+        class_modes = []
+        decide = solver.decide_colourable
+
+        def spy(gdd, g, c, mode, budget=None, least_witness=True):
+            class_modes.append(mode)
+            return decide(gdd, g, c, mode, budget, least_witness)
+
+        monkeypatch.setattr(solver, "decide_colourable", spy)
+        analysis = analyze_parallel_classes(d)
+        (found,) = results
+        assert found.colourable and found.c == 3 and found.nodes <= len(classes)
+        assert check_colouring(d, None, found.witness, "weak").passed
+        assert {r.chi for r in analysis.records} == {3}
+        # no class searches a weak colour count
+        assert "weak" not in class_modes
+        facts = parallel._DesignFacts(d, SearchBudget(node_limit=len(classes)))
+        assert facts.hi == facts.bound == 3
+
+    def test_not_found_for_the_4_chromatic_sts21(self, monkeypatch):
+        # refuting c=3 on the stored STS(21) takes 7,354 nodes; the search
+        # stops after one node per class.  A budget's count includes the
+        # node it refuses, so 130 nodes were tried.
+        d = catalog_get("sts21").design
+        results = self.spy_on_design_search(monkeypatch)
+        analysis = analyze_parallel_classes(d)
+        (stopped,) = results
+        assert stopped.status == solver.BUDGET_EXCEEDED
+        assert stopped.nodes - 1 == len(analysis.records) == 130
+        assert parallel._DesignFacts(d, SearchBudget(node_limit=130)).hi is None
+        assert analysis.histogram_dict() == {(3, 3): 22, (3, 4): 108}
+
+    def test_the_caller_node_limit_caps_the_search(self, monkeypatch):
+        d = source_design("random-sts21", 0)
+        results = self.spy_on_design_search(monkeypatch)
+        analyze_parallel_classes(d, SearchBudget(node_limit=5))
+        (stopped,) = results
+        assert stopped.status == solver.BUDGET_EXCEEDED and stopped.nodes == 6
+
+    @pytest.mark.parametrize(
+        "name,seed",
+        [
+            ("sts9", None),
+            ("td44", None),
+            ("sts21", None),
+            ("random-sts21", 0),
+            ("random-sts21", 4),
+            ("shared-pairs", None),
+            ("sts27-bose", None),
+            ("two-k4", None),
+        ],
+    )
+    def test_records_with_and_without_it_match_the_oracle(self, name, seed):
+        d = source_design(name, seed)
+        classes, _ = enumerate_parallel_classes(d, 40 if name == "sts27-bose" else None)
+        expected = oracle_records(d, classes)
+        without = parallel._DesignFacts(d)
+        with_it = parallel._DesignFacts(d, SearchBudget(node_limit=len(classes)))
+        assert without.hi is None
+        for facts in (without, with_it):
+            records = tuple(
+                parallel._analyze_one((facts, pc, idx, SearchBudget())) for idx, pc in enumerate(classes)
+            )
+            assert records == expected
+
+    @pytest.mark.parametrize("nodes", [1, 5, 20, None])
+    def test_jobs_do_not_change_records_under_a_budget(self, monkeypatch, nodes):
+        # the first 40 Bose STS(27) classes, ten chunks: the design search
+        # runs before the pool, found at the default budget only
+        sts27 = bose_sts27()
+        classes, _ = enumerate_parallel_classes(sts27, limit=40)
+        monkeypatch.setattr(parallel, "enumerate_parallel_classes", lambda d: (classes, True))
+        budget = SearchBudget(node_limit=nodes)
+        serial = analyze_parallel_classes(sts27, budget, jobs=1)
+        assert analyze_parallel_classes(sts27, budget, jobs=2) == serial
