@@ -12,6 +12,8 @@ import os
 import sys
 from typing import Optional
 
+import designcolour
+
 from .catalog import UnknownEntryError, catalog_get, catalog_names
 from .colouring import GROUP_MODES, Colouring, check_colouring
 from .core import (
@@ -30,25 +32,12 @@ from .fileio import (
     render_colouring,
     render_design,
 )
-from .packings import (
-    Unachievable,
-    bound_general,
-    bound_max_equitable,
-    max_equitable_packing,
-    pack_4n2_odd,
-    pack_from_pairs,
-    pairs_for_s,
-)
-from .parallel import analyze_parallel_classes, enumerate_parallel_classes
-from .solver import BudgetExceededError, SearchBudget, chromatic_number
 from .td import build_td
-from .transforms import (
-    blow_up,
-    delete_point,
-    group_equitable_blowup,
-    pc_to_gdd,
-    td_group_equitable_colouring,
-)
+
+# Every command uses the modules imported above.  The solver, packings,
+# parallel and transforms modules load on a command's first use of a
+# `designcolour.<name>`, through the package's lazy names, so `catalog`
+# and `verify` start without them.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -88,8 +77,8 @@ def _load(path: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
     return entry.design, entry.grouping, entry.colouring
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(
+def _budget(args) -> designcolour.SearchBudget:
+    return designcolour.SearchBudget(
         node_limit=args.budget_nodes,
         time_limit=args.budget_secs,
     )
@@ -151,7 +140,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_chromatic(args, out) -> int:
     design, grouping, _ = _load(args.design)
-    result = chromatic_number(design, grouping, MODE_NAMES[args.mode], _budget(args))
+    result = designcolour.chromatic_number(design, grouping, MODE_NAMES[args.mode], _budget(args))
     print(f"chi: {result.chi}", file=out)
     if result.refutation is not None:
         print(f"refuted-at: {result.refutation.c} nodes: {result.refutation.nodes}", file=out)
@@ -170,7 +159,7 @@ def _cmd_pclasses(args, out) -> int:
         return EXIT_UNSUPPORTED
     design, _, _ = _load(args.design)
     if args.analyze:
-        analysis = analyze_parallel_classes(design, _budget(args), jobs=args.jobs)
+        analysis = designcolour.analyze_parallel_classes(design, _budget(args), jobs=args.jobs)
         if args.csv:
             print("class_index,chi,chi_M", file=out)
             for rec in analysis.records:
@@ -181,7 +170,7 @@ def _cmd_pclasses(args, out) -> int:
         if analysis.budget_exceeded:
             return EXIT_BUDGET
         return EXIT_OK
-    classes, truncated = enumerate_parallel_classes(design, args.limit)
+    classes, truncated = designcolour.enumerate_parallel_classes(design, args.limit)
     print(f"classes: {len(classes)}", file=out)
     for i, pc in enumerate(classes):
         print(f"class {i}: " + " ".join(str(b) for b in pc.block_indices), file=out)
@@ -192,13 +181,13 @@ def _cmd_pclasses(args, out) -> int:
 
 def _cmd_bound(args, out) -> int:
     if args.tight:
-        info = bound_max_equitable(args.v, args.k, args.c)
+        info = designcolour.bound_max_equitable(args.v, args.k, args.c)
         print(f"bound: {info.value}", file=out)
         print(f"tight: {str(info.tight).lower()}", file=out)
         if info.achievable is not None:
             print(f"achievable: {str(info.achievable).lower()}", file=out)
     else:
-        exact, floor = bound_general(args.v, args.k, args.c)
+        exact, floor = designcolour.bound_general(args.v, args.k, args.c)
         print(f"bound: {exact}", file=out)
         print(f"floor: {floor}", file=out)
     return EXIT_OK
@@ -245,8 +234,8 @@ def _cmd_construct(args, out) -> int:
         out.write(render_design(design, grouping))
         return EXIT_OK
     if family == "pack-max":
-        result = max_equitable_packing(params[0])
-        if isinstance(result, Unachievable):
+        result = designcolour.max_equitable_packing(params[0])
+        if isinstance(result, designcolour.Unachievable):
             print(
                 f"unachievable: bound {result.bound} for v={result.v} ({result.reason})",
                 file=out,
@@ -255,39 +244,41 @@ def _cmd_construct(args, out) -> int:
         out.write(render_design(result.design, None, result.colouring))
         return EXIT_OK
     if family == "pack-4n2":
-        packed = pack_4n2_odd(params[0])
+        packed = designcolour.pack_4n2_odd(params[0])
         out.write(render_design(packed.design, None, packed.colouring))
         return EXIT_OK
     if family == "pack-pairs":
-        packed = pack_from_pairs(pairs_for_s(params[0]))
+        packed = designcolour.pack_from_pairs(designcolour.pairs_for_s(params[0]))
         out.write(render_design(packed.design, None, packed.colouring))
         return EXIT_OK
     if family == "blowup":
         design, grouping, _ = _load(params[0])
         if grouping is None:
             grouping = Grouping.singletons(design.v)
-        result = blow_up(design, grouping, params[1])
+        result = designcolour.blow_up(design, grouping, params[1])
         out.write(render_design(result.design, result.grouping))
         return EXIT_OK
     if family == "pc-to-gdd":
         design, _, _ = _load(params[0])
-        classes, _ = enumerate_parallel_classes(design)
         index = args.class_index
+        # a class index stops the enumeration at its class; a negative
+        # one enumerates every class, whose total the message reports
+        classes, _ = designcolour.enumerate_parallel_classes(design, index + 1 if index >= 0 else None)
         if not 0 <= index < len(classes):
             print(f"error: class index {index} out of range ({len(classes)} classes)", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        gdd, grouping = pc_to_gdd(design, classes[index])
+        gdd, grouping = designcolour.pc_to_gdd(design, classes[index])
         out.write(render_design(gdd, grouping))
         return EXIT_OK
     if family == "delete-point":
         design, _, _ = _load(params[0])
-        gdd, grouping = delete_point(design, params[1])
+        gdd, grouping = designcolour.delete_point(design, params[1])
         out.write(render_design(gdd, grouping))
         return EXIT_OK
     if family == "td-colour":
         k, g = params
         design, grouping = build_td(k, g)
-        colouring = td_group_equitable_colouring(design, grouping)
+        colouring = designcolour.td_group_equitable_colouring(design, grouping)
         out.write(render_design(design, grouping, colouring))
         return EXIT_OK
     if family == "geq-blowup":
@@ -298,7 +289,7 @@ def _cmd_construct(args, out) -> int:
         if td_grouping is None or td_colouring is None:
             print("error: the second design needs groups and a colouring", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        out_design, out_grouping, out_colouring = group_equitable_blowup(
+        out_design, out_grouping, out_colouring = designcolour.group_equitable_blowup(
             design, grouping, td_design, td_grouping, td_colouring
         )
         out.write(render_design(out_design, out_grouping, out_colouring))
@@ -395,15 +386,18 @@ def cli_main(argv: Optional[list[str]] = None, out=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (UnknownEntryError, UnsupportedParameterError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (DesignError, FileNotFoundError, IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # Last, so that only an exception that no clause above takes loads the
+    # solver to name this class.  It is a RuntimeError, which none of them
+    # takes.
+    except designcolour.BudgetExceededError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 def main() -> None:

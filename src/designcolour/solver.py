@@ -119,10 +119,12 @@ class _Budget:
         self.nodes = 0
 
     def spend(self) -> None:
-        """Account one node; raises _Exhausted when the budget runs out."""
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
+        """Account one node; raises _Exhausted, without counting it, when
+        the budget has no node left, so `nodes` is the nodes tried."""
+        # a node_limit of None never equals the count
+        if self.nodes == self.node_limit:
             raise _Exhausted
+        self.nodes += 1
         if self.deadline is not None and self.nodes % 256 == 0:
             if time.monotonic() > self.deadline:
                 raise _Exhausted

@@ -157,6 +157,29 @@ class TestConstructVerify:
         code, report = run(["verify", str(path), "--as", "gdd"])
         assert code == EXIT_OK and "verdict: pass" in report
 
+    def test_pc_to_gdd_enumerates_up_to_its_class(self, monkeypatch, capsys):
+        # a negative index enumerates every class, whose total its
+        # message reports
+        d = designcolour.catalog_get("sts21").design
+        classes, _ = designcolour.enumerate_parallel_classes(d)
+        limits = []
+        enumerate_classes = designcolour.enumerate_parallel_classes
+
+        def spy(design, limit=None):
+            limits.append(limit)
+            return enumerate_classes(design, limit)
+
+        monkeypatch.setattr(designcolour, "enumerate_parallel_classes", spy)
+        code, text = run(["construct", "pc-to-gdd", "sts21", "--class-index", "3"])
+        assert (code, text) == (EXIT_OK, designcolour.render_design(*designcolour.pc_to_gdd(d, classes[3])))
+        for index in ("130", "-1"):
+            assert run(["construct", "pc-to-gdd", "sts21", "--class-index", index]) == (EXIT_UNSUPPORTED, "")
+        assert limits == [4, 131, None]
+        assert capsys.readouterr().err == (
+            "error: class index 130 out of range (130 classes)\n"
+            "error: class index -1 out of range (130 classes)\n"
+        )
+
     def test_delete_point(self, tmp_path):
         code, text = run(["construct", "delete-point", "sts13", "4"])
         assert code == EXIT_OK

@@ -1,11 +1,13 @@
 """Properties of the package as a whole: its source and how it starts."""
 import ast
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import designcolour
+from designcolour.cli import cli_main
 
 PACKAGE = Path(designcolour.__file__).resolve().parent
 
@@ -20,20 +22,30 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _imports_at_run_time(node) -> bool:
+    """An import statement, or a call of `import_module` or `__import__`."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name in ("import_module", "__import__")
+
+
 def test_no_function_level_imports():
-    # Imports sit at module level; none of the modules needs a late import
-    # to break a cycle.
+    # Imports sit at module level.  The one exception is for start-up:
+    # the package root's `__getattr__` imports a submodule on the first
+    # use of one of its names, so a command starts without the modules
+    # it does not use.
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.update(
-                    f"{path.name}:{node.lineno}"
-                    for node in ast.walk(func)
-                    if isinstance(node, (ast.Import, ast.ImportFrom))
-                )
-    assert sorted(found) == []
+                if any(_imports_at_run_time(node) for node in ast.walk(func)):
+                    found.add(f"{path.name}:{func.name}")
+    assert found == {"__init__.py:__getattr__"}
 
 
 def test_sources_parse_as_python_3_10():
@@ -70,6 +82,78 @@ def test_start_up_does_not_load_multiprocessing():
     assert proc.stdout.split() == ["False"]
 
 
+# The package modules every command loads.
+COMMAND_BASE = {"cli", "core", "colouring", "fileio", "catalog", "td"}
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path):
+    # each command in a fresh interpreter, one process at a time
+    path = tmp_path / "sts21.design"
+    out = io.StringIO()
+    assert cli_main(["catalog", "get", "sts21"], out=out) == 0
+    path.write_text(out.getvalue(), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    cases = (
+        (None, set()),
+        (["catalog", "get", "sts21"], COMMAND_BASE),
+        (["verify", str(path)], COMMAND_BASE),
+        (["chromatic", "sts7"], COMMAND_BASE | {"solver"}),
+        (["pclasses", "sts9", "--analyze"], COMMAND_BASE | {"parallel", "solver", "transforms"}),
+        (["construct", "pack-max", "12"], COMMAND_BASE | {"packings"}),
+        (["bound", "12", "4", "2"], COMMAND_BASE | {"packings"}),
+    )
+    for argv, expected in cases:
+        if argv is None:
+            # a submodule still resolves as an attribute of a bare import
+            code = "import sys, designcolour; loaded = [*sys.modules]; designcolour.solver.SearchBudget; print(0, *loaded)"
+        else:
+            code = (
+                "import io, sys; from designcolour.cli import cli_main; "
+                f"print(cli_main({argv!r}, out=io.StringIO()), *sys.modules)"
+            )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        rc, *modules = proc.stdout.split()
+        loaded = {m.split(".", 1)[1] for m in modules if m.startswith("designcolour.")}
+        assert (rc, loaded) == ("0", expected), argv
+
+
+# The names the package root exports.
+EXPORTED = (
+    "BlowUp BoundInfo BudgetExceededError CatalogEntry ChromaticResult ColouredPacking "
+    "Colouring Design DesignError FieldTable Grouping InstanceTooLargeError "
+    "InternalConsistencyError LeaveGraph NONEXISTENT PairStats PairsProfile ParallelClass "
+    "ParseError PcAnalysis PcRecord SearchBudget SolveResult Unachievable UnknownEntryError "
+    "UnsupportedOrderError UnsupportedParameterError ValidationReport Violation admissible "
+    "analyze_parallel_classes blow_up bound_general bound_max_equitable brute_min_monochrome "
+    "build_td catalog_get catalog_names check_block_equitable check_colouring "
+    "check_group_colouring check_weak chromatic_lower_bound chromatic_number "
+    "count_monochrome_cross_pairs decide_colourable delete_point enumerate_parallel_classes "
+    "equitable_gdd_colouring field_table gdd_chromatic_numbers group_equitable_blowup "
+    "is_parallel_class is_transversal max_equitable_packing pack_4n pack_4n2_odd "
+    "pack_from_pairs pack_small pair_stats_equitable pairs_for_s parse_colouring parse_design "
+    "pc_to_gdd remove_blocks render_colouring render_design td_group_equitable_colouring "
+    "td_packing_coloured upper_bound_colouring validate_bibd validate_gdd validate_packing "
+    "verify_pairs_profile"
+).split()
+
+
+def test_every_exported_name_resolves_to_its_defining_module():
+    assert len(EXPORTED) == 74
+    listed = dir(designcolour)
+    for name in EXPORTED:
+        namespace: dict = {}
+        exec(f"from designcolour import {name}", namespace)
+        value = namespace[name]
+        module = f"designcolour.{designcolour._EXPORTS[name]}"
+        # a class or function is pickled by the module it names
+        assert getattr(value, "__module__", module) == module, name
+        assert value is getattr(sys.modules[module], name), name
+        assert name in listed, name
+    assert sorted(designcolour.__all__) == sorted(EXPORTED)
+    assert not hasattr(designcolour, "no_such_name")
+
+
 def test_every_private_function_has_a_caller():
     # A module-level `def _name` that nothing in the package refers to,
     # apart from its own body, is dead code.
@@ -92,6 +176,9 @@ def test_every_private_function_has_a_caller():
         for func in tree.body:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or not func.name.startswith("_"):
                 continue
+            if func.name in ("__getattr__", "__dir__"):
+                # module hooks (PEP 562), called by the interpreter
+                continue
             used = any(
                 func.name in names(node)
                 for other_tree in trees.values()
@@ -106,6 +193,8 @@ def test_every_private_function_has_a_caller():
 def test_no_hidden_module_state():
     # No function rebinds a module-level name, except the pool initializer
     # `parallel._start_worker`, which hands each worker its design facts.
+    # (The package root's `__getattr__` binds a lazily loaded name once,
+    # through `globals()`, to the object its submodule defines.)
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

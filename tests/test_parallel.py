@@ -496,14 +496,13 @@ class TestDesignColouring:
 
     def test_not_found_for_the_4_chromatic_sts21(self, monkeypatch):
         # refuting c=3 on the stored STS(21) takes 7,354 nodes; the search
-        # stops after one node per class.  A budget's count includes the
-        # node it refuses, so 130 nodes were tried.
+        # stops after one node per class, and reports the 130 it tried.
         d = catalog_get("sts21").design
         results = self.spy_on_design_search(monkeypatch)
         analysis = analyze_parallel_classes(d)
         (stopped,) = results
         assert stopped.status == solver.BUDGET_EXCEEDED
-        assert stopped.nodes - 1 == len(analysis.records) == 130
+        assert stopped.nodes == len(analysis.records) == 130
         assert parallel._DesignFacts(d, SearchBudget(node_limit=130)).hi is None
         assert analysis.histogram_dict() == {(3, 3): 22, (3, 4): 108}
 
@@ -512,7 +511,8 @@ class TestDesignColouring:
         results = self.spy_on_design_search(monkeypatch)
         analyze_parallel_classes(d, SearchBudget(node_limit=5))
         (stopped,) = results
-        assert stopped.status == solver.BUDGET_EXCEEDED and stopped.nodes == 6
+        # the 5 nodes tried, not the sixth, refused
+        assert stopped.status == solver.BUDGET_EXCEEDED and stopped.nodes == 5
 
     @pytest.mark.parametrize(
         "name,seed",

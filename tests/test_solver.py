@@ -111,6 +111,15 @@ class TestDecide:
         assert coloured.search_nodes > 0 and coloured.witness_nodes > 0
         assert coloured.nodes == coloured.search_nodes + coloured.witness_nodes
 
+    def test_a_stopped_search_reports_the_nodes_it_tried(self):
+        # the refused node is not counted, in either pass
+        d = catalog_get("sts9").design
+        full = decide_colourable(d, None, 3, "weak")
+        for limit in (1, full.search_nodes - 1, full.search_nodes, full.nodes - 1):
+            stopped = decide_colourable(d, None, 3, "weak", SearchBudget(node_limit=limit))
+            assert stopped.status == BUDGET_EXCEEDED and stopped.nodes == limit, limit
+        assert decide_colourable(d, None, 3, "weak", SearchBudget(node_limit=full.nodes)) == full
+
     def test_search_pass_witness_without_the_least_witness_pass(self):
         d = catalog_get("sts9").design
         least = decide_colourable(d, None, 3, "weak")
