@@ -68,11 +68,19 @@ CONSTRUCT_PARAMS = {
 }
 
 
+def _read(path: str) -> str:
+    """An input file's text; `cli_main` reports an OSError here as exit 2."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(exc) from None
+
+
 def _load(path: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
     """A positional design argument is a file path or a catalog name."""
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return parse_design(fh.read())
+        return parse_design(_read(path))
     entry = catalog_get(path)
     return entry.design, entry.grouping, entry.colouring
 
@@ -102,8 +110,7 @@ def _cmd_verify(args, out) -> int:
         print("error: no grouping present for GDD validation", file=sys.stderr)
         return EXIT_UNSUPPORTED
     if args.colouring:
-        with open(args.colouring, encoding="utf-8") as fh:
-            colouring = parse_colouring(fh.read())
+        colouring = parse_colouring(_read(args.colouring))
     mode_name = args.mode or ("weak" if args.colouring else None)
     # usage errors come before any report line
     if mode_name is not None and colouring is None:
@@ -389,7 +396,7 @@ def cli_main(argv: Optional[list[str]] = None, out=None) -> int:
     except (UnknownEntryError, UnsupportedParameterError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (DesignError, FileNotFoundError, IndexError, ValueError) as exc:
+    except (DesignError, IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # Last, so that only an exception that no clause above takes loads the

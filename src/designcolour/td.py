@@ -41,56 +41,14 @@ def _factor_prime_powers(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _poly_mul_mod(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:
-    """Multiply coefficient tuples modulo a monic polynomial over GF(p)."""
-    e = len(mod)
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce: x^e = -mod
-    for i in range(len(res) - 1, e - 1, -1):
-        coeff = res[i]
-        if coeff:
-            res[i] = 0
-            for j in range(e):
-                res[i - e + j] = (res[i - e + j] - coeff * mod[j]) % p
-    res = res[:e] + [0] * (e - len(res))
-    return tuple(res[:e])
-
-
-def _is_irreducible(poly: tuple, p: int) -> bool:
-    """Trial division of the monic polynomial x^e + poly by smaller monics."""
-    e = len(poly)
-
-    def divides(divisor: tuple) -> bool:
-        # long division of x^e + poly by x^d + divisor
-        d = len(divisor)
-        rem = list(poly) + [1]
-        for i in range(e, d - 1, -1):
-            coeff = rem[i]
-            if coeff:
-                rem[i] = 0
-                for j in range(d):
-                    rem[i - d + j] = (rem[i - d + j] - coeff * divisor[j]) % p
-        return not any(rem[:d])
-
-    for d in range(1, e // 2 + 1):
-        for idx in range(p**d):
-            divisor = tuple((idx // p**j) % p for j in range(d))
-            if divides(divisor):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class FieldTable:
     """Addition and multiplication tables of GF(q), elements 0..q-1.
 
-    For q = p^e the element i stands for the polynomial with base-p digits
-    of i as coefficients, reduced modulo the lexicographically least monic
-    irreducible polynomial of degree e.
+    For q = p^e the element i stands for the polynomial whose coefficients
+    of x^0..x^(e-1) are the base-p digits of i, and products are reduced
+    modulo the irreducible x^e + f with the least f, where f is read as
+    the integer whose base-p digits are its coefficients of x^0..x^(e-1).
     """
 
     q: int
@@ -102,40 +60,48 @@ class FieldTable:
 
 @lru_cache(maxsize=None)
 def field_table(q: int) -> FieldTable:
-    """GF(q) tables for a prime power q."""
+    """GF(q) tables for a prime power q.
+
+    Sums add base-p digits: the low digit in GF(p), the rest from the
+    table of order q/p.  Product row a is row a - s plus row s, where s
+    is the place value of a's lowest nonzero digit; row x^j = p^j is row
+    x^(j-1) shifted up one digit, an overflow t*x^e becoming -t*f.  The
+    first f whose table has no zero product of nonzero elements is taken.
+    """
     factors = _factor_prime_powers(q)
     if len(factors) != 1:
         raise UnsupportedOrderError(f"{q} is not a prime power")
     p, e = factors[0]
-    if e == 1:
-        add = tuple(tuple((i + j) % p for j in range(p)) for i in range(p))
-        mul = tuple(tuple((i * j) % p for j in range(p)) for i in range(p))
-        return FieldTable(q, p, e, add, mul)
-    mod = None
-    for idx in range(p**e):
-        cand = tuple((idx // p**j) % p for j in range(e))
-        if _is_irreducible(cand, p):
-            mod = cand
-            break
-    if mod is None:
-        raise InternalConsistencyError(f"no irreducible polynomial of degree {e} over GF({p})")
-
-    def to_vec(i: int) -> tuple:
-        return tuple((i // p**j) % p for j in range(e))
-
-    def to_int(vec: tuple) -> int:
-        return sum(c * p**j for j, c in enumerate(vec))
-
-    vecs = [to_vec(i) for i in range(q)]
-    add = tuple(
-        tuple(to_int(tuple((a + b) % p for a, b in zip(vecs[i], vecs[j]))) for j in range(q))
-        for i in range(q)
-    )
-    mul = tuple(
-        tuple(to_int(_poly_mul_mod(vecs[i], vecs[j], mod, p)) for j in range(q))
-        for i in range(q)
-    )
-    return FieldTable(q, p, e, add, mul)
+    # shared entries: a new int per sum above 256 makes big tables slow
+    elems = list(range(q))
+    digit = [tuple(elems[i:p] + elems[:i]) for i in range(p)]
+    add = digit
+    while len(add) < q:
+        split = [divmod(j, p) for j in range(len(add) * p)]
+        rows = [(add[h], digit[l]) for h, l in split]
+        add = [tuple([elems[p * high[h] + low[l]] for h, l in split]) for high, low in rows]
+    top = q // p
+    for f in range(q):
+        minus_f = add[f].index(0)
+        overflow = [0]  # overflow[t] = -t*f, which stands for t*x^e
+        for _ in range(p - 1):
+            overflow.append(add[overflow[-1]][minus_f])
+        mul = [(0,) * q, tuple(elems)]
+        for a in range(2, q):
+            s = 1
+            while a // s % p == 0:
+                s *= p
+            if s == a:
+                row = tuple([add[y % top * p][overflow[y // top]] for y in mul[a // p]])
+            else:
+                # row s is mostly row 1, so add's rows are read in order
+                row = tuple([add[z][y] for y, z in zip(mul[a - s], mul[s])])
+            if row.count(0) > 1:
+                break
+            mul.append(row)
+        else:
+            return FieldTable(q, p, e, tuple(add), tuple(mul))
+    raise InternalConsistencyError(f"no irreducible polynomial of degree {e} over GF({p})")
 
 
 def _td_prime_power(k: int, q: int) -> list[tuple[int, ...]]:
@@ -148,14 +114,9 @@ def _td_prime_power(k: int, q: int) -> list[tuple[int, ...]]:
     gf = field_table(q)
     blocks = []
     for a in range(q):
-        for b in range(q):
-            row = []
-            for i in range(k):
-                if i < q:
-                    row.append(gf.add[gf.mul[a][i]][b])
-                else:
-                    row.append(a)
-            blocks.append(tuple(row))
+        rows = [gf.add[m] for m in gf.mul[a][:k]]
+        infinity = (a,) * (k - q)  # one symbol when k = q + 1, else none
+        blocks += [tuple([row[b] for row in rows]) + infinity for b in range(q)]
     return blocks
 
 

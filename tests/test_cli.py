@@ -285,6 +285,21 @@ class TestExitCodes:
             assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
             assert "the colouring has 2 points, the design 7" in capsys.readouterr().err
 
+    def test_input_files_that_cannot_be_read(self, tmp_path, capsys):
+        # a directory or a missing file: an error line and exit 2, as for
+        # any other bad input, not a traceback
+        missing = tmp_path / "missing.colouring"
+        for argv, path in (
+            (["verify", str(tmp_path)], tmp_path),
+            (["verify", "sts7", "--colouring", str(tmp_path)], tmp_path),
+            (["verify", "sts7", "--colouring", str(missing)], missing),
+            (["construct", "blowup", str(tmp_path), "2"], tmp_path),
+        ):
+            assert run(argv) == (EXIT_VALIDATION, ""), argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: [Errno ") and err.endswith(f"{str(path)!r}\n"), argv
+            assert err.count("\n") == 1, argv
+
     def test_huge_order_with_too_few_blocks(self, tmp_path):
         # two blocks cannot cover 2**36 points, so no class search starts
         # and nothing of size v is allocated; one process at a time, each

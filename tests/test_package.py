@@ -48,6 +48,35 @@ def test_no_function_level_imports():
     assert found == {"__init__.py:__getattr__"}
 
 
+def _imported_names(node) -> list[str]:
+    """The module names an import statement or call names; a relative one
+    keeps its leading dots, a call's argument its literal prefix."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    arg = node.args[0] if node.args else None
+    if isinstance(arg, ast.JoinedStr) and arg.values:
+        arg = arg.values[0]
+    return [arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else "<computed>"]
+
+
+def test_imports_only_the_standard_library():
+    # The package has no dependencies: every import, at module or function
+    # level, is relative, names the package itself, or names a module of
+    # the standard library.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if _imports_at_run_time(node):
+                for name in _imported_names(node):
+                    top = name.split(".")[0]
+                    if not (name.startswith(".") or top == "designcolour" or top in sys.stdlib_module_names):
+                        found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject declares requires-python >= 3.10; a newer-only construct
     # (an `except*` clause, say) would fail to parse there.

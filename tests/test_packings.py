@@ -211,6 +211,12 @@ class TestDispatcher:
         (47, "7d389d681fda3bb38298b55befbf6bb3eef7ddde5c1410cc02cdbcda6acc0fdb"),
         (50, "7c8c90bb26673f06400362979fbfeaacb9cad05a4888e6420d80a11743853d2e"),
         (51, "6f19987c129fd284fe122b796e47bfea86b87f6e04b62daba05663b31c9163f9"),
+        # TD(4, n) over GF(4), GF(8), GF(9), GF(16) and GF(81)
+        (16, "786d4525f10f65c4f2aaee054ed6f980f1c16032f6d17c2ff2a5096dbe3bb505"),
+        (32, "bdfb48283161e4c4206d7bf742a7fa06172208fec3357ca6d60de96c997aa4ae"),
+        (36, "89ca851fe24287ae2bdbaa40968215c8069a97af64ebba8e20ac779f7e668c00"),
+        (64, "97c6117c9c88089bc61505d49f02a4455b8d420a1d8b4e6965cbe021ebcac675"),
+        (324, "3034eaf80de3beca5ac3a05a70453fd1d6c45cc158415af093ce0d372dbab04f"),
     ])
     def test_pack_max_bytes(self, v, digest):
         out = io.StringIO()

@@ -13,7 +13,7 @@ from designcolour import td
 from designcolour.td import td_symbol_rows
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32])
 def test_field_axioms_exhaustively(q):
     gf = field_table(q)
     elems = range(q)
@@ -34,6 +34,79 @@ def test_field_axioms_exhaustively(q):
         assert 0 in gf.add[a]
         if a:
             assert 1 in gf.mul[a]
+
+
+def _prime_powers(limit):
+    """(q, p, e) for every prime power q <= limit, found by trial division."""
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+    return [(p**e, p, e) for p in primes for e in range(1, limit.bit_length()) if p**e <= limit]
+
+
+def _digits(n, p, width):
+    return [n // p**j % p for j in range(width)]
+
+
+def _has_monic_factor(poly, p):
+    """Whether the monic poly (coefficients of x^0..x^e) has a monic
+    factor of degree 1..e/2, by long division over GF(p)."""
+    e = len(poly) - 1
+    for d in range(1, e // 2 + 1):
+        for n in range(p**d):
+            divisor = _digits(n, p, d) + [1]
+            rem = list(poly)
+            for i in range(e, d - 1, -1):
+                c = rem[i]
+                for j in range(d + 1):
+                    rem[i - d + j] = (rem[i - d + j] - c * divisor[j]) % p
+            if not any(rem[:d]):
+                return True
+    return False
+
+
+def _poly_times_mod(a, b, modulus, p):
+    """a*b modulo the monic modulus, all as coefficient lists over GF(p)."""
+    e = len(modulus) - 1
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(len(prod) - 1, e - 1, -1):
+        c = prod[i]
+        for j in range(e + 1):
+            prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
+    return prod[:e]
+
+
+@pytest.mark.parametrize("p", [p for q, p, e in _prime_powers(256) if e == 1])
+def test_prime_field_is_integers_mod_p(p):
+    gf = field_table(p)
+    assert (gf.q, gf.p, gf.e) == (p, p, 1)
+    assert gf.add == tuple(tuple((i + j) % p for j in range(p)) for i in range(p))
+    assert gf.mul == tuple(tuple((i * j) % p for j in range(p)) for i in range(p))
+
+
+@pytest.mark.parametrize("q,p,e", [t for t in _prime_powers(256) if t[2] > 1])
+def test_extension_field_labelling(q, p, e):
+    # Element i is the polynomial whose coefficients are i's base-p
+    # digits, and the modulus x^e + f has the least f read as a base-p
+    # integer.  The element p is x, and x^e = x * x^(e-1) = -f.
+    gf = field_table(q)
+    assert (gf.q, gf.p, gf.e) == (q, p, e)
+    f = [-c % p for c in _digits(gf.mul[p][q // p], p, e)]
+    assert not _has_monic_factor(f + [1], p)
+    f_value = sum(c * p**j for j, c in enumerate(f))
+    assert all(_has_monic_factor(_digits(smaller, p, e) + [1], p) for smaller in range(f_value))
+    digits = [_digits(i, p, e) for i in range(q)]
+    for i in range(q):
+        assert [_digits(s, p, e) for s in gf.add[i]] == [
+            [(a + b) % p for a, b in zip(digits[i], digits[j])] for j in range(q)
+        ]
+    # rows x and q - 1 (every digit p - 1) against polynomial products
+    # modulo x^e + f
+    for i in (p, q - 1):
+        assert [_digits(m, p, e) for m in gf.mul[i]] == [
+            _poly_times_mod(digits[i], digits[j], f + [1], p) for j in range(q)
+        ]
 
 
 def test_non_prime_power_rejected():
