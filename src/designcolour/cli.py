@@ -77,9 +77,19 @@ def _read(path: str) -> str:
         raise ValueError(exc) from None
 
 
+# A design argument holding any of these characters is a path, never a
+# catalog name.
+_PATH_CHARS = frozenset(filter(None, (".", os.sep, os.altsep)))
+
+
 def _load(path: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
-    """A positional design argument is a file path or a catalog name."""
-    if os.path.exists(path):
+    """A positional design argument is a file path or a catalog name.
+
+    An existing file, or an argument with a path separator or a dot, is
+    read as a file, so a mistyped path fails as an unreadable file; any
+    other argument names a catalog entry.
+    """
+    if os.path.exists(path) or not _PATH_CHARS.isdisjoint(path):
         return parse_design(_read(path))
     entry = catalog_get(path)
     return entry.design, entry.grouping, entry.colouring

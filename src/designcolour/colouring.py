@@ -151,13 +151,30 @@ def _equitable_violations(kind: str, sets, a, c: int) -> list[Violation]:
     Point p gets the code 1 << (t*a[p]), 2**t above every set size, so a
     set's code sum holds its colour counts as t-bit digits; the sums are
     taken in C and only the sets whose sum fails are counted one by one.
+    Sets of four are unpacked into four codes, and their sums tested
+    against at most `_DECODED_SUMS` sums already decoded as balanced.
     """
-    t = max(map(len, sets), default=0).bit_length() or 1
+    sizes = set(map(len, sets))
+    t = max(sizes, default=0).bit_length() or 1
     suspects = range(len(sets))
     if t * c * (len(a) + _DECODED_SUMS) <= _MAX_CODE_BITS:
         code = [1 << t * colr for colr in a]
-        sums = map(sum, map(map, repeat(code.__getitem__), sets))
-        suspects = compress(suspects, map(_unbalanced_sums(t, c), sums))
+        unbalanced = _unbalanced_sums(t, c)
+        if sizes == {4}:
+            suspects = []
+            balanced: set[int] = set()
+            i = 0
+            for w, x, y, z in sets:
+                total = code[w] + code[x] + code[y] + code[z]
+                if total not in balanced:
+                    if unbalanced(total):
+                        suspects.append(i)
+                    elif len(balanced) < _DECODED_SUMS:
+                        balanced.add(total)
+                i += 1
+        else:
+            sums = map(sum, map(map, repeat(code.__getitem__), sets))
+            suspects = compress(suspects, map(unbalanced, sums))
     violations = []
     for i in suspects:
         members = sets[i]

@@ -35,6 +35,32 @@ class InternalConsistencyError(AssertionError):
     """
 
 
+# A colouring search and a singleton grouping build a table entry per
+# point; above this many points they refuse before allocating one, so a
+# hostile v fails cleanly.
+_MAX_TABLE_POINTS = 1 << 20
+
+
+def _check_table_points(v: int, what: str) -> None:
+    """Raise UnsupportedParameterError when v exceeds `_MAX_TABLE_POINTS`."""
+    if v > _MAX_TABLE_POINTS:
+        raise UnsupportedParameterError(
+            f"{what} on {v} points exceeds the {_MAX_TABLE_POINTS}-point limit"
+        )
+
+
+def _ascending_fours(blocks: Sequence[Block], v: int) -> bool:
+    """Whether every sorted block has four points, all distinct and in
+    0..v-1: one chained test per block, the fast path of `Design`."""
+    try:
+        for a, b, c, e in blocks:
+            if not 0 <= a < b < c < e < v:
+                return False
+    except ValueError:  # a block of another size
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Design:
     """A block design on points 0..v-1.
@@ -62,16 +88,25 @@ class Design:
                 short = next(blk for blk in canon if len(blk) < 2)
                 raise DesignError(f"block {short!r} has fewer than two points")
         else:
-            canon = []
-            for raw in self.blocks:
-                blk = tuple(sorted(raw))
-                if len(blk) < 2:
-                    raise DesignError(f"block {tuple(raw)!r} has fewer than two points")
-                if len(set(blk)) != len(blk):
-                    raise DesignError(f"block {tuple(raw)!r} has a repeated point")
-                if blk[0] < 0 or blk[-1] >= self.v:
-                    raise DesignError(f"block {tuple(raw)!r} out of range for v={self.v}")
-                canon.append(blk)
+            raws = tuple(self.blocks)
+            try:
+                canon = list(map(tuple, map(sorted, raws)))
+                fours = _ascending_fours(canon, self.v)
+            except TypeError:
+                # an unorderable block: sorted again one block at a time
+                # below, so it raises only after any earlier block's error
+                canon, fours = map(tuple, map(sorted, raws)), False
+            if not fours:
+                checked = []
+                for raw, blk in zip(raws, canon):
+                    if len(blk) < 2:
+                        raise DesignError(f"block {tuple(raw)!r} has fewer than two points")
+                    if len(set(blk)) != len(blk):
+                        raise DesignError(f"block {tuple(raw)!r} has a repeated point")
+                    if blk[0] < 0 or blk[-1] >= self.v:
+                        raise DesignError(f"block {tuple(raw)!r} out of range for v={self.v}")
+                    checked.append(blk)
+                canon = checked
         object.__setattr__(self, "blocks", tuple(sorted(canon)))
 
     @classmethod
@@ -169,6 +204,7 @@ class Grouping:
     @classmethod
     def singletons(cls, v: int) -> "Grouping":
         """The trivial grouping with one point per group."""
+        _check_table_points(v, "a singleton grouping")
         return cls(v, tuple((p,) for p in range(v)))
 
 
@@ -292,7 +328,8 @@ def _neighbour_masks(d: Design) -> Optional[list[int]]:
     every point that shares a block with p, or 0 when p is on no block.
 
     It walks each block once and ORs the block's point bits into each
-    member's mask.  Point p lies on a repeated pair exactly when its mask
+    member's mask; a design of blocks of four unpacks each into four
+    points.  Point p lies on a repeated pair exactly when its mask
     has at most sum(|B| - 1) bits over the blocks B through p, and the
     blocks cover sum(popcount - 1) / 2 distinct pairs over the points on
     some block (`_mask_pairs`).  Returns None for a sparse design, whose
@@ -304,6 +341,14 @@ def _neighbour_masks(d: Design) -> Optional[list[int]]:
         return None
     bit = [1 << p for p in range(v)]
     masks = [0] * v
+    if d.uniform and d.k == 4:
+        for a, b, c, e in d.blocks:
+            m = bit[a] | bit[b] | bit[c] | bit[e]
+            masks[a] |= m
+            masks[b] |= m
+            masks[c] |= m
+            masks[e] |= m
+        return masks
     for blk in d.blocks:
         m = 0
         for p in blk:

@@ -265,7 +265,9 @@ def _with_isolated_point(packed: ColouredPacking) -> ColouredPacking:
     """Append one isolated point, assigning it to the smaller colour class."""
     sizes = packed.colouring.class_sizes()
     target = sizes.index(min(sizes))
-    design = Design(packed.design.v + 1, packed.design.blocks, packed.design.lambda_)
+    inner = packed.design
+    # a Design's blocks are canonical, and stay so with one more point
+    design = Design._from_canonical(inner.v + 1, inner.blocks, inner.lambda_)
     return _packing(design, Colouring(packed.colouring.c, packed.colouring.assignment + (target,)))
 
 

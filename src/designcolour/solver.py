@@ -49,6 +49,7 @@ from .core import (
     Grouping,
     InternalConsistencyError,
     UnsupportedParameterError,
+    _check_table_points,
     _distinct_pairs,
 )
 
@@ -369,6 +370,7 @@ def _build_problem(
     """
     if mode not in MODES:
         raise DesignError(f"unknown colouring mode {mode!r}")
+    _check_table_points(d.v, "a colouring search")
     if mode in GROUP_MODES and g is None:
         raise UnsupportedParameterError(f"mode {mode!r} requires a grouping")
     if mode == "weak":

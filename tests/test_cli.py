@@ -15,6 +15,7 @@ from designcolour.cli import (
     EXIT_VALIDATION,
     cli_main,
 )
+from designcolour.fileio import render_design
 
 
 def run(argv):
@@ -300,6 +301,27 @@ class TestExitCodes:
             assert err.startswith("error: [Errno ") and err.endswith(f"{str(path)!r}\n"), argv
             assert err.count("\n") == 1, argv
 
+    def test_missing_design_path_is_an_unreadable_file(self, tmp_path, monkeypatch, capsys):
+        # an argument with a dot or a path separator is a path, so a
+        # missing design file fails as a missing --colouring does; a bare
+        # unknown name is still looked up in the catalog
+        monkeypatch.chdir(tmp_path)
+        for argv, path in (
+            (["verify", "missing.design"], "missing.design"),
+            (["chromatic", "sts7.txt"], "sts7.txt"),
+            (["pclasses", os.path.join("nowhere", "sts7")], os.path.join("nowhere", "sts7")),
+            (["construct", "blowup", "missing.design", "2"], "missing.design"),
+        ):
+            assert run(argv) == (EXIT_VALIDATION, ""), argv
+            err = capsys.readouterr().err
+            assert err == f"error: [Errno 2] No such file or directory: {path!r}\n", argv
+        assert run(["verify", "sts99"]) == (EXIT_UNSUPPORTED, "")
+        err = capsys.readouterr().err
+        assert err.startswith("unsupported: unknown catalog entry 'sts99' (known: ") and "sts7" in err
+        # an existing file is read whatever its name
+        (tmp_path / "sts7").write_text(render_design(designcolour.catalog_get("sts9").design))
+        assert "v: 9" in run(["verify", "sts7"])[1]
+
     def test_huge_order_with_too_few_blocks(self, tmp_path):
         # two blocks cannot cover 2**36 points, so no class search starts
         # and nothing of size v is allocated; one process at a time, each
@@ -316,6 +338,10 @@ class TestExitCodes:
             (["pclasses", str(path)], (EXIT_OK, "classes: 0\n")),
             (["pclasses", str(path), "--analyze"], (EXIT_OK, "histogram: chi,chi_M,count\n")),
             (["construct", "pc-to-gdd", str(path)], (EXIT_UNSUPPORTED, "")),
+            # a colouring search and a singleton grouping refuse more than
+            # 2**20 points before allocating a table entry per point
+            (["chromatic", str(path), "--budget-nodes", "10"], (EXIT_UNSUPPORTED, "")),
+            (["construct", "blowup", str(path), "2"], (EXIT_UNSUPPORTED, "")),
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "designcolour.cli", *argv],

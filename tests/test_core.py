@@ -13,6 +13,7 @@ from designcolour import (
     UnsupportedParameterError,
     admissible,
     catalog_get,
+    decide_colourable,
     is_transversal,
     validate_bibd,
     validate_gdd,
@@ -229,6 +230,15 @@ class TestHostileDesigns:
             Grouping(2**40, ((0, 1, 2), (3, 4, 5)))
         with pytest.raises(DesignError, match="different point count"):
             validate_gdd(self.HUGE, Grouping(6, ((0, 1, 2), (3, 4, 5))))
+
+    def test_point_tables_of_huge_order_are_refused(self):
+        # a colouring search and a singleton grouping build an entry per
+        # point, so above 2**20 points they refuse before allocating one
+        with pytest.raises(UnsupportedParameterError, match="exceeds the 1048576-point limit"):
+            Grouping.singletons(2**20 + 1)
+        with pytest.raises(UnsupportedParameterError, match="exceeds the 1048576-point limit"):
+            decide_colourable(self.HUGE, None, 2, "weak")
+        assert Grouping.singletons(3).groups == ((0,), (1,), (2,))
 
     def test_wide_matching_stays_small(self):
         # 10**5 points on 5*10**4 disjoint pairs: v-bit masks for every
