@@ -16,9 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import Optional, Union
 
+from . import td
 from .catalog import catalog_get
 from .colouring import Colouring, check_block_equitable, pair_stats_equitable
 from .core import (
@@ -30,12 +32,16 @@ from .core import (
     Violation,
     validate_packing,
 )
-from .td import UnsupportedOrderError, build_td
+from .td import UnsupportedOrderError
 
 
 @dataclass(frozen=True)
 class ColouredPacking:
-    """A validated packing with a block-equitable colouring attached."""
+    """A validated packing with a block-equitable colouring attached.
+
+    Every public constructor below builds its output unchecked and wraps
+    it here once, so each output is validated exactly once.
+    """
 
     design: Design
     colouring: Colouring
@@ -119,16 +125,26 @@ def _packing(design: Design, colouring: Colouring) -> ColouredPacking:
     return ColouredPacking(design, colouring, design.b == bound_max_equitable(design.v, 4, 2).value)
 
 
-def td_packing_coloured(k: int, g: int, c: int) -> ColouredPacking:
-    """A TD(k, g) viewed as a packing on kg points, coloured in k/c-group
-    bands; its g^2 blocks meet the general bound exactly when c divides k."""
+def _td_packing(k: int, g: int, c: int) -> tuple[Design, Colouring]:
+    """The blocks of a TD(k, g), coloured in k/c-group bands, unchecked.
+
+    The caller's packing check is their certificate: a slip in the TD
+    that repeats a cross pair fails it, and one that only leaves a cross
+    pair uncovered still gives a valid packing of g^2 blocks.
+    """
     if c < 2:
         raise DesignError("colour count must be at least 2")
     if k % c:
         raise UnsupportedParameterError(f"colour count {c} must divide block size {k}")
-    design, grouping = build_td(k, g)
+    design, grouping = td._td_from_rows(k, g, td.td_symbol_rows(k, g))
     band = k // c
-    colouring = Colouring(c, tuple(gi // band for gi in grouping.group_index))
+    return design, Colouring(c, tuple(gi // band for gi in grouping.group_index))
+
+
+def td_packing_coloured(k: int, g: int, c: int) -> ColouredPacking:
+    """A TD(k, g) viewed as a packing on kg points, coloured in k/c-group
+    bands; its g^2 blocks meet the general bound exactly when c divides k."""
+    design, colouring = _td_packing(k, g, c)
     _, floor = bound_general(k * g, k, c)
     return ColouredPacking(design, colouring, design.b == floor)
 
@@ -227,20 +243,25 @@ def _rotation_families(n: int) -> list[tuple[int, int, int]]:
 
 def _pack_4n_rotation(n: int) -> tuple[Design, Colouring]:
     period = 2 * n
+    # each row is listed twice, so the column of i + c for i = 0..period-1
+    # is the slice from c
+    row1 = list(range(period)) * 2
+    row2 = list(range(period, 2 * period)) * 2
     blocks = []
     for x, y, z in _rotation_families(n):
-        for i in range(period):
-            blocks.append(
-                (
-                    i,
-                    (i + x) % period,
-                    period + (i + y) % period,
-                    period + (i + z) % period,
-                )
-            )
-    design = Design(4 * n, tuple(blocks))
-    colouring = Colouring(2, (0,) * period + (1,) * period)
-    return design, colouring
+        blocks += zip(range(period), row1[x:], row2[y:], row2[z:])
+    return Design(4 * n, tuple(blocks)), Colouring(2, (0,) * period + (1,) * period)
+
+
+def _pack_4n(n: int) -> tuple[Design, Colouring]:
+    if n < 1:
+        raise DesignError("n must be positive")
+    if n in (2, 6):
+        raise UnsupportedOrderError(f"no PD({4 * n},4,1) of size n^2: order {n} unsupported")
+    try:
+        return _td_packing(4, n, 2)
+    except UnsupportedOrderError:
+        return _pack_4n_rotation(n)
 
 
 def pack_4n(n: int) -> ColouredPacking:
@@ -250,29 +271,38 @@ def pack_4n(n: int) -> ColouredPacking:
     colour); orders n = 2 (mod 4) beyond the reach of the prime-power
     product fall back to the two-row rotation construction.
     """
-    if n < 1:
-        raise DesignError("n must be positive")
-    if n in (2, 6):
-        raise UnsupportedOrderError(f"no PD({4 * n},4,1) of size n^2: order {n} unsupported")
-    try:
-        return td_packing_coloured(4, n, 2)
-    except UnsupportedOrderError:
-        design, colouring = _pack_4n_rotation(n)
-    return _packing(design, colouring)
+    return _packing(*_pack_4n(n))
 
 
-def _with_isolated_point(packed: ColouredPacking) -> ColouredPacking:
+def _with_isolated_point(design: Design, colouring: Colouring) -> tuple[Design, Colouring]:
     """Append one isolated point, assigning it to the smaller colour class."""
-    sizes = packed.colouring.class_sizes()
+    sizes = colouring.class_sizes()
     target = sizes.index(min(sizes))
-    inner = packed.design
     # a Design's blocks are canonical, and stay so with one more point
-    design = Design._from_canonical(inner.v + 1, inner.blocks, inner.lambda_)
-    return _packing(design, Colouring(packed.colouring.c, packed.colouring.assignment + (target,)))
+    extended = Design._from_canonical(design.v + 1, design.blocks, design.lambda_)
+    return extended, Colouring(colouring.c, colouring.assignment + (target,))
 
 
 # ---------------------------------------------------------------------------
 # v = 4n+2, n odd
+
+
+def _pack_4n2_odd(n: int) -> tuple[Design, Colouring]:
+    if n < 3 or n % 2 == 0:
+        raise UnsupportedParameterError("this construction needs odd n >= 3")
+    s = (n - 1) // 2
+    m = 2 * s + 2
+    # row r holds points 2s + (r-2)m + (x mod m); each is listed twice, so
+    # the column of x + c for x = 0..m-1 is the slice from c mod m
+    row2, row3, row4 = (list(range(2 * s + r * m, 2 * s + (r + 1) * m)) * 2 for r in range(3))
+    blocks = []
+    for i in range(2 * s):
+        shift = s + 2 * i + 5 + (1 if i >= s else 0)
+        blocks += zip(repeat(i), row2[:m], row3[(i + 3) % m:], row4[shift % m:])
+    blocks += zip(row2[:m], row2[m - 1:], row3[1:], row4[(s + 2) % m:])
+    v = 8 * s + 6
+    split = 2 * s + m
+    return Design(v, tuple(blocks)), Colouring(2, (0,) * split + (1,) * (v - split))
 
 
 def pack_4n2_odd(n: int) -> ColouredPacking:
@@ -282,34 +312,7 @@ def pack_4n2_odd(n: int) -> ColouredPacking:
     (n = 2s+1); rows 1-2 form one colour class and rows 3-4 the other.
     Indices within rows 2-4 are taken modulo 2s+2.
     """
-    if n < 3 or n % 2 == 0:
-        raise UnsupportedParameterError("this construction needs odd n >= 3")
-    s = (n - 1) // 2
-    m = 2 * s + 2
-
-    def row1(x: int) -> int:
-        return x
-
-    def row(r: int, x: int) -> int:
-        return 2 * s + (r - 2) * m + x % m
-
-    blocks = []
-    for i in range(2 * s):
-        for j in range(m):
-            blocks.append(
-                (
-                    row1(i),
-                    row(2, j),
-                    row(3, i + j + 3),
-                    row(4, s + 2 * i + j + 5 + (1 if i >= s else 0)),
-                )
-            )
-    for j in range(m):
-        blocks.append((row(2, j), row(2, j - 1), row(3, j + 1), row(4, s + 2 + j)))
-    v = 8 * s + 6
-    design = Design(v, tuple(blocks))
-    split = 2 * s + m
-    return _packing(design, Colouring(2, (0,) * split + (1,) * (v - split)))
+    return _packing(*_pack_4n2_odd(n))
 
 
 # ---------------------------------------------------------------------------
@@ -492,63 +495,77 @@ def pairs_for_s(s: int) -> PairsProfile:
     return profile
 
 
+def _pack_from_pairs(p: PairsProfile) -> tuple[Design, Colouring]:
+    report = verify_pairs_profile(p)
+    if not report.passed:
+        raise DesignError(f"pairs profile fails verification: {report.violations[:3]}")
+    s, t = p.s, p.t
+    m = 4 * s
+
+    # x takes the point at infinity 2m + (parity of x's step along the
+    # cycles of +d), so x and x + d never share one
+    g = gcd(p.d, m)
+    cycle = m // g
+    inv = pow(p.d // g, -1, cycle)
+    infinity = [2 * m + (x // g * inv) % cycle % 2 for x in range(m)]
+    if any(infinity[x] == infinity[(x + p.d) % m] for x in range(m)):
+        raise InternalConsistencyError("parity labelling fails to alternate")
+
+    # each row is listed twice, so the column of x + c for x = 0..m-1 is
+    # the slice from c mod m
+    row1 = list(range(m)) * 2
+    row2 = list(range(m, 2 * m)) * 2
+    blocks = []
+    for a, b in p.pairs:
+        blocks += zip(range(m), row1[(a + b) % m:], row2[a:], row2[b:])
+    blocks += zip(range(2 * s), row1[2 * s:], row2, row2[2 * s:])
+    blocks += zip(infinity, range(m), row2[m - t:], row2[t:])
+    v = 8 * s + 2
+    return Design(v, tuple(blocks)), Colouring(2, (0,) * m + (1,) * m + (0, 0))
+
+
 def pack_from_pairs(p: PairsProfile) -> ColouredPacking:
     """A PD(8s+2, 4, 1) of size 4s^2 + 2s built from a difference profile.
 
     Points: row 1 at 0..4s-1, row 2 at 4s..8s-1, then the two points at
     infinity.  Row 1 plus the infinity points form one colour class.
     """
-    report = verify_pairs_profile(p)
-    if not report.passed:
-        raise DesignError(f"pairs profile fails verification: {report.violations[:3]}")
-    s, t = p.s, p.t
-    m = 4 * s
-    inf0, inf1 = 2 * m, 2 * m + 1
-
-    g = gcd(p.d, m)
-    cycle = m // g
-    inv = pow(p.d // g, -1, cycle)
-
-    def h(x: int) -> int:
-        alpha = x % g
-        beta = ((x - alpha) // g * inv) % cycle
-        return beta % 2
-
-    for x in range(m):
-        if h(x) == h((x + p.d) % m):
-            raise InternalConsistencyError("parity labelling fails to alternate")
-
-    def r1(x: int) -> int:
-        return x % m
-
-    def r2(x: int) -> int:
-        return m + x % m
-
-    blocks = []
-    for a, b in p.pairs:
-        for x in range(m):
-            blocks.append((r1(x), r1(x + a + b), r2(x + a), r2(x + b)))
-    for x in range(2 * s):
-        blocks.append((r1(x), r1(x + 2 * s), r2(x), r2(x + 2 * s)))
-    for x in range(m):
-        blocks.append((inf0 if h(x) == 0 else inf1, r1(x), r2(x - t), r2(x + t)))
-    v = 8 * s + 2
-    design = Design(v, tuple(blocks))
-    return _packing(design, Colouring(2, (0,) * m + (1,) * m + (0, 0)))
+    return _packing(*_pack_from_pairs(p))
 
 
 # ---------------------------------------------------------------------------
 # sporadic orders
 
 
-def pack_small(v: int) -> ColouredPacking:
-    """The stored maximum coloured packings for v in {7, 11, 24, 25}."""
+def _stored(v: int) -> tuple[Design, Colouring]:
     if v not in (7, 11, 24, 25):
         raise UnsupportedParameterError(f"no stored packing for v={v}")
     entry = catalog_get(f"pack{v}")
     if entry.colouring is None:
         raise InternalConsistencyError(f"stored packing pack{v} has no colouring")
-    return _packing(entry.design, entry.colouring)
+    return entry.design, entry.colouring
+
+
+def pack_small(v: int) -> ColouredPacking:
+    """The stored maximum coloured packings for v in {7, 11, 24, 25}."""
+    return _packing(*_stored(v))
+
+
+def _max_unchecked(v: int) -> tuple[Design, Colouring]:
+    """The maximum packing of an achievable order v, before its check."""
+    if v < 4:
+        return Design(v, ()), Colouring(2, tuple(p % 2 for p in range(v)))
+    if v in (7, 11, 24, 25):
+        return _stored(v)
+    n, r = divmod(v, 4)
+    if r < 2:
+        even = _pack_4n(n)
+    elif n % 2:
+        even = _pack_4n2_odd(n)
+    else:
+        even = _pack_from_pairs(pairs_for_s(n // 2))
+    # an odd order is the even order below it plus an isolated point
+    return _with_isolated_point(*even) if r % 2 else even
 
 
 def max_equitable_packing(v: int) -> Union[ColouredPacking, Unachievable]:
@@ -558,25 +575,12 @@ def max_equitable_packing(v: int) -> Union[ColouredPacking, Unachievable]:
     value cannot be met return an Unachievable marker instead.  Orders
     v = 4n and 4n + 1 with n = 2 (mod 4), n >= 10, rest on the rotation
     search of `_rotation_families`, which raises UnsupportedOrderError at
-    n = 94 and 98 after about 6 minutes each.
+    n = 94 and 98 after about 6 minutes each.  The packing is validated
+    once, as the packing it is, after any isolated point is appended.
     """
     if v < 0:
         raise UnsupportedParameterError("v must be non-negative")
     bound = bound_max_equitable(v, 4, 2)
     if not bound.achievable:
         return Unachievable(v, 4, 2, bound.value)
-    if v < 4:
-        return _packing(Design(v, ()), Colouring(2, tuple(p % 2 for p in range(v))))
-    if v in (7, 11, 24, 25):
-        return pack_small(v)
-    n, r = divmod(v, 4)
-    if r == 0:
-        return pack_4n(n)
-    if r == 2:
-        if n % 2:
-            return pack_4n2_odd(n)
-        return pack_from_pairs(pairs_for_s(n // 2))
-    inner = max_equitable_packing(v - 1)
-    if not isinstance(inner, ColouredPacking):
-        raise InternalConsistencyError(f"no packing of order {v - 1} to extend")
-    return _with_isolated_point(inner)
+    return _packing(*_max_unchecked(v))

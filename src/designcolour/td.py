@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import add
 
 from .core import (
     Design,
@@ -114,21 +116,24 @@ def _td_prime_power(k: int, q: int) -> list[tuple[int, ...]]:
     gf = field_table(q)
     blocks = []
     for a in range(q):
-        rows = [gf.add[m] for m in gf.mul[a][:k]]
-        infinity = (a,) * (k - q)  # one symbol when k = q + 1, else none
-        blocks += [tuple([row[b] for row in rows]) + infinity for b in range(q)]
+        # column i lists symbol a*m_i + b for b = 0..q-1
+        columns = [gf.add[m] for m in gf.mul[a][:k]]
+        columns += [(a,) * q] * (k - q)  # the infinity group when k = q + 1
+        blocks += zip(*columns)
     return blocks
 
 
 def _td_product(
-    rows1: list[tuple[int, ...]], g1: int, rows2: list[tuple[int, ...]], g2: int, k: int
+    rows1: list[tuple[int, ...]], rows2: list[tuple[int, ...]], g2: int
 ) -> list[tuple[int, ...]]:
-    """Composition of symbol-tuple TDs: symbols pair up componentwise."""
-    return [
-        tuple(r1[i] * g2 + r2[i] for i in range(k))
-        for r1 in rows1
-        for r2 in rows2
+    """Composition of symbol-tuple TDs: the row of r1 and r2 takes symbol
+    r1[i]*g2 + r2[i] in group i, ordered by r1, then by r2."""
+    n2 = len(rows2)
+    columns = [
+        map(add, chain.from_iterable(repeat(s1 * g2, n2) for s1 in col1), col2 * len(rows1))
+        for col1, col2 in zip(zip(*rows1), zip(*rows2))
     ]
+    return list(zip(*columns))
 
 
 def td_symbol_rows(k: int, g: int) -> list[tuple[int, ...]]:
@@ -152,16 +157,14 @@ def td_symbol_rows(k: int, g: int) -> list[tuple[int, ...]]:
             f"no supported TD({k},{g}): prime-power factor {min(qs)} admits at most {min(qs) + 1} groups"
         )
     rows = _td_prime_power(k, qs[0])
-    size = qs[0]
     for q in qs[1:]:
-        rows = _td_product(rows, size, _td_prime_power(k, q), q, k)
-        size *= q
+        rows = _td_product(rows, _td_prime_power(k, q), q)
     return rows
 
 
 def _td_from_rows(k: int, g: int, rows: Sequence[tuple[int, ...]]) -> tuple[Design, Grouping]:
     """The TD(k, g) with the given symbol rows; point x of group i is i*g + x."""
-    blocks = tuple(tuple(i * g + s for i, s in enumerate(row)) for row in rows)
+    blocks = tuple(zip(*(map(add, repeat(i * g), col) for i, col in enumerate(zip(*rows)))))
     groups = tuple(tuple(range(i * g, (i + 1) * g)) for i in range(k))
     return Design(k * g, blocks), Grouping(k * g, groups)
 

@@ -106,7 +106,8 @@ def pc_to_gdd(d: Design, pc: ParallelClass) -> tuple[Design, Grouping]:
 def delete_point(d: Design, y: int) -> tuple[Design, Grouping]:
     """Delete a point of a BIBD with lambda=1; the blocks through it become
     groups.  Points above y shift down by one to stay contiguous.  Raises
-    InternalConsistencyError if a BIBD yields no GDD."""
+    DesignError, naming the source's points, when some point shares no
+    block with y, and InternalConsistencyError if a BIBD yields no GDD."""
     if not 0 <= y < d.v:
         raise UnsupportedParameterError(f"point {y} out of range")
     if d.lambda_ != 1:
@@ -117,11 +118,16 @@ def delete_point(d: Design, y: int) -> tuple[Design, Grouping]:
 
     groups = []
     blocks = []
+    met = {y}
     for blk in d.blocks:
         if y in blk:
+            met.update(blk)
             groups.append(tuple(relabel(p) for p in blk if p != y))
         else:
             blocks.append(tuple(relabel(p) for p in blk))
+    if len(met) < d.v:
+        lone = [p for p in range(d.v) if p not in met]
+        raise DesignError(f"point {y} shares no block with {len(lone)} points: {lone[:5]}")
     design, grouping = Design(d.v - 1, tuple(blocks), 1), Grouping(d.v - 1, tuple(groups))
     # a source that holds every pair once, uniform or not, leaves a GDD
     if not _is_gdd(design, grouping) and _covers_exactly(d, comb(d.v, 2)):

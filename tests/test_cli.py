@@ -186,6 +186,12 @@ class TestConstructVerify:
         assert code == EXIT_OK
         assert "group:" in text
 
+    def test_delete_point_names_the_points_outside_every_group(self, tmp_path, capsys):
+        path = tmp_path / "two.design"
+        path.write_text("design v=10 k=2 lambda=1\nblock: 0 1\nblock: 2 3\n")
+        assert run(["construct", "delete-point", str(path), "0"]) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == "error: point 0 shares no block with 8 points: [2, 3, 4, 5, 6]\n"
+
     def test_td_colour(self, tmp_path):
         code, text = run(["construct", "td-colour", "5", "4"])
         assert code == EXIT_OK

@@ -239,7 +239,6 @@ def test_no_hidden_module_state():
 # The functions that call themselves, each with the bound on its depth.
 BOUNDED_RECURSION = {
     "colouring.py:brute_min_monochrome.rec": "one level per point, at most 24 by the enumeration guard",
-    "packings.py:max_equitable_packing": "one step, from an order 4n + 1 or 4n + 3 to one it builds directly",
     "packings.py:_rotation_families.rec": "at most 40,000 nodes, the search's own cap",
 }
 

@@ -8,6 +8,7 @@ import pytest
 from designcolour import (
     ColouredPacking,
     DesignError,
+    InternalConsistencyError,
     PairsProfile,
     Unachievable,
     UnsupportedParameterError,
@@ -24,6 +25,7 @@ from designcolour import (
     validate_packing,
     verify_pairs_profile,
 )
+from designcolour import core, packings, td
 from designcolour.cli import EXIT_OK, cli_main
 from designcolour.td import UnsupportedOrderError
 
@@ -84,6 +86,20 @@ class TestTdPackingColoured:
     def test_colours_must_divide(self):
         with pytest.raises(UnsupportedParameterError):
             td_packing_coloured(4, 5, 3)
+
+    def test_corrupted_symbol_row_raises(self, monkeypatch):
+        # the packing check is the only check of these blocks: one symbol
+        # moved in one row puts a cross pair in two blocks
+        rows = td.td_symbol_rows(4, 5)
+
+        def corrupted(k, g):
+            bad = list(rows)
+            bad[7] = (bad[7][0], bad[7][1], (bad[7][2] + 1) % g, bad[7][3])
+            return bad
+
+        monkeypatch.setattr(td, "td_symbol_rows", corrupted)
+        with pytest.raises(InternalConsistencyError, match="constructed packing invalid"):
+            td_packing_coloured(4, 5, 2)
 
 
 class TestPack4n:
@@ -217,11 +233,39 @@ class TestDispatcher:
         (36, "89ca851fe24287ae2bdbaa40968215c8069a97af64ebba8e20ac779f7e668c00"),
         (64, "97c6117c9c88089bc61505d49f02a4455b8d420a1d8b4e6965cbe021ebcac675"),
         (324, "3034eaf80de3beca5ac3a05a70453fd1d6c45cc158415af093ce0d372dbab04f"),
+        # orders of the benchmark's sizes: TD(4, 145) and TD(4, 148) as
+        # products, 4n+1 over GF(81) and over a product (n = 84), 4n+2
+        # with n odd, a difference profile and 4n+3 over one
+        (580, "9a7e805c5e07d98c6d34e7aab632153a07f522fdc611147c2aff40828a8bd8e5"),
+        (592, "3707e546897f1c364cf5de218f2fdf4c10b43ab43a5182913f088beb8bc81375"),
+        (325, "1b61b5dd9b1db72a3b27fe67c1397ca721ec34d8f30576e47094e51fefd23200"),
+        (337, "eabc43dc622f42a21de69c5e7ca762640c4790d18de7c2273dd9fefbf62827bb"),
+        (422, "5c7c81440a6746cd028c78bf971f12d8940528de02f11b36da2ee72edf00f49a"),
+        (978, "029d20d50461e0cd0b0fec14204294ba339852cb5e7a373a179c14e794b99ec4"),
+        (219, "431f2e2fa9a953ae64822e880736dd1c3d4e78b690f93607492c6315777da5e6"),
     ])
     def test_pack_max_bytes(self, v, digest):
         out = io.StringIO()
         assert cli_main(["construct", "pack-max", str(v)], out=out) == EXIT_OK
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("v", [20, 21, 22, 23, 34, 35])
+    def test_each_output_is_checked_once(self, monkeypatch, v):
+        # one order per branch: 4n, 4n+1, 4n+2 with n odd, 4n+3 over it,
+        # a difference profile and 4n+3 over one
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for module, name in ((packings, "validate_packing"), (packings, "check_block_equitable"),
+                             (td, "validate_gdd"), (core, "validate_gdd")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        assert max_equitable_packing(v).size == bound_max_equitable(v, 4, 2).value
+        assert calls == ["validate_packing", "check_block_equitable"]
 
     def test_sweep_to_60(self):
         for v in range(0, 61):

@@ -171,3 +171,39 @@ def test_first_row_is_all_zeros():
             assert rows[0] == (0,) * k, (k, g)
             checked += 1
     assert checked > 300
+
+
+def _rows_by_product_oracle(k, g):
+    """TD(k, g) rows built one row at a time: the rows of GF(q) are
+    (a*m_i + b)_i, plus symbol a for an infinity group, and a product
+    row is r1[i]*q + r2[i] for every row r1 of the factors so far, then
+    every row r2 of GF(q)."""
+    rows = [(0,) * k]
+    for p in range(2, g + 1):
+        if g % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        q = p
+        while g % (q * p) == 0:
+            q *= p
+        gf = field_table(q)
+        factor = [
+            tuple(gf.add[gf.mul[a][i]][b] for i in range(min(k, q))) + (a,) * (k - q)
+            for a in range(q)
+            for b in range(q)
+        ]
+        rows = [tuple(r1[i] * q + r2[i] for i in range(k)) for r1 in rows for r2 in factor]
+    return rows
+
+
+def test_symbol_rows_match_a_per_row_product():
+    composites = 0
+    for g in range(2, 65):
+        for k in (3, 4, 5):
+            try:
+                rows = td_symbol_rows(k, g)
+            except UnsupportedOrderError:
+                continue
+            assert rows == _rows_by_product_oracle(k, g), (k, g)
+            composites += len(td._factor_prime_powers(g)) > 1
+    # (k, g) with g composite and every prime-power factor of g at least k - 1
+    assert composites == 68

@@ -123,6 +123,13 @@ class TestDeletePoint:
         d, g = delete_point(Design(5, ((0, 1, 2), (0, 3, 4))), 0)
         assert g.groups == ((0, 1), (2, 3)) and not validate_gdd(d, g).passed
 
+    def test_point_missing_from_the_groups_is_named_in_the_source(self):
+        # the blocks through 0 meet only point 1; 2..9 would belong to no group
+        with pytest.raises(DesignError, match=r"^point 0 shares no block with 8 points: \[2, 3, 4, 5, 6\]$"):
+            delete_point(Design(10, ((0, 1), (2, 3))), 0)
+        with pytest.raises(DesignError, match=r"^point 9 shares no block with 9 points: \[0, 1, 2, 3, 4\]$"):
+            delete_point(Design(10, ((0, 1), (2, 3))), 9)
+
     def test_lost_block_raises(self, monkeypatch):
         monkeypatch.setattr(transforms, "Design", lambda v, blocks, lam: Design(v, blocks[1:], lam))
         with pytest.raises(InternalConsistencyError, match="deleting point 6 of a BIBD"):
