@@ -61,6 +61,15 @@ def _ascending_fours(blocks: Sequence[Block], v: int) -> bool:
     return True
 
 
+def _size_profile(blocks: Sequence[Block]) -> dict[int, int]:
+    """The number of blocks of each size: one set of the sizes when they
+    are all equal, a count by size otherwise."""
+    sizes = set(map(len, blocks))
+    if len(sizes) == 1:
+        return {sizes.pop(): len(blocks)}
+    return Counter(map(len, blocks))
+
+
 @dataclass(frozen=True)
 class Design:
     """A block design on points 0..v-1.
@@ -84,9 +93,11 @@ class Design:
             raise DesignError("pair multiplicity index must be a positive integer")
         if _canonical:
             canon = self.blocks
-            if min(map(len, canon), default=2) < 2:
+            sizes = _size_profile(canon)
+            if min(sizes, default=2) < 2:
                 short = next(blk for blk in canon if len(blk) < 2)
                 raise DesignError(f"block {short!r} has fewer than two points")
+            object.__setattr__(self, "_sizes", sizes)
         else:
             raws = tuple(self.blocks)
             try:
@@ -107,6 +118,8 @@ class Design:
                         raise DesignError(f"block {tuple(raw)!r} out of range for v={self.v}")
                     checked.append(blk)
                 canon = checked
+            else:
+                object.__setattr__(self, "_sizes", {4: len(canon)} if canon else {})
         object.__setattr__(self, "blocks", tuple(sorted(canon)))
 
     @classmethod
@@ -116,14 +129,17 @@ class Design:
         blocks of a `Design` are, which `pc_to_gdd` passes on in order.
 
         Only the point count, lambda and the block sizes are checked, with
-        the messages and precedence of the constructor; the block list is
+        the messages and precedence of the constructor, and the block
+        counts by size that the check reads are kept; the block list is
         still sorted, which is linear when it is sorted already.
         """
         return cls(v, blocks, lambda_, _canonical=True)
 
     @cached_property
-    def _sizes(self) -> frozenset[int]:
-        return frozenset(map(len, self.blocks))
+    def _sizes(self) -> dict[int, int]:
+        """The number of blocks of each size.  Set on construction when
+        the checks already read the sizes."""
+        return _size_profile(self.blocks)
 
     @property
     def k(self) -> int:
@@ -307,10 +323,10 @@ def _missing_cross_pairs(v: int, gi: Sequence[int], counts: Counter) -> list[int
     return missing
 
 
-# A neighbour mask costs about one bit per point, a pair key over 288
-# bits (a 28-byte int and its entry in the pair-count table).  The kernel
-# runs while the v * v mask bits stay within this many per pair cover
-# they replace.
+# A lower neighbour mask holds a bit for each lesser point, so all of them
+# hold at most v * v / 2 bits; a pair key costs over 288 bits (a 28-byte
+# int and its entry in the pair-count table).  The kernel runs while v * v
+# bits stay within this many per pair cover they replace.
 _MASK_BITS_PER_COVER = 256
 
 # A failed BIBD or GDD check lists at most this many pairs; a larger
@@ -319,48 +335,48 @@ _MAX_LISTED_PAIRS = 1 << 20
 
 
 def _pair_covers(d: Design) -> int:
-    """The sum of C(|B|, 2) over the blocks: pair covers, repeats included."""
-    return sum(map(comb, map(len, d.blocks), repeat(2)))
+    """The sum of C(|B|, 2) over the blocks: pair covers, repeats included,
+    read from the block counts by size (b * C(k, 2) when uniform)."""
+    return sum(n * comb(k, 2) for k, n in d._sizes.items())
 
 
 def _neighbour_masks(d: Design) -> Optional[list[int]]:
-    """The lambda = 1 pair kernel: for each point p, the mask of p and of
-    every point that shares a block with p, or 0 when p is on no block.
+    """The lambda = 1 pair kernel: for each point q, the lower mask of the
+    points p < q that share a block with q (0 when there are none).
 
-    It walks each block once and ORs the block's point bits into each
-    member's mask; a design of blocks of four unpacks each into four
-    points.  Point p lies on a repeated pair exactly when its mask
-    has at most sum(|B| - 1) bits over the blocks B through p, and the
-    blocks cover sum(popcount - 1) / 2 distinct pairs over the points on
-    some block (`_mask_pairs`).  Returns None for a sparse design, whose
-    v * v mask bits would outweigh the pair keys they replace, so a huge
-    v with few blocks allocates nothing of size v.
+    Blocks are sorted, so it walks each block once, ORing the bits of the
+    points before q in the block into q's mask; a design of blocks of four
+    unpacks each into four points, at five ORs on ints no wider than the
+    block's top point.  Each covered pair is one bit, so the blocks cover
+    sum(popcount) distinct pairs (`_mask_pairs`).  Returns None for a
+    sparse design, whose v * v mask bits would outweigh the pair keys they
+    replace, so a huge v with few blocks allocates nothing of size v.
     """
     v = d.v
     if v * v > _MASK_BITS_PER_COVER * _pair_covers(d):
         return None
     bit = [1 << p for p in range(v)]
-    masks = [0] * v
+    low = [0] * v
     if d.uniform and d.k == 4:
         for a, b, c, e in d.blocks:
-            m = bit[a] | bit[b] | bit[c] | bit[e]
-            masks[a] |= m
-            masks[b] |= m
-            masks[c] |= m
-            masks[e] |= m
-        return masks
+            m = bit[a]
+            low[b] |= m
+            m |= bit[b]
+            low[c] |= m
+            low[e] |= m | bit[c]
+        return low
     for blk in d.blocks:
         m = 0
         for p in blk:
+            low[p] |= m
             m |= bit[p]
-        for p in blk:
-            masks[p] |= m
-    return masks
+    return low
 
 
-def _mask_pairs(masks: list[int]) -> int:
-    """The number of distinct pairs that neighbour masks cover."""
-    return (sum(map(int.bit_count, masks)) - len(masks) + masks.count(0)) // 2
+def _mask_pairs(low: list[int]) -> int:
+    """The number of distinct pairs that lower neighbour masks cover: one
+    bit each."""
+    return sum(map(int.bit_count, low))
 
 
 def _distinct_pairs(d: Design) -> Optional[int]:
@@ -402,23 +418,25 @@ def _cross_pair_violations(
     ]
 
 
-def _repeated_pair_violations(d: Design, masks: list[int]) -> list[Violation]:
+def _repeated_pair_violations(d: Design, low: list[int]) -> list[Violation]:
     """The pairs of a lambda = 1 design that lie in two or more blocks,
-    with their counts, in lexicographic order.  Only the blocks through
-    the points that the kernel's masks flag are walked pair by pair."""
+    with their counts, in lexicographic order.  A block puts i of its
+    members below the member q at index i; q's lower mask `low[q]` has
+    fewer bits than the sum of those indices over q's blocks exactly when
+    some pair p < q repeats, and only the pairs p < q of the points so
+    flagged are counted.  It runs only once a check has failed."""
     v = d.v
-    count = [0] * v
+    under = [0] * v
     for blk in d.blocks:
-        n = len(blk) - 1
-        for p in blk:
-            count[p] += n
-    flagged = {p for p, m in enumerate(masks) if m and m.bit_count() <= count[p]}
+        for i, q in enumerate(blk):
+            under[q] += i
+    flagged = {q for q, m in enumerate(low) if m.bit_count() < under[q]}
     through: Counter = Counter()
     for blk in d.blocks:
         if not flagged.isdisjoint(blk):
-            for i, p in enumerate(blk):
-                if p in flagged:
-                    through.update(p * v + q for q in blk[i + 1:])
+            for i, q in enumerate(blk):
+                if q in flagged:
+                    through.update(p * v + q for p in blk[:i])
     return [
         Violation("pair-multiplicity", (divmod(key, v), n))
         for key, n in sorted(through.items())

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Optional, Union
 
 from . import td
-from .catalog import catalog_get
+from .catalog import _BUILDERS
 from .colouring import Colouring, check_block_equitable, pair_stats_equitable
 from .core import (
     Design,
@@ -540,7 +540,8 @@ def pack_from_pairs(p: PairsProfile) -> ColouredPacking:
 def _stored(v: int) -> tuple[Design, Colouring]:
     if v not in (7, 11, 24, 25):
         raise UnsupportedParameterError(f"no stored packing for v={v}")
-    entry = catalog_get(f"pack{v}")
+    # built unchecked, as every builder here is: its caller checks it once
+    entry = _BUILDERS[f"pack{v}"]()
     if entry.colouring is None:
         raise InternalConsistencyError(f"stored packing pack{v} has no colouring")
     return entry.design, entry.colouring

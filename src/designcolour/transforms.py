@@ -106,8 +106,9 @@ def pc_to_gdd(d: Design, pc: ParallelClass) -> tuple[Design, Grouping]:
 def delete_point(d: Design, y: int) -> tuple[Design, Grouping]:
     """Delete a point of a BIBD with lambda=1; the blocks through it become
     groups.  Points above y shift down by one to stay contiguous.  Raises
-    DesignError, naming the source's points, when some point shares no
-    block with y, and InternalConsistencyError if a BIBD yields no GDD."""
+    DesignError, naming the source's points, when two blocks through y
+    share another point or some point shares no block with y, and
+    InternalConsistencyError if a BIBD yields no GDD."""
     if not 0 <= y < d.v:
         raise UnsupportedParameterError(f"point {y} out of range")
     if d.lambda_ != 1:
@@ -121,8 +122,12 @@ def delete_point(d: Design, y: int) -> tuple[Design, Grouping]:
     met = {y}
     for blk in d.blocks:
         if y in blk:
-            met.update(blk)
-            groups.append(tuple(relabel(p) for p in blk if p != y))
+            group = [p for p in blk if p != y]
+            twice = met.intersection(group)
+            if twice:
+                raise DesignError(f"pair {{{y}, {min(twice)}}} lies in two blocks")
+            met.update(group)
+            groups.append(tuple(map(relabel, group)))
         else:
             blocks.append(tuple(relabel(p) for p in blk))
     if len(met) < d.v:

@@ -6,7 +6,6 @@ size takes their generic loops.  Blocks of four drawn here hold up to 60
 blocks, so those paths see many blocks, with the edits that make each of
 them fall back or fail."""
 from functools import lru_cache
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,7 @@ from designcolour import Colouring, Design, DesignError, check_block_equitable, 
 from designcolour.core import _neighbour_masks
 from designcolour.packings import max_equitable_packing
 from test_colouring import equitable_violations_by_counting
-from test_random_instances import oracle_packing
+from test_random_instances import oracle_masks, oracle_packing
 
 EDITS = ("none", "repeated-pair", "duplicate-point", "out-of-range", "other-size", "flipped-colours")
 
@@ -81,17 +80,6 @@ def oracle_design(v, raws):
             return f"block {raw!r} out of range for v={v}"
         canon.append(blk)
     return tuple(sorted(canon))
-
-
-def oracle_masks(d):
-    """Each point's bit with the bits of every point sharing a block with
-    it, or 0 for a point on no block, from the pairs of each block."""
-    masks = [0] * d.v
-    for blk in d.blocks:
-        for p, q in combinations(blk, 2):
-            masks[p] |= 1 << p | 1 << q
-            masks[q] |= 1 << p | 1 << q
-    return masks
 
 
 def colourings(v, a, c, rng):

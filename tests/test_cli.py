@@ -192,6 +192,13 @@ class TestConstructVerify:
         assert run(["construct", "delete-point", str(path), "0"]) == (EXIT_VALIDATION, "")
         assert capsys.readouterr().err == "error: point 0 shares no block with 8 points: [2, 3, 4, 5, 6]\n"
 
+    def test_delete_point_names_a_pair_on_two_groups(self, tmp_path, capsys):
+        # the blocks through 0 share point 1, which would lie in two groups
+        path = tmp_path / "twice.design"
+        path.write_text("design v=5 k=3 lambda=1\nblock: 0 1 2\nblock: 0 1 3\nblock: 0 2 4\n")
+        assert run(["construct", "delete-point", str(path), "0"]) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == "error: pair {0, 1} lies in two blocks\n"
+
     def test_td_colour(self, tmp_path):
         code, text = run(["construct", "td-colour", "5", "4"])
         assert code == EXIT_OK

@@ -19,6 +19,7 @@ from designcolour import (
     validate_gdd,
     validate_packing,
 )
+from designcolour.core import _neighbour_masks
 from designcolour.packings import max_equitable_packing, pack_4n2_odd
 from designcolour.td import build_td
 from designcolour.transforms import delete_point
@@ -213,6 +214,7 @@ class TestHostileDesigns:
 
     def test_packing_of_huge_order_allocates_no_masks(self):
         # v * v mask bits would dwarf the 6 pair keys, so the keys decide
+        assert _neighbour_masks(self.HUGE) is None
         (report, leave), peak = traced_peak(validate_packing, self.HUGE)
         assert report.passed
         assert leave.v == 2**40 and leave.edge_count == comb(2**40, 2) - 6
@@ -244,6 +246,7 @@ class TestHostileDesigns:
         # 10**5 points on 5*10**4 disjoint pairs: v-bit masks for every
         # point would take over a GiB; the sorted keys take about 3 MiB
         matching = Design(10**5, tuple((2 * i, 2 * i + 1) for i in range(5 * 10**4)))
+        assert _neighbour_masks(matching) is None
         (report, leave), peak = traced_peak(validate_packing, matching)
         assert report.passed and leave.edge_count == comb(10**5, 2) - 5 * 10**4
         assert peak < 16 << 20

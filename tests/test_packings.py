@@ -25,7 +25,7 @@ from designcolour import (
     validate_packing,
     verify_pairs_profile,
 )
-from designcolour import core, packings, td
+from designcolour import catalog, core, packings, td
 from designcolour.cli import EXIT_OK, cli_main
 from designcolour.td import UnsupportedOrderError
 
@@ -189,6 +189,14 @@ class TestPackSmall:
         with pytest.raises(UnsupportedParameterError):
             pack_small(13)
 
+    def test_stored_entry_is_still_checked_by_the_catalog(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_VALIDATED", {})
+        checked = []
+        check = catalog.validate_packing
+        monkeypatch.setattr(catalog, "validate_packing", lambda d: checked.append(d.v) or check(d))
+        assert cli_main(["catalog", "get", "pack24"], out=io.StringIO()) == EXIT_OK
+        assert checked == [24]
+
 
 class TestDispatcher:
     def test_small_exceptions(self):
@@ -249,10 +257,13 @@ class TestDispatcher:
         assert cli_main(["construct", "pack-max", str(v)], out=out) == EXIT_OK
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("v", [20, 21, 22, 23, 34, 35])
+    @pytest.mark.parametrize("v", [7, 11, 20, 21, 22, 23, 24, 25, 34, 35])
     def test_each_output_is_checked_once(self, monkeypatch, v):
-        # one order per branch: 4n, 4n+1, 4n+2 with n odd, 4n+3 over it,
-        # a difference profile and 4n+3 over one
+        # one order per branch: the stored packings, 4n, 4n+1, 4n+2 with
+        # n odd, 4n+3 over it, a difference profile and 4n+3 over one; a
+        # stored packing is read from an empty catalog cache, so a check
+        # there would be counted too
+        monkeypatch.setattr(catalog, "_VALIDATED", {})
         calls = []
 
         def spy(name, fn):
@@ -262,6 +273,7 @@ class TestDispatcher:
             return wrapped
 
         for module, name in ((packings, "validate_packing"), (packings, "check_block_equitable"),
+                             (catalog, "validate_packing"), (catalog, "check_block_equitable"),
                              (td, "validate_gdd"), (core, "validate_gdd")):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         assert max_equitable_packing(v).size == bound_max_equitable(v, 4, 2).value

@@ -1,7 +1,9 @@
 """Randomized cross-checks: solver vs enumeration and vs its earlier
 engine, validators vs pair loops, files vs round-trip."""
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,13 @@ from designcolour import (
     validate_packing,
 )
 from designcolour.colouring import GROUP_MODES, MODES
+from designcolour.core import (
+    _MASK_BITS_PER_COVER,
+    _distinct_pairs,
+    _mask_pairs,
+    _neighbour_masks,
+    _pair_covers,
+)
 from designcolour.packings import max_equitable_packing
 from designcolour.td import build_td
 from designcolour.transforms import delete_point
@@ -209,6 +218,16 @@ def oracle_packing(d):
     return violations, details, edges
 
 
+def oracle_masks(d):
+    """For each point q, the bits of the points p < q sharing a block with
+    it, or 0 when there are none, from the pairs of each block."""
+    masks = [0] * d.v
+    for blk in d.blocks:
+        for p, q in combinations(sorted(blk), 2):
+            masks[q] |= 1 << p
+    return masks
+
+
 @lru_cache(maxsize=None)
 def wide_packing(v):
     return max_equitable_packing(v).design
@@ -294,6 +313,47 @@ def test_validators_match_pair_loops(case):
             assert leave.edges == edges
             assert leave.edge_count == len(edges)
     assert design.pair_multiplicities() == oracle_pair_counts(design)
+
+
+@st.composite
+def mixed_block_designs(draw):
+    """A lambda = 1 design on 5-40 points, some of them on no block: 1-30
+    blocks of 2-6 points, mixed in size, some holding a pair of an earlier
+    block again."""
+    rng = draw(st.randoms(use_true_random=False))
+    v = draw(st.integers(5, 40))
+    used = rng.sample(range(v), draw(st.integers(2, v)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 30))):
+        size = draw(st.integers(2, min(6, len(used))))
+        if blocks and draw(st.integers(0, 3)) == 0:
+            pair = rng.sample(rng.choice(blocks), 2)
+            blocks.append(pair + rng.sample([p for p in used if p not in pair], size - 2))
+        else:
+            blocks.append(rng.sample(used, size))
+    return Design(v, tuple(map(tuple, blocks)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_block_designs())
+def test_mask_kernel_matches_pair_oracles(design):
+    counts = oracle_pair_counts(design)
+    covers = sum(comb(len(blk), 2) for blk in design.blocks)
+    sizes = Counter(map(len, design.blocks))
+    assert design._sizes == sizes
+    assert Design._from_canonical(design.v, design.blocks, 1)._sizes == sizes
+    assert _pair_covers(design) == covers
+    masks = _neighbour_masks(design)
+    if design.v * design.v > _MASK_BITS_PER_COVER * covers:
+        assert masks is None
+    else:
+        assert masks == oracle_masks(design)
+        assert _mask_pairs(masks) == len(counts)
+    assert _distinct_pairs(design) == (len(counts) if len(counts) == covers else None)
+    report, leave = validate_packing(design)
+    violations, details, edges = oracle_packing(design)
+    assert (report.violations, report.details) == (tuple(violations), details)
+    assert (leave.edges, leave.edge_count) == (edges, len(edges))
 
 
 # Reference engine: the solver's engine as it was before colour classes
