@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 validation
 failure, 3 parse error, 4 budget exceeded, 5 unsupported parameters or
-unknown names.  Output is plain `key: value` text (CSV where noted) and
-is deterministic for fixed inputs.
+unknown names.  Exit 5 writes one of three stderr forms: `unsupported: …`
+for parameters the library rejects, `error: …` for usage errors the CLI
+finds, and argparse's `designcolour <command>: error: …` for the flags it
+rejects; `construct pack-max` at an unattainable order prints its
+`unachievable:` line on stdout instead.  Output is plain `key: value`
+text (CSV where noted) and is deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -53,19 +57,9 @@ MODE_NAMES = {
     "group-eq": "group-equitable",
 }
 
-# The parameters of each `construct` family: an integer, or a design given
-# as a file path or a catalog name.
-CONSTRUCT_PARAMS = {
-    "td": ("int", "int"),
-    "pack-max": ("int",),
-    "pack-4n2": ("int",),
-    "pack-pairs": ("int",),
-    "blowup": ("design", "int"),
-    "pc-to-gdd": ("design",),
-    "delete-point": ("design", "int"),
-    "td-colour": ("int", "int"),
-    "geq-blowup": ("design", "design"),
-}
+
+class _UsageError(Exception):
+    """A usage error the CLI finds, which `cli_main` reports as exit 5."""
 
 
 def _read(path: str) -> str:
@@ -96,10 +90,9 @@ def _load(path: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
 
 
 def _budget(args) -> designcolour.SearchBudget:
-    return designcolour.SearchBudget(
-        node_limit=args.budget_nodes,
-        time_limit=args.budget_secs,
-    )
+    # without --budget-nodes, `SearchBudget`'s default node limit holds
+    nodes = {} if args.budget_nodes is None else {"node_limit": args.budget_nodes}
+    return designcolour.SearchBudget(time_limit=args.budget_secs, **nodes)
 
 
 def _print_report(report, out) -> None:
@@ -113,28 +106,19 @@ def _print_report(report, out) -> None:
 
 def _cmd_verify(args, out) -> int:
     design, grouping, colouring = _load(args.design)
-    kind = args.as_
-    if kind is None:
-        kind = "gdd" if grouping is not None else "bibd"
+    kind = args.as_ or ("gdd" if grouping is not None else "bibd")
     if kind == "gdd" and grouping is None:
-        print("error: no grouping present for GDD validation", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _UsageError("no grouping present for GDD validation")
     if args.colouring:
         colouring = parse_colouring(_read(args.colouring))
     mode_name = args.mode or ("weak" if args.colouring else None)
     # usage errors come before any report line
     if mode_name is not None and colouring is None:
-        print("error: --mode needs a colouring, from --colouring or the design file", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _UsageError("--mode needs a colouring, from --colouring or the design file")
     if colouring is not None and colouring.v != design.v:
-        print(
-            f"error: the colouring has {colouring.v} points, the design {design.v}",
-            file=sys.stderr,
-        )
-        return EXIT_UNSUPPORTED
+        raise _UsageError(f"the colouring has {colouring.v} points, the design {design.v}")
     if mode_name is not None and MODE_NAMES[mode_name] in GROUP_MODES and grouping is None:
-        print("error: group colouring modes need a grouping", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _UsageError("group colouring modes need a grouping")
     if kind == "bibd":
         report = validate_bibd(design)
     elif kind == "gdd":
@@ -169,11 +153,9 @@ def _cmd_chromatic(args, out) -> int:
 
 def _cmd_pclasses(args, out) -> int:
     if args.analyze and args.limit is not None:
-        print("error: --limit applies to listing classes, not to --analyze", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _UsageError("--limit applies to listing classes, not to --analyze")
     if args.csv and not args.analyze:
-        print("error: --csv applies to --analyze, not to listing classes", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _UsageError("--csv applies to --analyze, not to listing classes")
     design, _, _ = _load(args.design)
     if args.analyze:
         analysis = designcolour.analyze_parallel_classes(design, _budget(args), jobs=args.jobs)
@@ -184,9 +166,7 @@ def _cmd_pclasses(args, out) -> int:
         print("histogram: chi,chi_M,count", file=out)
         for (chi, chi_m), count in analysis.histogram:
             print(f"{chi},{chi_m},{count}", file=out)
-        if analysis.budget_exceeded:
-            return EXIT_BUDGET
-        return EXIT_OK
+        return EXIT_BUDGET if analysis.budget_exceeded else EXIT_OK
     classes, truncated = designcolour.enumerate_parallel_classes(design, args.limit)
     print(f"classes: {len(classes)}", file=out)
     for i, pc in enumerate(classes):
@@ -213,106 +193,91 @@ def _cmd_bound(args, out) -> int:
 def _cmd_catalog(args, out) -> int:
     if args.action == "list":
         if args.name is not None:
-            print(f"error: catalog list takes no name, got {args.name!r}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+            raise _UsageError(f"catalog list takes no name, got {args.name!r}")
         for name in catalog_names():
             print(name, file=out)
         return EXIT_OK
     if args.name is None:
-        print("error: catalog get needs a name argument", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise _UsageError("catalog get needs a name argument")
     entry = catalog_get(args.name)
     out.write(render_design(entry.design, entry.grouping, entry.colouring))
     return EXIT_OK
 
 
-def _construct_params(family: str, params: list[str]) -> Optional[list]:
-    """The family's parameters with the integers converted, or None when
-    their number is wrong or an integer parameter is not one."""
-    kinds = CONSTRUCT_PARAMS[family]
-    if len(params) != len(kinds):
-        return None
-    try:
-        return [int(p) if kind == "int" else p for p, kind in zip(params, kinds)]
-    except ValueError:
-        return None
+def _packed(packing) -> tuple:
+    return packing.design, None, packing.colouring
+
+
+def _grouped(path: str) -> tuple[Design, Grouping]:
+    """A design argument and its groups, singletons when it has none."""
+    design, grouping, _ = _load(path)
+    return design, grouping if grouping is not None else Grouping.singletons(design.v)
+
+
+def _pack_max(args, v: int):
+    result = designcolour.max_equitable_packing(v)
+    return result if isinstance(result, designcolour.Unachievable) else _packed(result)
+
+
+def _blowup(args, path: str, factor: int) -> tuple:
+    result = designcolour.blow_up(*_grouped(path), factor)
+    return result.design, result.grouping, None
+
+
+def _pc_to_gdd(args, path: str) -> tuple:
+    design, _, _ = _load(path)
+    index = args.class_index
+    # a class index stops the enumeration at its class; a negative one
+    # enumerates every class, whose total the message reports
+    classes, _ = designcolour.enumerate_parallel_classes(design, index + 1 if index >= 0 else None)
+    if not 0 <= index < len(classes):
+        raise _UsageError(f"class index {index} out of range ({len(classes)} classes)")
+    return *designcolour.pc_to_gdd(design, classes[index]), None
+
+
+def _td_colour(args, k: int, g: int) -> tuple:
+    design, grouping = build_td(k, g)
+    return design, grouping, designcolour.td_group_equitable_colouring(design, grouping)
+
+
+def _geq_blowup(args, path: str, td_path: str) -> tuple:
+    design, grouping = _grouped(path)
+    td_design, td_grouping, td_colouring = _load(td_path)
+    if td_grouping is None or td_colouring is None:
+        raise _UsageError("the second design needs groups and a colouring")
+    return designcolour.group_equitable_blowup(design, grouping, td_design, td_grouping, td_colouring)
+
+
+# Each `construct` family: its parameters, an integer or a design given as a
+# file path or a catalog name, and a builder of the design, grouping and
+# colouring it prints.  Builders look library names up when they run, so a
+# rebound name is the one called and importing this module loads no more.
+_FAMILIES = {
+    "td": (("int", "int"), lambda args, k, g: (*build_td(k, g), None)),
+    "pack-max": (("int",), _pack_max),
+    "pack-4n2": (("int",), lambda args, n: _packed(designcolour.pack_4n2_odd(n))),
+    "pack-pairs": (("int",), lambda args, s: _packed(designcolour.pack_from_pairs(designcolour.pairs_for_s(s)))),
+    "blowup": (("design", "int"), _blowup),
+    "pc-to-gdd": (("design",), _pc_to_gdd),
+    "delete-point": (("design", "int"), lambda args, path, y: (*designcolour.delete_point(_load(path)[0], y), None)),
+    "td-colour": (("int", "int"), _td_colour),
+    "geq-blowup": (("design", "design"), _geq_blowup),
+}
 
 
 def _cmd_construct(args, out) -> int:
-    family = args.family
-    params = _construct_params(family, args.params)
-    if params is None:
-        usage = " ".join(f"<{kind}>" for kind in CONSTRUCT_PARAMS[family])
-        print(f"error: usage: designcolour construct {family} {usage}", file=sys.stderr)
+    kinds, build = _FAMILIES[args.family]
+    try:
+        params = [int(p) if kind == "int" else p for p, kind in zip(args.params, kinds, strict=True)]
+    except ValueError:
+        usage = " ".join(f"<{kind}>" for kind in kinds)
+        raise _UsageError(f"usage: designcolour construct {args.family} {usage}") from None
+    built = build(args, *params)
+    if args.family == "pack-max" and isinstance(built, designcolour.Unachievable):
+        print(f"unachievable: bound {built.bound} for v={built.v} ({built.reason})", file=out)
         return EXIT_UNSUPPORTED
-    if family == "td":
-        k, g = params
-        design, grouping = build_td(k, g)
-        out.write(render_design(design, grouping))
-        return EXIT_OK
-    if family == "pack-max":
-        result = designcolour.max_equitable_packing(params[0])
-        if isinstance(result, designcolour.Unachievable):
-            print(
-                f"unachievable: bound {result.bound} for v={result.v} ({result.reason})",
-                file=out,
-            )
-            return EXIT_UNSUPPORTED
-        out.write(render_design(result.design, None, result.colouring))
-        return EXIT_OK
-    if family == "pack-4n2":
-        packed = designcolour.pack_4n2_odd(params[0])
-        out.write(render_design(packed.design, None, packed.colouring))
-        return EXIT_OK
-    if family == "pack-pairs":
-        packed = designcolour.pack_from_pairs(designcolour.pairs_for_s(params[0]))
-        out.write(render_design(packed.design, None, packed.colouring))
-        return EXIT_OK
-    if family == "blowup":
-        design, grouping, _ = _load(params[0])
-        if grouping is None:
-            grouping = Grouping.singletons(design.v)
-        result = designcolour.blow_up(design, grouping, params[1])
-        out.write(render_design(result.design, result.grouping))
-        return EXIT_OK
-    if family == "pc-to-gdd":
-        design, _, _ = _load(params[0])
-        index = args.class_index
-        # a class index stops the enumeration at its class; a negative
-        # one enumerates every class, whose total the message reports
-        classes, _ = designcolour.enumerate_parallel_classes(design, index + 1 if index >= 0 else None)
-        if not 0 <= index < len(classes):
-            print(f"error: class index {index} out of range ({len(classes)} classes)", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        gdd, grouping = designcolour.pc_to_gdd(design, classes[index])
-        out.write(render_design(gdd, grouping))
-        return EXIT_OK
-    if family == "delete-point":
-        design, _, _ = _load(params[0])
-        gdd, grouping = designcolour.delete_point(design, params[1])
-        out.write(render_design(gdd, grouping))
-        return EXIT_OK
-    if family == "td-colour":
-        k, g = params
-        design, grouping = build_td(k, g)
-        colouring = designcolour.td_group_equitable_colouring(design, grouping)
-        out.write(render_design(design, grouping, colouring))
-        return EXIT_OK
-    if family == "geq-blowup":
-        design, grouping, _ = _load(params[0])
-        if grouping is None:
-            grouping = Grouping.singletons(design.v)
-        td_design, td_grouping, td_colouring = _load(params[1])
-        if td_grouping is None or td_colouring is None:
-            print("error: the second design needs groups and a colouring", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        out_design, out_grouping, out_colouring = designcolour.group_equitable_blowup(
-            design, grouping, td_design, td_grouping, td_colouring
-        )
-        out.write(render_design(out_design, out_grouping, out_colouring))
-        return EXIT_OK
-    print(f"error: unknown construct family {family!r}", file=sys.stderr)
-    return EXIT_UNSUPPORTED
+    out.write(render_design(*built))
+    return EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -335,6 +300,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _add_budget(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget-nodes", type=_positive_int)
+    p.add_argument("--budget-secs", type=_positive_float)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="designcolour",
@@ -343,38 +313,42 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a constructed design file")
-    p.add_argument("family", choices=list(CONSTRUCT_PARAMS))
+    p.set_defaults(run=_cmd_construct)
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("params", nargs="*")
     p.add_argument("--class-index", type=int, default=0)
 
     p = sub.add_parser("verify", help="validate a design file or catalog entry")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("design")
     p.add_argument("--as", dest="as_", choices=["bibd", "gdd", "packing"])
     p.add_argument("--colouring")
     p.add_argument("--mode", choices=list(MODE_NAMES))
 
     p = sub.add_parser("chromatic", help="exact chromatic number with witness")
+    p.set_defaults(run=_cmd_chromatic)
     p.add_argument("design")
     p.add_argument("--mode", choices=["weak", "group-mono"], default="weak")
-    p.add_argument("--budget-nodes", type=_positive_int, default=100_000_000)
-    p.add_argument("--budget-secs", type=_positive_float, default=None)
+    _add_budget(p)
 
     p = sub.add_parser("pclasses", help="parallel classes, optionally analysed")
+    p.set_defaults(run=_cmd_pclasses)
     p.add_argument("design")
     p.add_argument("--analyze", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--limit", type=_positive_int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--budget-nodes", type=_positive_int, default=100_000_000)
-    p.add_argument("--budget-secs", type=_positive_float, default=None)
+    _add_budget(p)
 
     p = sub.add_parser("bound", help="packing size bounds")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("v", type=int)
     p.add_argument("k", type=int)
     p.add_argument("c", type=int)
     p.add_argument("--tight", action="store_true")
 
     p = sub.add_parser("catalog", help="list or print built-in designs")
+    p.set_defaults(run=_cmd_catalog)
     p.add_argument("action", choices=["list", "get"])
     p.add_argument("name", nargs="?")
 
@@ -389,17 +363,10 @@ def cli_main(argv: Optional[list[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_UNSUPPORTED if exc.code else EXIT_OK
     try:
-        if args.command == "construct":
-            return _cmd_construct(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "chromatic":
-            return _cmd_chromatic(args, out)
-        if args.command == "pclasses":
-            return _cmd_pclasses(args, out)
-        if args.command == "bound":
-            return _cmd_bound(args, out)
-        return _cmd_catalog(args, out)
+        return args.run(args, out)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,10 +1,13 @@
 """Command-line surface: output shapes, exit codes, determinism."""
+import hashlib
 import io
 import os
 import resource
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import designcolour
 from designcolour.cli import (
@@ -229,6 +232,42 @@ class TestConstructVerify:
         code, report = run(["verify", str(path), "--as", "gdd"])
         assert code == EXIT_OK and "verdict: pass" in report
 
+    # sha256 of the stdout of one invocation per family whose bytes
+    # `tests/test_packings.py` does not pin; pack-max 8 is its
+    # `unachievable:` line
+    @pytest.mark.parametrize("argv,code,digest", [
+        ("td 4 5", EXIT_OK, "96ce1141f09840faf179173a703fa9458cac2a6d333b476745ef38423bf2f5c3"),
+        ("pack-4n2 5", EXIT_OK, "382cd0f8d6c1853720d2517606ce094ff0beb4d07d74d1cd41d68934e94fb844"),
+        ("pack-pairs 3", EXIT_OK, "4e3a506fd0be6d369c49d2aaa2f1b3d00a081fc96cd563bd28f9d04fbbba25cb"),
+        ("blowup sts7 3", EXIT_OK, "4c6e21d4ed92398d8513f1809ac577fe744120c07c45b345f678e3ad7fdd6f24"),
+        ("pc-to-gdd sts9 --class-index 2", EXIT_OK, "da0632cdf827540ddf05675aaebdadaf70cf8c566bc4620fd825abffc9250a5b"),
+        ("delete-point sts13 4", EXIT_OK, "d9801e561e81db09314ea4f319a0c9f957f720e213ef2c2843da577089c8944c"),
+        ("td-colour 5 4", EXIT_OK, "0d9c7308ac83327a70ff6725e7198b50cec37beb1545cdb7fc295246df63e7ee"),
+        ("geq-blowup bibd13_4 td44", EXIT_OK, "d88755fc74d25e98ed7a61fdbe8f7e502a70aad5fbdbd9a535775c6f3f51c496"),
+        ("pack-max 8", EXIT_UNSUPPORTED, "9decf50b16e4ce8ef3fd17bbe3fcb2300a31555da61d0340bffdfd3107a6e09f"),
+    ])
+    def test_family_bytes(self, argv, code, digest, capsys):
+        got, text = run(["construct", *argv.split()])
+        assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
+        assert capsys.readouterr().err == ""
+
+
+# sha256 of each parser's `--help` text at 80 columns
+@pytest.mark.parametrize("command,digest", [
+    ("", "6a74c9a2f65e1aa822a2510b30ea9a7e0dd440e80c90a430bd7359165be0ddef"),
+    ("construct", "6b44066d33670e232e23971d2de8321935cc7465ca8fd63a9e68e119a0d1ae9a"),
+    ("verify", "d96b10453b42599cdd8402031565a50c8c4afa6617570db9854a9d26f0bd175a"),
+    ("chromatic", "31ee819b1407d236fdb3d6924da2eaafd47187c68999ef08ba2b0cb114a5fc55"),
+    ("pclasses", "7333b46f492f2c92c04d5e38b416d5f9bebce5aca1a265aebe2f02dc232a0817"),
+    ("bound", "a35a50e0f06fb259636b0e46479f9645db96b44c98f903aa6c1373935e1403e2"),
+    ("catalog", "f108defbd3e55d298209fa7014c7b348fac691d807b8b561c8365be94c9724cc"),
+])
+def test_help_bytes(command, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([*command.split(), "--help"]) == (EXIT_OK, "")
+    help_text = capsys.readouterr().out
+    assert hashlib.sha256(help_text.encode()).hexdigest() == digest, help_text
+
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path):
@@ -260,35 +299,60 @@ class TestExitCodes:
         path.write_text("design v=9 k=3 lambda=2\n" + "".join(f"{b}\n{b}\n" for b in blocks))
         assert run(["pclasses", str(path), "--analyze"]) == (EXIT_VALIDATION, "")
 
-    def test_usage_errors(self):
+    def test_usage_errors(self, capsys):
         # a missing parameter, a non-integer parameter, zero budgets and
         # limits, options that do not go together and parameters the
-        # library rejects
-        for argv in (
-            ["construct", "td"],
-            ["construct", "pack-max"],
-            ["construct", "td", "4", "x"],
-            ["chromatic", "sts7", "--budget-nodes", "0"],
-            ["bound", "3", "4", "2"],
-            ["chromatic", "sts7", "--budget-secs", "0"],
-            ["construct", "pack-max", "-5"],
-            ["construct", "delete-point", "sts13", "99"],
-            ["bound", "5", "2", "2"],
-            ["bound", "-5", "4", "2", "--tight"],
-            ["construct", "pack-pairs", "-1"],
-            ["construct", "blowup", "sts7", "0"],
-            ["chromatic", "sts7", "--mode", "group-mono"],
-            ["pclasses", "sts9", "--limit", "0"],
-            ["pclasses", "sts9", "--limit", "-1"],
-            ["pclasses", "sts9", "--analyze", "--limit", "2"],
-            ["pclasses", "sts9", "--csv"],
-            ["construct", "pc-to-gdd", "sts9", "--class-index", "-1"],
-            ["construct", "pc-to-gdd", "sts9", "--class-index", "-5"],
-            ["verify", "pack7", "--as", "packing", "--mode", "group-eq"],
-            ["verify", "sts9", "--mode", "block-eq"],
-            ["catalog", "list", "sts9"],
+        # library rejects, each with the last line it writes to stderr:
+        # `unsupported:` from the library, `error:` from the CLI, and
+        # argparse's own line after its usage lines
+        families = (
+            "'td', 'pack-max', 'pack-4n2', 'pack-pairs', 'blowup', 'pc-to-gdd', "
+            "'delete-point', 'td-colour', 'geq-blowup'"
+        )
+        for argv, line in (
+            (["construct", "td"], "error: usage: designcolour construct td <int> <int>"),
+            (["construct", "pack-max"], "error: usage: designcolour construct pack-max <int>"),
+            (["construct", "td", "4", "x"], "error: usage: designcolour construct td <int> <int>"),
+            (["chromatic", "sts7", "--budget-nodes", "0"],
+             "designcolour chromatic: error: argument --budget-nodes: must be at least 1, got 0"),
+            (["bound", "3", "4", "2"], "unsupported: requires v >= k"),
+            (["chromatic", "sts7", "--budget-secs", "0"],
+             "designcolour chromatic: error: argument --budget-secs: must be positive, got 0"),
+            (["construct", "pack-max", "-5"], "unsupported: v must be non-negative"),
+            (["construct", "delete-point", "sts13", "99"], "unsupported: point 99 out of range"),
+            (["bound", "5", "2", "2"], "unsupported: requires k >= 3 and c >= 2"),
+            (["bound", "-5", "4", "2", "--tight"], "unsupported: v must be non-negative"),
+            (["construct", "pack-pairs", "-1"], "unsupported: s must be at least 2"),
+            (["construct", "blowup", "sts7", "0"], "unsupported: expansion factor must be positive"),
+            (["chromatic", "sts7", "--mode", "group-mono"],
+             "unsupported: mode 'group-monochromatic' requires a grouping"),
+            (["pclasses", "sts9", "--limit", "0"],
+             "designcolour pclasses: error: argument --limit: must be at least 1, got 0"),
+            (["pclasses", "sts9", "--limit", "-1"],
+             "designcolour pclasses: error: argument --limit: must be at least 1, got -1"),
+            (["pclasses", "sts9", "--analyze", "--limit", "2"],
+             "error: --limit applies to listing classes, not to --analyze"),
+            (["pclasses", "sts9", "--csv"], "error: --csv applies to --analyze, not to listing classes"),
+            (["construct", "pc-to-gdd", "sts9", "--class-index", "-1"],
+             "error: class index -1 out of range (4 classes)"),
+            (["construct", "pc-to-gdd", "sts9", "--class-index", "-5"],
+             "error: class index -5 out of range (4 classes)"),
+            (["verify", "pack7", "--as", "packing", "--mode", "group-eq"],
+             "error: group colouring modes need a grouping"),
+            (["verify", "sts9", "--mode", "block-eq"],
+             "error: --mode needs a colouring, from --colouring or the design file"),
+            (["catalog", "list", "sts9"], "error: catalog list takes no name, got 'sts9'"),
+            (["verify", "pack7", "--as", "gdd"], "error: no grouping present for GDD validation"),
+            (["catalog", "get"], "error: catalog get needs a name argument"),
+            (["construct", "geq-blowup", "sts7", "sts7"], "error: the second design needs groups and a colouring"),
+            (["construct", "nosuch"],
+             f"designcolour construct: error: argument family: invalid choice: 'nosuch' (choose from {families})"),
         ):
             assert run(argv) == (EXIT_UNSUPPORTED, ""), argv
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == line, argv
+            # only argparse writes more than the one line
+            assert err.count("\n") == 1 or line.startswith("designcolour "), argv
 
     def test_colouring_over_another_point_count(self, tmp_path, capsys):
         # a usage error, found before any report line

@@ -236,6 +236,20 @@ def test_no_hidden_module_state():
     assert found == ["parallel.py:_worker_facts"]
 
 
+def test_only_cli_main_writes_to_stderr():
+    # A command raises for a usage error, and `cli_main` alone turns each
+    # error into its stderr line and exit code.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = sorted({
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "stderr"
+    })
+    assert found == ["cli_main"]
+
+
 # The functions that call themselves, each with the bound on its depth.
 BOUNDED_RECURSION = {
     "colouring.py:brute_min_monochrome.rec": "one level per point, at most 24 by the enumeration guard",
