@@ -12,6 +12,7 @@ text (CSV where noted) and is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -226,7 +227,7 @@ def _blowup(args, path: str, factor: int) -> tuple:
 
 def _pc_to_gdd(args, path: str) -> tuple:
     design, _, _ = _load(path)
-    index = args.class_index
+    index = 0 if args.class_index is None else args.class_index
     # a class index stops the enumeration at its class; a negative one
     # enumerates every class, whose total the message reports
     classes, _ = designcolour.enumerate_parallel_classes(design, index + 1 if index >= 0 else None)
@@ -267,6 +268,8 @@ _FAMILIES = {
 
 def _cmd_construct(args, out) -> int:
     kinds, build = _FAMILIES[args.family]
+    if args.class_index is not None and build is not _pc_to_gdd:
+        raise _UsageError(f"--class-index applies to pc-to-gdd, not to {args.family}")
     try:
         params = [int(p) if kind == "int" else p for p, kind in zip(args.params, kinds, strict=True)]
     except ValueError:
@@ -305,6 +308,7 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-secs", type=_positive_float)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="designcolour",
@@ -316,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_construct)
     p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("params", nargs="*")
-    p.add_argument("--class-index", type=int, default=0)
+    p.add_argument("--class-index", type=int)
 
     p = sub.add_parser("verify", help="validate a design file or catalog entry")
     p.set_defaults(run=_cmd_verify)

@@ -5,15 +5,15 @@ The point layouts are fixed so every construction serializes reproducibly:
 
 * transversal-design packings inherit the TD layout (point x of group i is
   i*g + x);
-* the two-row cyclic constructions put row 1 at 0..len-1 and row 2 right
-  after it, with any points at infinity last;
+* the two-row cyclic constructions (rotation families and difference
+  pairs) put row 1 at 0..len-1 and row 2 right after it, with any
+  points at infinity last;
 * the four-row construction for v = 4n+2 (n odd) lays rows 1..4 out
   consecutively;
 * isolated points are appended at the end.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -158,87 +158,111 @@ def _circ(x: int, modulus: int) -> int:
     return min(x, modulus - x)
 
 
-def _rotation_families(n: int) -> list[tuple[int, int, int]]:
-    """Block-orbit generators for a PD(4n, 4, 1) on two rows of Z_2n.
-
-    Each family (x, y, z) yields the orbit {(i,1), (i+x,1), (i+y,2),
-    (i+z,2)} for i in Z_2n.  The n/2 families must use distinct circular
-    differences x, distinct differences z - y, and their translated pair
-    positions {y, z, y-x, z-x} must partition Z_2n.  Found by a seeded
-    backtracking search (deterministic).  `pack_4n` sends every
-    n = 2 (mod 4) with n >= 10 here, and the search is not known to
-    succeed at all of them: on a 2-vCPU host it found families for
-    n = 70, 78 and 90 in 27.5 s, 65.2 s and 1.9 s, and raised
-    UnsupportedOrderError for n = 94 and 98 after 337.5 s and 361.0 s.
-    """
-    if n % 2 or n < 4:
-        raise UnsupportedParameterError("rotation families exist for even n >= 4 only")
-    period = 2 * n
-    half = n
-    n_fam = n // 2
-
-    for seed in range(200):
-        rng = random.Random(seed)
-        covered = [False] * period
-        plus_ends: dict[int, list[int]] = {}
-        used_dw: set[int] = set()
-        nodes = 0
-
-        def rec() -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes > 40_000:
-                raise TimeoutError
-            r = None
-            for i in range(period):
-                if not covered[i]:
-                    r = i
-                    break
-            if r is None:
-                return all(len(v) == 2 for v in plus_ends.values())
-            open_gaps = sum(1 for v in plus_ends.values() if len(v) == 1)
-            if 2 * open_gaps > covered.count(False):
-                return False
-            ds = [d for d in plus_ends if len(plus_ends[d]) == 1]
-            rng.shuffle(ds)
-            if len(plus_ends) < n_fam:
-                fresh = [d for d in range(1, half) if d not in plus_ends]
-                rng.shuffle(fresh)
-                ds += fresh
-            for d in ds:
-                lst = plus_ends.get(d)
-                options = [((r - d) % period, r), ((r + d) % period, (r + d) % period)]
-                rng.shuffle(options)
-                for partner, plus in options:
-                    if partner == r or covered[partner]:
-                        continue
-                    dw = None
-                    if lst:
-                        dw = _circ(plus - lst[0], period)
-                        if dw == 0 or dw == half or dw in used_dw:
-                            continue
-                    covered[r] = covered[partner] = True
-                    if lst is None:
-                        plus_ends[d] = [plus]
-                    else:
-                        lst.append(plus)
-                        used_dw.add(dw)
-                    if rec():
-                        return True
-                    covered[r] = covered[partner] = False
-                    if lst is None:
-                        del plus_ends[d]
-                    else:
-                        lst.pop()
-                        used_dw.discard(dw)
-            return False
-
-        try:
-            if rec():
-                return sorted((d, ends[0], ends[1]) for d, ends in plus_ends.items())
-        except TimeoutError:
-            continue
-    raise UnsupportedOrderError(f"no rotation family system found for n={n}")
+# Block-orbit generators for a PD(4n, 4, 1) on two rows of Z_2n, for
+# n = 10, 14, ..., 90.  Each family (x, y, z) yields the orbit
+# {(i,1), (i+x,1), (i+y,2), (i+z,2)} for i in Z_2n.  The n/2 families use
+# distinct circular differences x, distinct differences z - y, and their
+# translated pair positions {y, z, y-x, z-x} partition Z_2n.  They were
+# found by a seeded backtracking search; the packing check of every
+# output is their certificate.  No TD(4, 10) or TD(4, 14) is known to
+# this package; the orders 18..90 have one, but keep this layout so their
+# output stays the same.
+_ROTATION_FAMILIES: dict[int, tuple[tuple[int, int, int], ...]] = {
+    10: ((1, 11, 18), (3, 5, 6), (5, 13, 19), (8, 0, 9), (9, 4, 16)),
+    14: ((1, 13, 21), (2, 2, 1), (3, 6, 8), (5, 15, 24), (7, 18, 23), (11, 9, 25), (13, 17, 7)),
+    18: ((1, 6, 10), (3, 3, 1), (4, 25, 35), (6, 22, 30), (9, 20, 32), (11, 18, 19), (12, 26, 29),
+        (13, 15, 4), (15, 12, 28)),
+    22: ((1, 19, 27), (2, 15, 38), (4, 24, 41), (9, 7, 17), (10, 35, 39), (11, 0, 12), (12, 22, 11),
+        (15, 2, 3), (17, 21, 23), (20, 34, 16), (21, 5, 30)),
+    26: ((1, 30, 41), (2, 10, 13), (4, 16, 18), (6, 26, 33), (8, 32, 50), (10, 2, 3), (14, 35, 51),
+        (15, 15, 1), (20, 4, 25), (21, 43, 49), (22, 9, 17), (24, 6, 31), (25, 19, 48)),
+    30: ((1, 19, 48), (3, 32, 53), (4, 0, 5), (6, 34, 58), (10, 33, 45), (14, 31, 41), (15, 14, 30),
+        (17, 42, 55), (18, 22, 24), (19, 26, 8), (22, 13, 16), (23, 2, 3), (24, 44, 21),
+        (25, 11, 37), (26, 9, 36)),
+    34: ((2, 36, 65), (3, 18, 25), (4, 42, 48), (5, 37, 54), (7, 35, 66), (8, 0, 1), (9, 20, 23),
+        (11, 58, 67), (12, 43, 51), (14, 30, 40), (15, 21, 9), (20, 24, 5), (23, 10, 12),
+        (25, 27, 3), (26, 33, 8), (28, 41, 45), (33, 52, 29)),
+    38: ((1, 0, 2), (2, 64, 70), (6, 43, 55), (7, 40, 65), (9, 48, 66), (11, 35, 42), (13, 51, 72),
+        (14, 12, 27), (17, 26, 10), (20, 45, 54), (21, 36, 16), (22, 7, 30), (24, 21, 47),
+        (25, 28, 29), (26, 17, 44), (28, 50, 60), (32, 19, 52), (34, 11, 14), (35, 5, 41)),
+    42: ((1, 0, 2), (2, 48, 73), (4, 62, 81), (6, 51, 74), (8, 44, 50), (9, 3, 13), (10, 19, 22),
+        (11, 60, 76), (13, 72, 80), (14, 28, 37), (15, 30, 35), (17, 43, 57), (23, 47, 54),
+        (26, 33, 34), (27, 32, 6), (28, 55, 66), (30, 69, 82), (31, 41, 11), (32, 18, 53),
+        (34, 25, 29), (40, 56, 17)),
+    46: ((1, 15, 17), (2, 10, 13), (3, 51, 88), (4, 26, 35), (5, 61, 80), (7, 66, 91), (9, 32, 38),
+        (12, 67, 83), (13, 33, 37), (15, 64, 78), (16, 70, 81), (17, 74, 89), (19, 21, 3),
+        (20, 50, 60), (22, 28, 7), (23, 18, 42), (25, 34, 12), (26, 62, 69), (29, 68, 73),
+        (31, 25, 58), (37, 82, 90), (40, 0, 41), (42, 46, 47)),
+    50: ((1, 5, 7), (2, 55, 99), (3, 19, 23), (4, 71, 82), (6, 38, 41), (7, 51, 94), (8, 47, 96),
+        (11, 48, 60), (12, 62, 84), (13, 69, 92), (16, 24, 9), (17, 12, 31), (18, 81, 98),
+        (21, 73, 86), (24, 58, 66), (26, 26, 1), (27, 29, 30), (28, 68, 74), (32, 45, 15),
+        (33, 54, 22), (34, 70, 77), (36, 61, 27), (42, 59, 18), (43, 28, 33), (47, 57, 11)),
+    54: ((2, 23, 26), (4, 52, 86), (5, 81, 103), (6, 14, 16), (7, 79, 100), (8, 68, 104),
+        (10, 4, 15), (13, 47, 57), (17, 50, 59), (18, 101, 105), (19, 41, 46), (22, 67, 75),
+        (24, 30, 7), (26, 89, 106), (27, 39, 13), (29, 66, 78), (32, 61, 31), (33, 65, 71),
+        (34, 77, 90), (36, 25, 64), (37, 2, 40), (38, 55, 18), (39, 0, 1), (41, 92, 99),
+        (43, 62, 20), (45, 54, 11), (49, 84, 36)),
+    58: ((1, 64, 82), (3, 86, 110), (4, 73, 115), (6, 52, 68), (9, 76, 89), (13, 74, 97),
+        (17, 50, 55), (18, 2, 3), (19, 48, 56), (20, 24, 26), (22, 22, 1), (23, 53, 59),
+        (24, 58, 65), (25, 96, 113), (27, 35, 9), (28, 16, 45), (30, 72, 87), (31, 78, 108),
+        (32, 25, 28), (33, 10, 44), (36, 54, 19), (37, 23, 27), (38, 12, 51), (42, 5, 49),
+        (45, 43, 105), (46, 66, 21), (53, 92, 40), (54, 85, 32), (56, 70, 15)),
+    62: ((1, 83, 115), (2, 58, 123), (4, 40, 47), (5, 76, 118), (6, 112, 122), (7, 2, 10),
+        (8, 80, 99), (9, 33, 39), (10, 6, 17), (14, 45, 49), (15, 74, 92), (16, 79, 117),
+        (17, 86, 110), (20, 61, 70), (22, 26, 5), (26, 51, 53), (29, 37, 9), (32, 78, 100),
+        (34, 54, 21), (40, 11, 52), (41, 89, 103), (42, 84, 97), (45, 102, 105), (47, 32, 81),
+        (49, 15, 65), (50, 13, 64), (52, 22, 75), (54, 38, 98), (55, 73, 19), (56, 28, 85),
+        (58, 0, 1)),
+    66: ((1, 87, 111), (2, 95, 122), (3, 49, 58), (5, 34, 42), (7, 105, 131), (8, 89, 127),
+        (9, 21, 23), (11, 17, 7), (12, 40, 47), (13, 65, 79), (14, 67, 83), (20, 4, 25),
+        (21, 10, 32), (24, 54, 60), (29, 113, 130), (37, 94, 117), (39, 77, 90), (40, 85, 115),
+        (42, 19, 62), (44, 100, 112), (45, 108, 123), (48, 41, 92), (49, 13, 16), (50, 24, 76),
+        (51, 82, 33), (52, 8, 61), (54, 48, 104), (56, 15, 74), (57, 22, 27), (59, 118, 129),
+        (61, 0, 1), (62, 64, 3), (64, 103, 107)),
+    70: ((1, 24, 29), (3, 115, 138), (4, 91, 127), (5, 35, 52), (7, 43, 51), (9, 79, 117),
+        (10, 110, 131), (11, 57, 71), (12, 111, 137), (13, 81, 96), (14, 94, 136), (15, 34, 37),
+        (16, 54, 64), (19, 31, 13), (20, 41, 45), (22, 97, 128), (23, 16, 40), (29, 2, 32),
+        (31, 39, 10), (34, 126, 139), (35, 101, 120), (36, 69, 78), (41, 102, 114), (45, 98, 104),
+        (52, 0, 1), (54, 109, 116), (55, 118, 129), (56, 65, 11), (58, 107, 50), (60, 6, 67),
+        (61, 14, 76), (63, 26, 90), (64, 82, 84), (67, 4, 72), (68, 124, 58)),
+    74: ((1, 0, 2), (4, 56, 76), (6, 65, 91), (7, 99, 117), (8, 40, 45), (9, 134, 142),
+        (12, 113, 144), (13, 43, 46), (15, 95, 111), (16, 124, 146), (17, 68, 75), (18, 123, 136),
+        (20, 3, 24), (23, 104, 121), (25, 78, 89), (27, 129, 141), (29, 44, 16), (30, 84, 93),
+        (31, 69, 73), (33, 88, 103), (35, 26, 62), (39, 48, 10), (40, 19, 20), (44, 79, 36),
+        (45, 50, 6), (46, 13, 60), (49, 106, 120), (50, 67, 18), (51, 90, 100), (52, 41, 47),
+        (53, 31, 87), (55, 83, 29), (58, 7, 66), (61, 82, 25), (63, 22, 86), (64, 61, 138),
+        (65, 11, 77)),
+    78: ((1, 71, 83), (2, 94, 148), (4, 58, 73), (7, 102, 135), (8, 125, 144), (9, 23, 26),
+        (10, 132, 141), (14, 21, 8), (15, 87, 101), (16, 100, 143), (17, 47, 49), (18, 109, 155),
+        (19, 2, 3), (20, 60, 66), (23, 38, 16), (24, 68, 76), (29, 20, 51), (32, 121, 142),
+        (34, 96, 113), (35, 80, 85), (38, 42, 5), (39, 129, 153), (40, 81, 88), (41, 75, 36),
+        (44, 108, 118), (46, 10, 57), (49, 67, 19), (52, 0, 53), (57, 134, 154), (59, 65, 9),
+        (61, 43, 116), (62, 99, 39), (63, 59, 124), (65, 12, 78), (67, 56, 130), (68, 24, 93),
+        (69, 28, 98), (70, 33, 105), (76, 27, 31)),
+    82: ((1, 45, 49), (2, 27, 30), (3, 132, 161), (8, 78, 100), (10, 122, 157), (11, 121, 159),
+        (15, 86, 98), (17, 21, 5), (18, 133, 160), (19, 126, 143), (22, 136, 149), (27, 79, 87),
+        (29, 67, 72), (30, 131, 141), (32, 18, 51), (33, 6, 40), (34, 81, 90), (36, 36, 37),
+        (38, 84, 91), (39, 102, 113), (40, 66, 29), (41, 109, 140), (43, 125, 151), (45, 59, 15),
+        (48, 50, 3), (49, 23, 73), (52, 85, 34), (54, 89, 95), (59, 116, 58), (61, 77, 17),
+        (64, 118, 55), (65, 130, 145), (67, 75, 9), (68, 144, 162), (72, 31, 104), (74, 135, 64),
+        (75, 39, 117), (77, 139, 69), (78, 88, 11), (80, 12, 93), (81, 20, 22)),
+    86: ((4, 122, 150), (5, 11, 13), (6, 110, 166), (7, 135, 165), (9, 9, 10), (10, 32, 35),
+        (12, 68, 79), (13, 107, 121), (14, 153, 170), (15, 116, 167), (16, 119, 142),
+        (18, 132, 151), (19, 81, 97), (22, 127, 171), (23, 59, 63), (24, 50, 57), (25, 83, 96),
+        (26, 115, 137), (31, 140, 169), (32, 76, 85), (33, 47, 15), (34, 41, 46), (35, 31, 69),
+        (36, 54, 19), (37, 64, 28), (38, 87, 93), (39, 112, 130), (41, 84, 92), (42, 124, 144),
+        (43, 113, 123), (45, 131, 143), (46, 66, 21), (50, 52, 3), (57, 95, 42), (61, 90, 30),
+        (63, 100, 39), (71, 75, 5), (72, 88, 17), (73, 60, 134), (76, 99, 24), (80, 145, 72),
+        (81, 45, 129), (84, 74, 161)),
+    90: ((1, 116, 154), (3, 45, 52), (4, 111, 179), (6, 151, 162), (9, 122, 176), (10, 20, 22),
+        (12, 28, 33), (13, 30, 36), (14, 118, 166), (15, 73, 87), (16, 14, 31), (17, 101, 119),
+        (19, 124, 155), (22, 96, 108), (23, 25, 3), (24, 134, 173), (25, 106, 125), (27, 70, 78),
+        (29, 82, 92), (32, 88, 91), (36, 60, 26), (37, 69, 34), (41, 130, 150), (43, 146, 172),
+        (44, 121, 137), (45, 4, 50), (47, 114, 123), (48, 11, 61), (52, 37, 90), (54, 0, 1),
+        (56, 62, 7), (57, 40, 98), (60, 135, 159), (63, 142, 157), (68, 95, 29), (69, 57, 133),
+        (70, 117, 48), (74, 128, 55), (75, 35, 39), (76, 8, 85), (77, 68, 148), (79, 97, 19),
+        (81, 65, 147), (86, 44, 132), (89, 169, 83)),
+}
 
 
 def _pack_4n_rotation(n: int) -> tuple[Design, Colouring]:
@@ -248,7 +272,7 @@ def _pack_4n_rotation(n: int) -> tuple[Design, Colouring]:
     row1 = list(range(period)) * 2
     row2 = list(range(period, 2 * period)) * 2
     blocks = []
-    for x, y, z in _rotation_families(n):
+    for x, y, z in _ROTATION_FAMILIES[n]:
         blocks += zip(range(period), row1[x:], row2[y:], row2[z:])
     return Design(4 * n, tuple(blocks)), Colouring(2, (0,) * period + (1,) * period)
 
@@ -258,18 +282,18 @@ def _pack_4n(n: int) -> tuple[Design, Colouring]:
         raise DesignError("n must be positive")
     if n in (2, 6):
         raise UnsupportedOrderError(f"no PD({4 * n},4,1) of size n^2: order {n} unsupported")
-    try:
-        return _td_packing(4, n, 2)
-    except UnsupportedOrderError:
+    if n in _ROTATION_FAMILIES:
         return _pack_4n_rotation(n)
+    return _td_packing(4, n, 2)
 
 
 def pack_4n(n: int) -> ColouredPacking:
     """A PD(4n, 4, 1) of size n^2 with a balanced block-equitable 2-colouring.
 
-    Uses a transversal design of order n where one exists (two groups per
-    colour); orders n = 2 (mod 4) beyond the reach of the prime-power
-    product fall back to the two-row rotation construction.
+    Orders n = 10, 14, ..., 90 use the two-row rotation construction over
+    the stored families; every other n except 2 and 6 uses a transversal
+    design of order n (two groups per colour), which for n = 2 (mod 4)
+    comes from Wilson's construction.
     """
     return _packing(*_pack_4n(n))
 
@@ -573,11 +597,10 @@ def max_equitable_packing(v: int) -> Union[ColouredPacking, Unachievable]:
     """Maximum block-equitably 2-colourable PD(v, 4, 1) for v >= 0.
 
     Dispatcher over the residue of v mod 4; the four orders whose bound
-    value cannot be met return an Unachievable marker instead.  Orders
-    v = 4n and 4n + 1 with n = 2 (mod 4), n >= 10, rest on the rotation
-    search of `_rotation_families`, which raises UnsupportedOrderError at
-    n = 94 and 98 after about 6 minutes each.  The packing is validated
-    once, as the packing it is, after any isolated point is appended.
+    value cannot be met return an Unachievable marker instead, and every
+    other order is built (v = 4n and 4n + 1 through `pack_4n`, which
+    covers every n but 2 and 6).  The packing is validated once, as the
+    packing it is, after any isolated point is appended.
     """
     if v < 0:
         raise UnsupportedParameterError("v must be non-negative")

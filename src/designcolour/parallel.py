@@ -1,7 +1,6 @@
 """Exhaustive parallel-class enumeration and batch chromatic analysis."""
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -199,8 +198,11 @@ def analyze_parallel_classes(
     tasks = [(pc, i, budget) for i, pc in enumerate(classes)]
     workers = _worker_count(jobs, len(tasks))
     if workers > 1:
-        # the attribute loads concurrent.futures.process, and with it
-        # multiprocessing, only when a pool starts
+        # imported here, so that only a run that starts a pool loads
+        # concurrent.futures, and with it logging, threading and
+        # multiprocessing
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_start_worker, initargs=(facts,)
         ) as pool:

@@ -1,9 +1,13 @@
-"""Transversal designs from finite fields and product composition.
+"""Transversal designs from finite fields, product composition and
+Wilson's construction.
 
 A TD(k, g) is built directly over GF(g) when g is a prime power with
 k <= g + 1, and otherwise by composing the prime-power factors of g
-(possible when k <= min(q_i) + 1).  Orders outside that range, such as
-g = 6 with k = 4, are rejected.
+(possible when k <= min(q_i) + 1).  Where that fails, one step of
+Wilson's construction (R. M. Wilson, Discrete Math. 9, 1974) inflates a
+truncated TD(k + 1, t) by product-built TDs; with k = 4 it reaches every
+g <= 2000 except 2, 6, 10 and 14.  Orders outside both, such as g = 6
+with k = 4, are rejected.
 """
 from __future__ import annotations
 
@@ -136,30 +140,74 @@ def _td_product(
     return list(zip(*columns))
 
 
+def _product_admits(k: int, g: int) -> bool:
+    """Whether the product of GF(q) designs gives a TD(k, g): every
+    prime-power factor q of g has k <= q + 1."""
+    return all(k <= p**e + 1 for p, e in _factor_prime_powers(g))
+
+
+def _td_by_product(k: int, g: int) -> list[tuple[int, ...]]:
+    """TD(k, g) rows from the prime-power factors of g, which must admit k."""
+    qs = [p**e for p, e in _factor_prime_powers(g)]
+    if not qs:
+        return [(0,) * k]
+    rows = _td_prime_power(k, qs[0])
+    for q in qs[1:]:
+        rows = _td_product(rows, _td_prime_power(k, q), q)
+    return rows
+
+
+def _td_wilson(k: int, t: int, m: int, u: int) -> list[tuple[int, ...]]:
+    """TD(k, mt + u) rows by Wilson's construction from a TD(k + 1, t)
+    whose last group is truncated to symbols 0..u-1, 1 <= u <= t.
+
+    Group i takes the u extra points 0..u-1, then m copies u + b*m + s
+    of each symbol b of the TD(k + 1, t).  A row that misses the kept
+    symbols carries a TD(k, m) over the copies of its symbols; a row
+    with kept symbol y carries a TD(k, m + 1), symbol 0 standing for the
+    extra point y, less its all-zero row; and a TD(k, u) joins the extra
+    points.  The TD(k, u) comes first, so row 0 is its all-zero row.
+    """
+    small = list(zip(*_td_by_product(k, m)))
+    large = list(zip(*_td_by_product(k, m + 1)[1:]))
+    rows = _td_by_product(k, u)
+    for *head, y in _td_prime_power(k + 1, t):
+        # each column of the inner TD is read through its group's labels
+        copies = [range(u + b * m, u + b * m + m) for b in head]
+        if y < u:
+            rows += zip(*(map([y, *c].__getitem__, col) for c, col in zip(copies, large)))
+        else:
+            rows += zip(*(map(c.__getitem__, col) for c, col in zip(copies, small)))
+    return rows
+
+
 def td_symbol_rows(k: int, g: int) -> list[tuple[int, ...]]:
     """TD(k, g) as rows of per-group symbols, one symbol per group.
 
+    The product of GF(q) designs is used when every prime-power factor q
+    of g has k <= q + 1.  Otherwise one Wilson step is tried, with the
+    least prime power t >= k for which g = mt + u, 1 <= u <= t, and the
+    product gives TD(k, m), TD(k, m + 1) and TD(k, u); any other order
+    raises UnsupportedOrderError.
+
     The first row is all zeros: row (a, b) = (0, 0) of every prime-power
     factor takes symbol 0 in every group, the infinity group included, and
-    the product keeps it at 0.  `transforms.blow_up` relies on this to
-    embed its source design.
+    the product keeps it at 0; a Wilson step starts with its TD(k, u).
+    `transforms.blow_up` relies on this to embed its source design.
     """
     if k < 2:
         raise UnsupportedOrderError("transversal designs need k >= 2")
     if g < 1:
         raise UnsupportedOrderError("group size must be positive")
-    if g == 1:
-        return [tuple(0 for _ in range(k))]
-    factors = _factor_prime_powers(g)
-    qs = [p**e for p, e in factors]
-    if any(k > q + 1 for q in qs):
-        raise UnsupportedOrderError(
-            f"no supported TD({k},{g}): prime-power factor {min(qs)} admits at most {min(qs) + 1} groups"
-        )
-    rows = _td_prime_power(k, qs[0])
-    for q in qs[1:]:
-        rows = _td_product(rows, _td_prime_power(k, q), q)
-    return rows
+    if _product_admits(k, g):
+        return _td_by_product(k, g)
+    for t in range(k, g):
+        m = (g - 1) // t
+        u = g - m * t
+        if len(_factor_prime_powers(t)) == 1 and all(_product_admits(k, x) for x in (m, m + 1, u)):
+            return _td_wilson(k, t, m, u)
+    q = min(p**e for p, e in _factor_prime_powers(g))
+    raise UnsupportedOrderError(f"no supported TD({k},{g}): prime-power factor {q} admits at most {q + 1} groups")
 
 
 def _td_from_rows(k: int, g: int, rows: Sequence[tuple[int, ...]]) -> tuple[Design, Grouping]:

@@ -345,6 +345,8 @@ class TestExitCodes:
             (["verify", "pack7", "--as", "gdd"], "error: no grouping present for GDD validation"),
             (["catalog", "get"], "error: catalog get needs a name argument"),
             (["construct", "geq-blowup", "sts7", "sts7"], "error: the second design needs groups and a colouring"),
+            (["construct", "td", "4", "5", "--class-index", "7"],
+             "error: --class-index applies to pc-to-gdd, not to td"),
             (["construct", "nosuch"],
              f"designcolour construct: error: argument family: invalid choice: 'nosuch' (choose from {families})"),
         ):

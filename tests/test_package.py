@@ -34,10 +34,11 @@ def _imports_at_run_time(node) -> bool:
 
 
 def test_no_function_level_imports():
-    # Imports sit at module level.  The one exception is for start-up:
+    # Imports sit at module level.  The two exceptions are for start-up:
     # the package root's `__getattr__` imports a submodule on the first
     # use of one of its names, so a command starts without the modules
-    # it does not use.
+    # it does not use, and `analyze_parallel_classes` imports
+    # `concurrent.futures` only when it starts a pool.
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -45,7 +46,7 @@ def test_no_function_level_imports():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(_imports_at_run_time(node) for node in ast.walk(func)):
                     found.add(f"{path.name}:{func.name}")
-    assert found == {"__init__.py:__getattr__"}
+    assert found == {"__init__.py:__getattr__", "parallel.py:analyze_parallel_classes"}
 
 
 def _imported_names(node) -> list[str]:
@@ -109,6 +110,19 @@ def test_start_up_does_not_load_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_analysis_without_a_pool_does_not_load_concurrent_futures():
+    # `--analyze` without `--jobs` analyses each class in this process and
+    # imports no pool machinery.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import io, sys; from designcolour.cli import cli_main; "
+        "print(cli_main(['pclasses', 'sts9', '--analyze'], out=io.StringIO()), 'concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 # The package modules every command loads.
@@ -253,7 +267,6 @@ def test_only_cli_main_writes_to_stderr():
 # The functions that call themselves, each with the bound on its depth.
 BOUNDED_RECURSION = {
     "colouring.py:brute_min_monochrome.rec": "one level per point, at most 24 by the enumeration guard",
-    "packings.py:_rotation_families.rec": "at most 40,000 nodes, the search's own cap",
 }
 
 

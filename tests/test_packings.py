@@ -1,6 +1,7 @@
 """Packing constructions, their bounds and the difference-pair profiles."""
 import hashlib
 import io
+import time
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,54 @@ class TestPackSmall:
         assert checked == [24]
 
 
+# sha256 of `construct pack-max v` stdout for v = 4n and 4n + 1 at each
+# order n of the stored rotation families
+_ROTATION_DIGESTS = {
+    40: "e9e25e33540f60aad6b93189436e0a0d0fbc6e38837cd8f26e0d47b7b95a2b43",
+    41: "950fd6e5effaf621a83ee85e26119bcc1015924435f2d32a4e4b5317d2f9b224",
+    56: "68cecec780062dc5ca4769bb4bf670fb10b137538764e73d12b7d8af6026fec4",
+    57: "b6a8fd9937dee77b5e9addeb7c786a9acaf860825503f08010c4e93cf5dde863",
+    72: "fb16610c2fdab9976216e748cffe52fe7eac97dd9eb7acc5d401ff5acfdbed64",
+    73: "c47b8aef0cab9c1aae359f0df39665267f8aaa0a8e324dded86ec3865a9a9a85",
+    88: "cb3952aff9d4098701359e536ff70e5ab5a63b5a0c8639eedf2bcf2c68bf5aaf",
+    89: "ad7af8ea42de92bf24883b7dd5dd1d5a8171c3233573e986fc11f4569252e53e",
+    104: "f9fadfc2667503da7c5b05dc9799c832b2ed300e9cce998b6ace9b56ac30796b",
+    105: "01737ee650ff274a20cd6443af55ded35934b3149772b37fb15c2b3f191c1ba7",
+    120: "964119641a07bd846788bea033e96fc52195d45015918c254b814fae3a79a215",
+    121: "665692e6b86c37b8a6568026b382c09bd032adcb659eafe6feddfdb0a4b94496",
+    136: "92a8ca27dde0c85d16f66f58cdb42cb4d456a5f2e7efd5a0efa7bc0bfb814db3",
+    137: "a538891cf248e10f5804add2edcd2d8e266bf2342838b964eb9f17f73af46a03",
+    152: "b66b849f555af405ad21f6b864e28435184577b1231bf831643afbd1bce2a2c3",
+    153: "577ad55d3b0226bfe38c304d8ec81ad4aa190e539e8fadc255adfd53aabecdd7",
+    168: "fa67ca4ca10b8e1d5c72330207d8ff27b80a82f51b17b5b8229fd2cc263170e2",
+    169: "6ff2f435807358b6709f04cbb13aa726d68b99509fdc65296c02de3c5eb03035",
+    184: "36506fcfaa4c455617e5c12f3a21e91337d8a476a370760e0d2f1715e5da6077",
+    185: "adf162e6f91bd8e213f51926aee384955aa000d3bdd5f2bee2bd9bfd7e83cce7",
+    200: "294d6f90e0635d9c5c2e6488c01a26a29856307acca17bb850bd0a499f214b04",
+    201: "609a9387eddaab46e228694073b026c497455efed16baeb66787ef2af4359c03",
+    216: "223d5d2b8546368511c034cb5143fb2ece780e69c9618c9b3fe73c0fde86f3b7",
+    217: "519ee9ad3e90d0f24d81f66fa3b91e6129144e980126c97e94f52e5ad807b70b",
+    232: "c02892120b6f4243398c1d3c7988b953d4997e95ca7a840b061072590dd3dabf",
+    233: "f931fb113fd2ab2287d330cb6f1fdf0e1e6c829f97141c535bf4e34d24daefb4",
+    248: "0951ae6e1261d2ee27327ba2cf0f3ef45c38e9394208c447ceb68654509667a1",
+    249: "a27e3761777d14c12c0345e4143c2db92f8365f633ecbf16e6ee4c7bc805a014",
+    264: "aa603c45513cbaf38f22ee81b31cbc4c3e9eb05435fa8b8cdfa278cd9b4d9eae",
+    265: "0263c6566a244b5be8998b4625b093c4a64cd1a48dcb9492e521b9129c44e593",
+    280: "375cfee2dd9414ee41801ff3956b8df8a27b03a56bc3ff11dc964beb8e52f315",
+    281: "c15707736386a9aebc580d0cb7bfc8191941cd90943bd56fd0a751c03e2bf20d",
+    296: "28be27b15dfe51435ef603828fd52cb76bbaa8459876bf175ea624fa61b97232",
+    297: "84c0a1b7fa883200c377b247a5ef499d80f23eacc3a4bb32af0f86eb3c524076",
+    312: "b916b4acbb0f7af4a077a5c9768368872aca87a2bdf9b8ee13409e6287957b14",
+    313: "54a984fbe968e93888a494661dc9bcbc49cd220f50e994b0f2144afd70b624a5",
+    328: "cc1349fb4dd95c4e87f9ccf225ee1b0745f6e5d19ec36bee46d4319ae8b38f6e",
+    329: "e522c7adc79ff683e93b044cf2e3cb93f66ee62636d94cf69585fbbae8db1ad2",
+    344: "ca8294ac1f4add7f2ab5717439d8abe0257a7e969aaf714be8ed6a4667dd21dd",
+    345: "a8324c1bc654acb2701ad3240e39dfcb7df50ae5e29fbe64a7737e29d1e7d099",
+    360: "314cf88c2fddfb6e53b8072b88f3d94251556e54226fee8c876fc708e42a7d06",
+    361: "181bbae9d47b85944850e29e122d889d9abd72a0a1c6bdaf22d880fe14df148f",
+}
+
+
 class TestDispatcher:
     def test_small_exceptions(self):
         for v in (6, 8, 9, 10):
@@ -256,6 +305,23 @@ class TestDispatcher:
         out = io.StringIO()
         assert cli_main(["construct", "pack-max", str(v)], out=out) == EXIT_OK
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("v,digest", sorted(_ROTATION_DIGESTS.items()))
+    def test_rotation_orders_keep_their_bytes(self, v, digest):
+        # every order built from the stored rotation families
+        assert v // 4 in packings._ROTATION_FAMILIES
+        out = io.StringIO()
+        assert cli_main(["construct", "pack-max", str(v)], out=out) == EXIT_OK
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("v", [376, 377, 392, 393])
+    def test_orders_beyond_the_rotation_table(self, v):
+        # n = 94 and 98 come from Wilson's TD(4, n) in well under a
+        # second each; the bound keeps them at desk scale
+        start = time.perf_counter()
+        result = max_equitable_packing(v)
+        assert time.perf_counter() - start < 30
+        assert result.size == bound_max_equitable(v, 4, 2).value and result.bound_met
 
     @pytest.mark.parametrize("v", [7, 11, 20, 21, 22, 23, 24, 25, 34, 35])
     def test_each_output_is_checked_once(self, monkeypatch, v):

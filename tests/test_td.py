@@ -153,7 +153,7 @@ def test_corrupted_symbol_row_raises(monkeypatch):
         build_td(4, 5)
 
 
-@pytest.mark.parametrize("k,g", [(4, 6), (4, 10), (4, 2), (5, 3), (6, 4), (5, 12)])
+@pytest.mark.parametrize("k,g", [(4, 6), (4, 10), (4, 14), (4, 2), (5, 3), (6, 4), (5, 12)])
 def test_unsupported_orders_rejected(k, g):
     with pytest.raises(UnsupportedOrderError):
         build_td(k, g)
@@ -196,14 +196,28 @@ def _rows_by_product_oracle(k, g):
 
 
 def test_symbol_rows_match_a_per_row_product():
-    composites = 0
+    # the orders the product construction takes: every prime-power factor
+    # of g at least k - 1
+    checked = composites = 0
     for g in range(2, 65):
+        qs = [p**e for p, e in td._factor_prime_powers(g)]
         for k in (3, 4, 5):
-            try:
-                rows = td_symbol_rows(k, g)
-            except UnsupportedOrderError:
+            if min(qs) < k - 1:
                 continue
-            assert rows == _rows_by_product_oracle(k, g), (k, g)
-            composites += len(td._factor_prime_powers(g)) > 1
+            assert td_symbol_rows(k, g) == _rows_by_product_oracle(k, g), (k, g)
+            checked += 1
+            composites += len(qs) > 1
     # (k, g) with g composite and every prime-power factor of g at least k - 1
-    assert composites == 68
+    assert (checked, composites) == (146, 68)
+
+
+@pytest.mark.parametrize("n", [18, 22, 26, 30, 94, 98])
+def test_wilson_orders_validate(n):
+    # n = 2 (mod 4) has the factor 2, too small for a TD(4, n) by the
+    # product; one Wilson step from a truncated TD(5, t) builds it
+    assert not td._product_admits(4, n)
+    d, grouping = build_td(4, n)
+    assert d.b == n * n
+    assert validate_gdd(d, grouping).passed
+    assert is_transversal(d, grouping)
+    assert td_symbol_rows(4, n)[0] == (0, 0, 0, 0)

@@ -67,7 +67,9 @@ class TestBlowUp:
         result = blow_up(sts7, Grouping.singletons(7), 3)
         assert chromatic_number(result.design).chi == chromatic_number(sts7).chi == 3
 
-    @pytest.mark.parametrize("name,w", [("sts7", 3), ("bibd13_4", 4), ("bibd13_4", 5), ("td44", 3)])
+    @pytest.mark.parametrize(
+        "name,w", [("sts7", 3), ("bibd13_4", 4), ("bibd13_4", 5), ("bibd13_4", 18), ("td44", 3)]
+    )
     def test_source_blocks_embed_at_copy_zero(self, name, w):
         # The TD's all-zero first row puts copy 0 of every source block in
         # the blow-up.
