@@ -13,6 +13,7 @@ from .core import (
     Design,
     DesignError,
     Grouping,
+    _require,
     validate_bibd,
     validate_gdd,
     validate_packing,
@@ -223,8 +224,7 @@ def _validate_entry(entry: CatalogEntry) -> None:
     name = entry.name
     if entry.grouping is not None:
         report = validate_gdd(entry.design, entry.grouping)
-        if not report:
-            raise DesignError(f"catalog entry {name} fails GDD validation: {report.violations[:3]}")
+        _require(report, DesignError, f"catalog entry {name} fails GDD validation")
         if entry.colouring is not None:
             colrep = check_group_colouring(
                 entry.design, entry.grouping, entry.colouring, "group-equitable"
@@ -232,15 +232,11 @@ def _validate_entry(entry: CatalogEntry) -> None:
             if not colrep:
                 raise DesignError(f"catalog entry {name} has an invalid colouring")
     elif name.startswith("pack"):
-        report, _ = validate_packing(entry.design)
-        if not report:
-            raise DesignError(f"catalog entry {name} fails packing validation: {report.violations[:3]}")
+        _require(validate_packing(entry.design)[0], DesignError, f"catalog entry {name} fails packing validation")
         if entry.colouring is not None and not check_block_equitable(entry.design, entry.colouring):
             raise DesignError(f"catalog entry {name} has an invalid colouring")
     else:
-        report = validate_bibd(entry.design)
-        if not report:
-            raise DesignError(f"catalog entry {name} fails BIBD validation: {report.violations[:3]}")
+        _require(validate_bibd(entry.design), DesignError, f"catalog entry {name} fails BIBD validation")
 
 
 def catalog_get(name: str) -> CatalogEntry:

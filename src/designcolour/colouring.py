@@ -20,6 +20,7 @@ from .core import (
     InternalConsistencyError,
     ValidationReport,
     Violation,
+    _require_points,
 )
 
 # The colouring modes; the group modes also constrain each group of a GDD.
@@ -46,6 +47,8 @@ class Colouring:
         if self.c < 1:
             raise DesignError("colour count must be at least 1")
         for p, col in enumerate(self.assignment):
+            if not isinstance(col, int):
+                raise DesignError(f"point {p} has colour {col!r}, which is not an integer")
             if not 0 <= col < self.c:
                 raise DesignError(f"point {p} has colour {col} outside [0, {self.c})")
         object.__setattr__(self, "assignment", tuple(self.assignment))
@@ -96,14 +99,9 @@ def pair_stats_equitable(mu: int, c: int) -> PairStats:
     return PairStats(nm, m, Fraction(2 * m, mu * (mu - 1)))
 
 
-def _check_cover(d: Design, col: Colouring) -> None:
-    if col.v != d.v:
-        raise DesignError("colouring is over a different point count")
-
-
 def check_weak(d: Design, col: Colouring) -> ValidationReport:
     """Pass iff no block is contained in a single colour class."""
-    _check_cover(d, col)
+    _require_points(d.v, col, "colouring")
     a = col.assignment
     # a block whose first and last points differ in colour passes without
     # building its colour set
@@ -195,7 +193,7 @@ def check_block_equitable(d: Design, col: Colouring) -> ValidationReport:
     The bound is quantified over the whole palette, so a colour that never
     appears still fails a block when floor(k/c) >= 1.
     """
-    _check_cover(d, col)
+    _require_points(d.v, col, "colouring")
     violations = _equitable_violations("block-colour-count", d.blocks, col.assignment, col.c)
     return ValidationReport(tuple(violations), {"mode": "block-equitable", "c": col.c})
 
@@ -211,9 +209,8 @@ def check_group_colouring(
     """
     if mode not in GROUP_MODES:
         raise DesignError(f"unknown group colouring mode {mode!r}")
-    _check_cover(d, col)
-    if g.v != d.v:
-        raise DesignError("grouping is over a different point count")
+    _require_points(d.v, col, "colouring")
+    _require_points(d.v, g, "grouping")
     a = col.assignment
     violations = list(check_weak(d, col).violations)
     if mode == "group-monochromatic":
@@ -253,14 +250,12 @@ def count_monochrome_cross_pairs(
     class, less those within a group.
     """
     v = d.v
-    if col.v != v:
-        raise DesignError("colouring is over a different point count")
+    _require_points(v, col, "colouring")
     a = col.assignment
     mono = sum(comb(n, 2) for n in Counter(a).values())
     total = comb(v, 2)
     if g is not None:
-        if g.v != v:
-            raise DesignError("grouping is over a different point count")
+        _require_points(v, g, "grouping")
         for grp in g.groups:
             total -= comb(len(grp), 2)
             mono -= sum(comb(n, 2) for n in Counter(a[p] for p in grp).values())
@@ -281,8 +276,7 @@ def brute_min_monochrome(
     if c < 1:
         raise DesignError("colour count must be at least 1")
     v = d.v
-    if g.v != v:
-        raise DesignError("grouping is over a different point count")
+    _require_points(v, g, "grouping")
     if c == 1:
         # one colouring, all zeros: every cross-group pair is monochrome
         return comb(v, 2) - sum(comb(len(grp), 2) for grp in g.groups), Colouring(1, (0,) * v)

@@ -85,6 +85,8 @@ class Design:
     lambda_: int = 1
     # set only by `_from_canonical`, for blocks already proved canonical
     _canonical: InitVar[bool] = field(default=False, kw_only=True)
+    # the number of blocks of each size
+    _sizes: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _canonical: bool) -> None:
         if self.v < 0:
@@ -92,12 +94,7 @@ class Design:
         if self.lambda_ < 1:
             raise DesignError("pair multiplicity index must be a positive integer")
         if _canonical:
-            canon = self.blocks
-            sizes = _size_profile(canon)
-            if min(sizes, default=2) < 2:
-                short = next(blk for blk in canon if len(blk) < 2)
-                raise DesignError(f"block {short!r} has fewer than two points")
-            object.__setattr__(self, "_sizes", sizes)
+            canon, fours = self.blocks, False
         else:
             raws = tuple(self.blocks)
             try:
@@ -118,9 +115,13 @@ class Design:
                         raise DesignError(f"block {tuple(raw)!r} out of range for v={self.v}")
                     checked.append(blk)
                 canon = checked
-            else:
-                object.__setattr__(self, "_sizes", {4: len(canon)} if canon else {})
+        sizes = {4: len(canon)} if fours and canon else _size_profile(canon)
+        if min(sizes, default=2) < 2:
+            # only blocks from `_from_canonical` reach here unchecked
+            short = next(blk for blk in canon if len(blk) < 2)
+            raise DesignError(f"block {short!r} has fewer than two points")
         object.__setattr__(self, "blocks", tuple(sorted(canon)))
+        object.__setattr__(self, "_sizes", sizes)
 
     @classmethod
     def _from_canonical(cls, v: int, blocks: Sequence[Block], lambda_: int) -> "Design":
@@ -134,12 +135,6 @@ class Design:
         still sorted, which is linear when it is sorted already.
         """
         return cls(v, blocks, lambda_, _canonical=True)
-
-    @cached_property
-    def _sizes(self) -> dict[int, int]:
-        """The number of blocks of each size.  Set on construction when
-        the checks already read the sizes."""
-        return _size_profile(self.blocks)
 
     @property
     def k(self) -> int:
@@ -271,6 +266,20 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def _require(report, error: type[Exception], what: str) -> None:
+    """Raise `error`, naming what failed and the first three violations,
+    unless the report passed; only its `passed` and `violations` are read."""
+    if not report.passed:
+        raise error(f"{what}: {report.violations[:3]}")
+
+
+def _require_points(v: int, other, what: str) -> None:
+    """Raise DesignError unless `other`, a colouring or grouping, is over
+    v points."""
+    if other.v != v:
+        raise DesignError(f"{what} is over a different point count")
 
 
 def admissible(v_or_u: int, g: int, k: int, lambda_: int) -> bool:
@@ -444,6 +453,11 @@ def _repeated_pair_violations(d: Design, low: list[int]) -> list[Violation]:
     ]
 
 
+def _design_details(d: Design) -> dict:
+    """The report details every validator gives: the design's parameters."""
+    return {"v": d.v, "k": d.k, "lambda": d.lambda_, "blocks": d.b}
+
+
 def validate_bibd(d: Design) -> ValidationReport:
     """Check that every unordered pair of points occurs in exactly lambda_ blocks."""
     violations: list[Violation] = []
@@ -454,10 +468,7 @@ def validate_bibd(d: Design) -> ValidationReport:
         # every pair is a cross pair of the singleton grouping
         violations += _cross_pair_violations("pair-multiplicity", d, range(d.v), pairs)
     details = {
-        "v": d.v,
-        "k": d.k,
-        "lambda": d.lambda_,
-        "blocks": d.b,
+        **_design_details(d),
         "admissible": admissible(d.v, 1, d.k, d.lambda_) if d.v >= 2 and d.k >= 2 else False,
     }
     return ValidationReport(tuple(violations), details)
@@ -479,8 +490,7 @@ def validate_gdd(d: Design, g: Grouping) -> ValidationReport:
     Every pair of points from distinct groups must occur in exactly lambda_
     blocks, and no block may contain two points of one group.
     """
-    if g.v != d.v:
-        raise DesignError("grouping is over a different point count")
+    _require_points(d.v, g, "grouping")
     violations: list[Violation] = []
     if not _is_gdd(d, g):
         gi = g.group_index
@@ -498,14 +508,7 @@ def validate_gdd(d: Design, g: Grouping) -> ValidationReport:
         cross = comb(d.v, 2) - sum(comb(len(grp), 2) for grp in g.groups)
         violations += _cross_pair_violations("cross-pair-multiplicity", d, gi, cross)
     uniform = g.uniform_size is not None
-    details = {
-        "v": d.v,
-        "k": d.k,
-        "lambda": d.lambda_,
-        "blocks": d.b,
-        "u": g.u,
-        "uniform-groups": uniform,
-    }
+    details = {**_design_details(d), "u": g.u, "uniform-groups": uniform}
     if uniform and d.k >= 2:
         details["admissible"] = admissible(g.u, g.uniform_size, d.k, d.lambda_)
     return ValidationReport(tuple(violations), details)
@@ -533,7 +536,7 @@ def validate_packing(d: Design) -> tuple[ValidationReport, Optional[LeaveGraph]]
         ]
         covered = len(counts)
     leave = LeaveGraph(d, comb(d.v, 2) - covered) if d.lambda_ == 1 else None
-    details = {"v": d.v, "k": d.k, "lambda": d.lambda_, "blocks": d.b, "size": d.b}
+    details = {**_design_details(d), "size": d.b}
     return ValidationReport(tuple(violations), details), leave
 
 

@@ -30,6 +30,7 @@ from .core import (
     UnsupportedParameterError,
     ValidationReport,
     Violation,
+    _require,
     validate_packing,
 )
 from .td import UnsupportedOrderError
@@ -49,15 +50,9 @@ class ColouredPacking:
 
     def __post_init__(self) -> None:
         report, _ = validate_packing(self.design)
-        if not report.passed:
-            raise InternalConsistencyError(
-                f"constructed packing invalid: {report.violations[:3]}"
-            )
+        _require(report, InternalConsistencyError, "constructed packing invalid")
         colrep = check_block_equitable(self.design, self.colouring)
-        if not colrep.passed:
-            raise InternalConsistencyError(
-                f"constructed colouring not block-equitable: {colrep.violations[:3]}"
-            )
+        _require(colrep, InternalConsistencyError, "constructed colouring not block-equitable")
 
     @property
     def size(self) -> int:
@@ -511,18 +506,12 @@ def pairs_for_s(s: int) -> PairsProfile:
                 a_expr, b_expr = formula(i)
                 pairs.append((_as_int(a_expr, "a", s), _as_int(b_expr, "b", s)))
         profile = PairsProfile(s, t, tuple(sorted(pairs)))
-    report = verify_pairs_profile(profile)
-    if not report.passed:
-        raise InternalConsistencyError(
-            f"profile for s={s} fails verification: {report.violations[:3]}"
-        )
+    _require(verify_pairs_profile(profile), InternalConsistencyError, f"profile for s={s} fails verification")
     return profile
 
 
 def _pack_from_pairs(p: PairsProfile) -> tuple[Design, Colouring]:
-    report = verify_pairs_profile(p)
-    if not report.passed:
-        raise DesignError(f"pairs profile fails verification: {report.violations[:3]}")
+    _require(verify_pairs_profile(p), DesignError, "pairs profile fails verification")
     s, t = p.s, p.t
     m = 4 * s
 
@@ -561,8 +550,12 @@ def pack_from_pairs(p: PairsProfile) -> ColouredPacking:
 # sporadic orders
 
 
+# the orders of the packings stored in the catalog as pack7 ... pack25
+_STORED_ORDERS = (7, 11, 24, 25)
+
+
 def _stored(v: int) -> tuple[Design, Colouring]:
-    if v not in (7, 11, 24, 25):
+    if v not in _STORED_ORDERS:
         raise UnsupportedParameterError(f"no stored packing for v={v}")
     # built unchecked, as every builder here is: its caller checks it once
     entry = _BUILDERS[f"pack{v}"]()
@@ -580,7 +573,7 @@ def _max_unchecked(v: int) -> tuple[Design, Colouring]:
     """The maximum packing of an achievable order v, before its check."""
     if v < 4:
         return Design(v, ()), Colouring(2, tuple(p % 2 for p in range(v)))
-    if v in (7, 11, 24, 25):
+    if v in _STORED_ORDERS:
         return _stored(v)
     n, r = divmod(v, 4)
     if r < 2:

@@ -51,6 +51,7 @@ from .core import (
     UnsupportedParameterError,
     _check_table_points,
     _distinct_pairs,
+    _require,
 )
 
 COLOURABLE = "colourable"
@@ -427,11 +428,7 @@ def decide_colourable(
         witness = Colouring(c, tuple(solution[gi] for gi in g.group_index))
     else:
         witness = Colouring(c, tuple(solution))
-    report = check_colouring(d, g, witness, mode)
-    if not report.passed:
-        raise InternalConsistencyError(
-            f"solver produced an invalid witness: {report.violations[:3]}"
-        )
+    _require(check_colouring(d, g, witness, mode), InternalConsistencyError, "solver produced an invalid witness")
     return SolveResult(
         COLOURABLE, c, mode, witness, search_nodes, tracker.nodes - search_nodes
     )

@@ -22,6 +22,7 @@ from .core import (
     Grouping,
     InternalConsistencyError,
     UnsupportedParameterError,
+    _require,
     validate_gdd,
 )
 
@@ -224,7 +225,5 @@ def build_td(k: int, g: int) -> tuple[Design, Grouping]:
     when no construction is available (for example TD(4, 6)).
     """
     design, grouping = _td_from_rows(k, g, td_symbol_rows(k, g))
-    report = validate_gdd(design, grouping)
-    if not report.passed:
-        raise InternalConsistencyError(f"TD({k},{g}) invalid: {report.violations[:3]}")
+    _require(validate_gdd(design, grouping), InternalConsistencyError, f"TD({k},{g}) invalid")
     return design, grouping

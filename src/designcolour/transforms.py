@@ -14,6 +14,8 @@ from .core import (
     UnsupportedParameterError,
     _covers_exactly,
     _is_gdd,
+    _require,
+    _require_points,
     is_transversal,
 )
 from .td import td_symbol_rows
@@ -33,9 +35,7 @@ class BlowUp:
     w: int
 
     def lift(self, col: Colouring) -> Colouring:
-        v = self.design.v // self.w
-        if col.v != v:
-            raise DesignError("colouring is over a different point count")
+        _require_points(self.design.v // self.w, col, "colouring")
         assignment = tuple(col.assignment[p // self.w] for p in range(self.design.v))
         return Colouring(col.c, assignment)
 
@@ -228,8 +228,7 @@ def td_group_equitable_colouring(d: Design, g: Grouping) -> Colouring:
         2, tuple(int((symbol[p] < half) == (gi[p] == big_k - 1)) for p in range(d.v))
     )
     report = check_group_colouring(d, g, col, "group-equitable")
-    if not report.passed:
-        raise InternalConsistencyError(f"constructed colouring invalid: {report.violations[:3]}")
+    _require(report, InternalConsistencyError, "constructed colouring invalid")
     return col
 
 
@@ -293,6 +292,5 @@ def group_equitable_blowup(
         2, tuple(low_colour if p % gsize < half else 1 - low_colour for p in range(design.v))
     )
     report = check_group_colouring(design, grouping, colouring, "group-equitable")
-    if not report.passed:
-        raise InternalConsistencyError(f"expanded colouring invalid: {report.violations[:3]}")
+    _require(report, InternalConsistencyError, "expanded colouring invalid")
     return design, grouping, colouring

@@ -57,6 +57,17 @@ def min_mono_by_partitions(mu, c):
     return best, attaining
 
 
+class TestColouring:
+    @pytest.mark.parametrize("colour", [0.5, 1.0, "1", None])
+    def test_rejects_a_colour_that_is_not_an_int(self, colour):
+        with pytest.raises(DesignError, match=r"^point 0 has colour .+, which is not an integer$"):
+            Colouring(2, (colour, 1, 0, 1))
+
+    def test_rejects_a_colour_outside_the_palette(self):
+        with pytest.raises(DesignError, match=r"^point 1 has colour 2 outside \[0, 2\)$"):
+            Colouring(2, (0, 2))
+
+
 class TestPairStats:
     def test_mu5_c2(self):
         stats = pair_stats_equitable(5, 2)

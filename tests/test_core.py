@@ -19,10 +19,19 @@ from designcolour import (
     validate_gdd,
     validate_packing,
 )
-from designcolour.core import _neighbour_masks
+from designcolour import catalog, packings, solver, td, transforms
+from designcolour.colouring import (
+    Colouring,
+    brute_min_monochrome,
+    check_block_equitable,
+    check_group_colouring,
+    check_weak,
+    count_monochrome_cross_pairs,
+)
+from designcolour.core import InternalConsistencyError, ValidationReport, Violation, _neighbour_masks
 from designcolour.packings import max_equitable_packing, pack_4n2_odd
 from designcolour.td import build_td
-from designcolour.transforms import delete_point
+from designcolour.transforms import blow_up, delete_point
 
 
 def brute_pair_counts(design):
@@ -301,3 +310,134 @@ class TestAdmissible:
                 for v in range(1, 200):
                     bibd = lam * (v - 1) % (k - 1) == 0 and lam * v * (v - 1) % (k * (k - 1)) == 0
                     assert admissible(v, 1, k, lam) == bibd, (v, k, lam)
+
+
+# A failed report with five violations: a failed check names the first three.
+FAKE_REPORT = ValidationReport(tuple(Violation("fake", (i,)) for i in range(5)))
+LISTED = "(" + ", ".join(f"Violation(kind='fake', witness=({i},))" for i in range(3)) + ")"
+
+# A colouring or grouping over other points than the design's.
+FOUR = Design(4, ((0, 1, 2, 3),))
+FOUR_COLOURS = Colouring(2, (0, 1, 0, 1))
+FOUR_GROUPS = Grouping(4, ((0, 1), (2, 3)))
+FIVE_COLOURS = Colouring(2, (0, 1, 0, 1, 0))
+FIVE_GROUPS = Grouping(5, ((0, 1), (2, 3, 4)))
+COLOURING_POINTS = "colouring is over a different point count"
+GROUPING_POINTS = "grouping is over a different point count"
+
+
+def _fail(module, name, call, packing=False):
+    """Force `module.name`, the checker a site calls, to fail, then run the site."""
+    def run(monkeypatch):
+        monkeypatch.setattr(module, name, lambda *args: (FAKE_REPORT, None) if packing else FAKE_REPORT)
+        call()
+    return run
+
+
+def _direct(call):
+    return lambda monkeypatch: call()
+
+
+def _pack_from_failing_pairs(monkeypatch):
+    profile = packings.pairs_for_s(2)
+    monkeypatch.setattr(packings, "verify_pairs_profile", lambda p: FAKE_REPORT)
+    packings.pack_from_pairs(profile)
+
+
+def _blowup_output_check(monkeypatch):
+    # the TD colouring is checked first and must pass
+    real = transforms.check_group_colouring
+    td44 = catalog_get("td44")
+    monkeypatch.setattr(
+        transforms, "check_group_colouring",
+        lambda d, g, col, mode: real(d, g, col, mode) if d is td44.design else FAKE_REPORT,
+    )
+    transforms.group_equitable_blowup(
+        catalog_get("bibd13_4").design, Grouping.singletons(13), td44.design, td44.grouping, td44.colouring
+    )
+
+
+def _catalog_entry(name):
+    return lambda: catalog._validate_entry(catalog._BUILDERS[name]())
+
+
+FAILED_CHECKS = {
+    "catalog-gdd": (
+        _fail(catalog, "validate_gdd", _catalog_entry("td44")),
+        DesignError, f"catalog entry td44 fails GDD validation: {LISTED}",
+    ),
+    "catalog-packing": (
+        _fail(catalog, "validate_packing", _catalog_entry("pack7"), packing=True),
+        DesignError, f"catalog entry pack7 fails packing validation: {LISTED}",
+    ),
+    "catalog-bibd": (
+        _fail(catalog, "validate_bibd", _catalog_entry("sts7")),
+        DesignError, f"catalog entry sts7 fails BIBD validation: {LISTED}",
+    ),
+    "packing": (
+        _fail(packings, "validate_packing", lambda: packings.pack_small(7), packing=True),
+        InternalConsistencyError, f"constructed packing invalid: {LISTED}",
+    ),
+    "packing-colouring": (
+        _fail(packings, "check_block_equitable", lambda: packings.pack_small(7)),
+        InternalConsistencyError, f"constructed colouring not block-equitable: {LISTED}",
+    ),
+    "pairs-for-s": (
+        _fail(packings, "verify_pairs_profile", lambda: packings.pairs_for_s(5)),
+        InternalConsistencyError, f"profile for s=5 fails verification: {LISTED}",
+    ),
+    "pack-from-pairs": (
+        _pack_from_failing_pairs, DesignError, f"pairs profile fails verification: {LISTED}",
+    ),
+    "solver-witness": (
+        _fail(solver, "check_colouring", lambda: decide_colourable(catalog_get("sts9").design, None, 3, "weak")),
+        InternalConsistencyError, f"solver produced an invalid witness: {LISTED}",
+    ),
+    "td": (
+        _fail(td, "validate_gdd", lambda: build_td(4, 5)),
+        InternalConsistencyError, f"TD(4,5) invalid: {LISTED}",
+    ),
+    "td-colouring": (
+        _fail(transforms, "check_group_colouring", lambda: transforms.td_group_equitable_colouring(*build_td(5, 4))),
+        InternalConsistencyError, f"constructed colouring invalid: {LISTED}",
+    ),
+    "blowup-output": (
+        _blowup_output_check, InternalConsistencyError, f"expanded colouring invalid: {LISTED}",
+    ),
+    "validate-gdd": (_direct(lambda: validate_gdd(FOUR, FIVE_GROUPS)), DesignError, GROUPING_POINTS),
+    "check-weak": (_direct(lambda: check_weak(FOUR, FIVE_COLOURS)), DesignError, COLOURING_POINTS),
+    "check-block-equitable": (
+        _direct(lambda: check_block_equitable(FOUR, FIVE_COLOURS)), DesignError, COLOURING_POINTS,
+    ),
+    "group-colouring-colours": (
+        _direct(lambda: check_group_colouring(FOUR, FOUR_GROUPS, FIVE_COLOURS, "group-equitable")),
+        DesignError, COLOURING_POINTS,
+    ),
+    "group-colouring-groups": (
+        _direct(lambda: check_group_colouring(FOUR, FIVE_GROUPS, FOUR_COLOURS, "group-equitable")),
+        DesignError, GROUPING_POINTS,
+    ),
+    "pair-counts-colours": (
+        _direct(lambda: count_monochrome_cross_pairs(FOUR, FIVE_COLOURS)), DesignError, COLOURING_POINTS,
+    ),
+    "pair-counts-groups": (
+        _direct(lambda: count_monochrome_cross_pairs(FOUR, FOUR_COLOURS, FIVE_GROUPS)),
+        DesignError, GROUPING_POINTS,
+    ),
+    "brute-min": (_direct(lambda: brute_min_monochrome(FOUR, FIVE_GROUPS, 2)), DesignError, GROUPING_POINTS),
+    "lift": (
+        _direct(lambda: blow_up(catalog_get("sts7").design, Grouping.singletons(7), 3).lift(FIVE_COLOURS)),
+        DesignError, COLOURING_POINTS,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", FAILED_CHECKS)
+def test_failed_check_raises_its_error_and_message(site, monkeypatch):
+    # A failed report names its first three violations; a colouring or
+    # grouping over other points than the design's says which it is.
+    run, error, message = FAILED_CHECKS[site]
+    with pytest.raises(error) as raised:
+        run(monkeypatch)
+    assert type(raised.value) is error
+    assert str(raised.value) == message

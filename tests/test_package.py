@@ -264,6 +264,37 @@ def test_only_cli_main_writes_to_stderr():
     assert found == ["cli_main"]
 
 
+def test_only_core_raises_for_a_failed_check():
+    # `core._require` alone turns a failed report into its exception, with
+    # its first three violations, and `core._require_points` alone raises
+    # for a colouring or grouping over other points than the design's.
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split(':')[0]}:{child.name}")
+                continue
+            listed = (
+                isinstance(child, ast.Subscript)
+                and isinstance(child.value, ast.Attribute)
+                and child.value.attr == "violations"
+                and isinstance(child.slice, ast.Slice)
+            )
+            named = (
+                isinstance(child, ast.Constant)
+                and isinstance(child.value, str)
+                and "over a different point count" in child.value
+            )
+            if listed or named:
+                found.add(where)
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found == {"core.py:_require", "core.py:_require_points"}
+
+
 # The functions that call themselves, each with the bound on its depth.
 BOUNDED_RECURSION = {
     "colouring.py:brute_min_monochrome.rec": "one level per point, at most 24 by the enumeration guard",
