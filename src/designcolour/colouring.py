@@ -44,6 +44,8 @@ class Colouring:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.c, int):
+            raise DesignError(f"colour count {self.c!r} is not an integer")
         if self.c < 1:
             raise DesignError("colour count must be at least 1")
         for p, col in enumerate(self.assignment):

@@ -29,10 +29,10 @@ Each decision compiles its design and mode into constraints: each weak
 ("not all equal") constraint is an int mask of its members, and each
 counted constraint a member tuple.  An `_Engine` keeps one mask of
 variables per colour, so an assignment checks a weak constraint with two
-bit operations.  Its whole state is four small lists (a domain and a
-colour per variable, a mask per colour, and the counters of the counted
-constraints), so it backtracks by restoring one copy of them rather than
-by logging every change.
+bit operations.  Its whole state is two small lists (one entry per
+variable, its domain or its colour, followed by the counters of the
+counted constraints; and a mask per colour), so it backtracks by
+restoring one copy of them rather than by logging every change.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .colouring import GROUP_MODES, MODES, Colouring, check_colouring, pair_stats_equitable
 from .core import (
@@ -111,6 +111,11 @@ class ChromaticResult:
 
 
 class _Budget:
+    """The limits of one decision and the nodes it has tried.  `_Engine._dfs`
+    keeps the count: it tests the node limit before counting a node, so a
+    stopped search reports the nodes it tried, and checks the deadline at
+    every 256th node."""
+
     __slots__ = ("node_limit", "deadline", "nodes")
 
     def __init__(self, budget: SearchBudget):
@@ -119,17 +124,6 @@ class _Budget:
             time.monotonic() + budget.time_limit if budget.time_limit else None
         )
         self.nodes = 0
-
-    def spend(self) -> None:
-        """Account one node; raises _Exhausted, without counting it, when
-        the budget has no node left, so `nodes` is the nodes tried."""
-        # a node_limit of None never equals the count
-        if self.nodes == self.node_limit:
-            raise _Exhausted
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Exhausted
 
 
 class _Exhausted(Exception):
@@ -160,36 +154,38 @@ class _Engine:
     Variables are points, or groups in the group-monochromatic mode.  A
     weak ("not all equal") constraint is the int mask of its members,
     listed in `var_weak[x]` for each member x; it forbids its members from
-    being single-coloured.  A counted constraint is a member tuple, and
-    `var_ctr[x]` lists the indices of those holding x; it bounds every
-    colour's count within its members by [floor, cap], both computed from
-    the colour count.  Domains are bitmasks; an assignment strips or
-    restricts the domains it rules out, and a domain left with one colour
-    forces that colour, cascading until nothing changes or a constraint
-    fails.
+    being single-coloured.  A counted constraint bounds every colour's
+    count within its members by [floor, cap], both computed from the
+    colour count.  Domains are bitmasks; an assignment strips or restricts
+    the domains it rules out, and a domain left with one colour forces
+    that colour, cascading until nothing changes or a constraint fails.
 
-    Colour classes are int masks: `cls[colour]` holds the variables
-    assigned that colour.  Assigning x the colour r sets x's bit in
-    `cls[r]`; for each weak mask m on x, `rest = m & ~cls[r]` is the
-    members not coloured r.  An empty `rest` is a single-coloured
-    constraint, a failure; a single bit whose variable is unassigned
-    loses r from its domain.  Counted constraint ci keeps c + 2 entries
-    of the flat list `ctr` from ci * (c + 2): its count of each colour,
-    its members left unassigned and its total floor deficit.
+    The list `st` holds one entry per variable: its domain while it is
+    unassigned (always positive), and ~colour (negative) once it is
+    assigned.  After the n variables, counted constraint ci keeps c + 2
+    entries: its count of each colour, its members left unassigned and
+    its total floor deficit.  Colour classes are int masks: `cls[colour]`
+    holds the variables assigned that colour.  Assigning x the colour r
+    sets x's bit in `cls[r]`; for each weak mask m on x, `rest = m &
+    ~cls[r]` is the members not coloured r.  An empty `rest` is a
+    single-coloured constraint, a failure; a single bit whose variable is
+    unassigned loses r from its domain.
 
     `search` runs one depth-first pass.  The branching variable is the
     unassigned one with the fewest colours left in its domain (lowest
     index on ties) when `most_constrained` is set, and the lowest-index
     unassigned one otherwise; colours are tried in ascending order, and a
-    variable may take at most one colour above the highest used so far,
-    which breaks the symmetry between unused colours.
+    variable may take at most one colour above the highest used so far
+    (the highest non-empty colour class), which breaks the symmetry
+    between unused colours.  Propagation assigns every domain left with one colour
+    before an assignment succeeds, so no unassigned domain has fewer than
+    min(2, c) colours, and the scan stops at the first one with that many.
 
-    The state is the four lists `dom`, `cls`, `colour` and `ctr`, and undo
-    is by one copy of them.  A `_dfs` frame with more than one colour to
-    try copies them before its first branch and restores them before each
-    later one; a failed frame leaves its last branch for its caller to
-    undo, and `search` restores the initial state at the end.  `max_used`
-    is restored by each `_dfs` frame.
+    The state is the two lists `st` and `cls`, and undo is by one copy of
+    them.  A `_dfs` frame with more than one colour to try copies them
+    before its first branch and restores them before each later one; a
+    failed frame leaves its last branch for its caller to undo, and
+    `search` restores the initial state at the end.
     """
 
     def __init__(
@@ -202,163 +198,168 @@ class _Engine:
     ):
         self.n = n
         self.c = c
-        self.var_weak = var_weak
-        self.counted = counted
-        self.var_ctr: list[list[int]] = [[] for _ in range(n)]
-        for ci, members in enumerate(counted):
-            for x in members:
-                self.var_ctr[x].append(ci)
-        sizes = [len(m) for m in counted]
-        self.caps = [-(-size // c) for size in sizes]
-        self.floors = [size // c for size in sizes]
         self.budget = budget
-        self.colour = [-1] * n
-        self.dom = [(1 << c) - 1] * n
+        self.st = [(1 << c) - 1] * n
         self.cls = [0] * c
-        self.ctr: list[int] = []
-        for size, fl in zip(sizes, self.floors):
-            self.ctr += [0] * c + [size, c * fl]
-        self.max_used = -1
+        # var_ctr[x]: (first counter in st, floor, cap, members) of each
+        # counted constraint holding x
+        var_ctr: list[list[tuple]] = [[] for _ in range(n)]
+        for members in counted:
+            size = len(members)
+            fl = size // c
+            entry = (len(self.st), fl, -(-size // c), members)
+            for x in members:
+                var_ctr[x].append(entry)
+            self.st += [0] * c + [size, c * fl]
+        self._assign = self._propagator(var_weak, var_ctr if counted else None)
 
-    def _restrict(self, y: int, mask: int, forced: list) -> bool:
-        dom = self.dom
-        old = dom[y]
-        new = old & mask
-        if new == old:
-            return True
-        if new == 0:
-            return False
-        dom[y] = new
-        if new & (new - 1) == 0:
-            forced.append((y, new.bit_length() - 1))
-        return True
+    def _propagator(
+        self, var_weak: list[list[int]], var_ctr: Optional[list[list[tuple]]]
+    ) -> Callable[[int, int], bool]:
+        """`assign(x, colour)`: assign and propagate to a fixed point, or
+        return False on a failed constraint.  A closure over the state, so
+        a call loads no attributes; the forced variables wait on a flat
+        stack, each with the one colour left in its domain."""
+        st, cls, c = self.st, self.cls, self.c
 
-    def _assign(self, x0: int, colr0: int) -> bool:
-        c = self.c
-        colour = self.colour
-        dom = self.dom
-        cls = self.cls
-        ctr = self.ctr
-        floors, caps = self.floors, self.caps
-        counted = self.counted
-        forced = [(x0, colr0)]
-        while forced:
-            x, colr = forced.pop()
-            if colour[x] != -1:
-                if colour[x] != colr:
-                    return False
-                continue
-            bit = 1 << colr
-            if not dom[x] & bit:
+        def restrict(y: int, mask: int, forced: list[int]) -> bool:
+            old = st[y]
+            new = old & mask
+            if new == old:
+                return True
+            if not new:
                 return False
-            colour[x] = colr
-            if colr > self.max_used:
-                self.max_used = colr
-            same = cls[colr] | (1 << x)
-            cls[colr] = same
-            others = ~same
-            for mask in self.var_weak[x]:
-                rest = mask & others
-                if not rest:
-                    return False
-                if not rest & (rest - 1):
+            st[y] = new
+            if not new & (new - 1):
+                forced.append(y)
+            return True
+
+        def assign(x: int, colr: int) -> bool:
+            forced: list[int] = []
+            while True:
+                bit = 1 << colr
+                st[x] = ~colr
+                same = cls[colr] | (1 << x)
+                cls[colr] = same
+                others = ~same
+                for mask in var_weak[x]:
+                    rest = mask & others
+                    if rest & (rest - 1):
+                        continue
+                    if not rest:
+                        return False
                     y = rest.bit_length() - 1
-                    old = dom[y]
-                    if old & bit and colour[y] == -1:
+                    old = st[y]
+                    if old > 0 and old & bit:
                         if old == bit:
                             return False
-                        dom[y] = old = old ^ bit
+                        st[y] = old = old ^ bit
                         if not old & (old - 1):
-                            forced.append((y, old.bit_length() - 1))
-            strip = ~bit
-            for ci in self.var_ctr[x]:
-                base = ci * (c + 2)
-                cnt = ctr[base + colr] + 1
-                ctr[base + colr] = cnt
-                left = ctr[base + c] - 1
-                ctr[base + c] = left
-                fl = floors[ci]
-                deficit = ctr[base + c + 1]
-                if cnt <= fl:
-                    deficit -= 1
-                    ctr[base + c + 1] = deficit
-                if cnt > caps[ci] or deficit > left:
-                    return False
-                if cnt == caps[ci]:
-                    for y in counted[ci]:
-                        if colour[y] == -1:
-                            if not self._restrict(y, strip, forced):
-                                return False
-                if deficit == left and left > 0:
-                    need = 0
-                    for cc in range(c):
-                        if ctr[base + cc] < fl:
-                            need |= 1 << cc
-                    for y in counted[ci]:
-                        if colour[y] == -1:
-                            if not self._restrict(y, need, forced):
-                                return False
-        return True
+                            forced.append(y)
+                if var_ctr is not None:
+                    for base, fl, cap, members in var_ctr[x]:
+                        cnt = st[base + colr] + 1
+                        st[base + colr] = cnt
+                        left = st[base + c] - 1
+                        st[base + c] = left
+                        deficit = st[base + c + 1]
+                        if cnt <= fl:
+                            deficit -= 1
+                            st[base + c + 1] = deficit
+                        if cnt > cap or deficit > left:
+                            return False
+                        if cnt == cap:
+                            for y in members:
+                                if st[y] > 0 and not restrict(y, ~bit, forced):
+                                    return False
+                        if deficit == left and left > 0:
+                            need = 0
+                            for cc in range(c):
+                                if st[base + cc] < fl:
+                                    need |= 1 << cc
+                            for y in members:
+                                if st[y] > 0 and not restrict(y, need, forced):
+                                    return False
+                if not forced:
+                    return True
+                x = forced.pop()
+                colr = st[x].bit_length() - 1
+
+        return assign
 
     def search(self, most_constrained: bool) -> Optional[list[int]]:
         """First solution of one depth-first pass, or None.
 
         The engine is back in its initial state afterwards, so it can run
-        another pass.  Raises _Exhausted via the budget when limits run out.
+        another pass.  Raises _Exhausted when the budget runs out.
         """
-        dom, cls, colour, ctr = self.dom, self.cls, self.colour, self.ctr
-        initial = (dom[:], cls[:], colour[:], ctr[:])
-        solution = colour[:] if self._dfs(most_constrained) else None
-        dom[:], cls[:], colour[:], ctr[:] = initial
-        self.max_used = -1
+        st, cls = self.st, self.cls
+        initial = (st[:], cls[:])
+        solution = [~s for s in st[: self.n]] if self._dfs(most_constrained) else None
+        st[:], cls[:] = initial
         return solution
 
     def _dfs(self, most_constrained: bool) -> bool:
         """Extend the current assignment depth first; a failure leaves the
         last branch tried for `search` to restore.  The open frame (x,
-        start, saved, the colours still allowed, snapshot) lives in locals,
-        and the frames above it that have a colour left wait on `stack`,
-        so depth costs no recursion.  A frame on its last colour is not
-        kept: its failure falls to the nearest frame with a colour left,
-        whose snapshot undoes it."""
-        dom, cls, colour, ctr = self.dom, self.cls, self.colour, self.ctr
-        n, c = self.n, self.c
-        spend = self.budget.spend
+        start, the colours still allowed, snapshot) lives in locals, and
+        the frames above it that have a colour left wait on `stack`, so
+        depth costs no recursion.  A frame on its last colour is not kept:
+        its failure falls to the nearest frame with a colour left, whose
+        snapshot undoes it."""
+        st, cls, n, c = self.st, self.cls, self.n, self.c
+        assign = self._assign
+        budget = self.budget
+        limit, deadline, nodes = budget.node_limit, budget.deadline, budget.nodes
+        least = min(2, c)
+        # below[t]: the colours a variable may take when t colours are used
+        below = [(1 << min(t + 1, c)) - 1 for t in range(c + 1)]
         stack: list[tuple] = []
         start = 0
-        while True:
-            while start < n and colour[start] != -1:
-                start += 1
-            if start == n:
-                return True
-            x = start
-            if most_constrained:
-                fewest = dom[x].bit_count()
-                for y in range(x + 1, n):
-                    if colour[y] == -1:
-                        size = dom[y].bit_count()
-                        if size < fewest:
-                            x, fewest = y, size
-            saved = self.max_used
-            allowed = dom[x] & ((1 << min(saved + 2, c)) - 1)
-            snapshot = None
+        try:
             while True:
-                while not allowed:
-                    if not stack:
-                        return False
-                    x, start, saved, allowed, snapshot = stack.pop()
-                bit = allowed & -allowed
-                allowed ^= bit
-                spend()
-                if snapshot is not None:
-                    dom[:], cls[:], colour[:], ctr[:] = snapshot
-                    self.max_used = saved
-                elif allowed:
-                    snapshot = (dom[:], cls[:], colour[:], ctr[:])
-                if self._assign(x, bit.bit_length() - 1):
-                    if allowed:
-                        stack.append((x, start, saved, allowed, snapshot))
-                    break
+                while start < n and st[start] < 0:
+                    start += 1
+                if start == n:
+                    return True
+                x = start
+                if most_constrained:
+                    fewest = st[x].bit_count()
+                    if fewest > least:
+                        for y in range(x + 1, n):
+                            dom = st[y]
+                            if dom > 0 and (size := dom.bit_count()) < fewest:
+                                x, fewest = y, size
+                                if fewest == least:
+                                    break
+                used = c
+                while used and not cls[used - 1]:
+                    used -= 1
+                allowed = st[x] & below[used]
+                snapshot = None
+                while True:
+                    while not allowed:
+                        if not stack:
+                            return False
+                        x, start, allowed, snapshot = stack.pop()
+                    bit = allowed & -allowed
+                    allowed ^= bit
+                    # a node_limit of None never equals the count
+                    if nodes == limit:
+                        raise _Exhausted
+                    nodes += 1
+                    if not nodes & 255 and deadline is not None and time.monotonic() > deadline:
+                        raise _Exhausted
+                    if snapshot is not None:
+                        st[:], cls[:] = snapshot
+                    elif allowed:
+                        snapshot = (st[:], cls[:])
+                    if assign(x, bit.bit_length() - 1):
+                        if allowed:
+                            stack.append((x, start, allowed, snapshot))
+                        break
+        finally:
+            budget.nodes = nodes
 
 
 def _build_problem(

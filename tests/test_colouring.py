@@ -63,6 +63,16 @@ class TestColouring:
         with pytest.raises(DesignError, match=r"^point 0 has colour .+, which is not an integer$"):
             Colouring(2, (colour, 1, 0, 1))
 
+    @pytest.mark.parametrize("c", [2.5, 3.0, "3", None])
+    def test_rejects_a_colour_count_that_is_not_an_int(self, c):
+        with pytest.raises(DesignError, match=r"^colour count .+ is not an integer$"):
+            Colouring(c, (0, 1, 2, 1))
+
+    @pytest.mark.parametrize("c", [0, -2])
+    def test_rejects_a_colour_count_below_one(self, c):
+        with pytest.raises(DesignError, match="^colour count must be at least 1$"):
+            Colouring(c, ())
+
     def test_rejects_a_colour_outside_the_palette(self):
         with pytest.raises(DesignError, match=r"^point 1 has colour 2 outside \[0, 2\)$"):
             Colouring(2, (0, 2))

@@ -631,7 +631,7 @@ def test_engine_matches_counter_engine(case):
     # problem is shared across counts as it is in chromatic_number.
     design, grouping = case
     for mode in MODES:
-        for c in (1, 2, 3):
+        for c in (1, 2, 3, 4):
             result = decide_colourable(design, grouping, c, mode)
             witness = result.witness.assignment if result.witness else None
             got = (result.status, witness, result.search_nodes, result.witness_nodes)
@@ -665,11 +665,13 @@ def deep_instances():
 def test_engine_matches_counter_engine_on_deep_trees(design, grouping):
     # The drawn designs have at most 9 points, so their trees are a few
     # levels deep; these have 12 to 28 variables, and a branch may restore
-    # state that many assignments have changed.
+    # state that many assignments have changed.  At c = 4 a domain may
+    # hold three colours, so the branching scan cannot stop at the first
+    # variable it sees and must compare sizes above its floor of two.
     for mode in MODES:
         if grouping is None and mode in GROUP_MODES:
             continue
-        for c in (2, 3):
+        for c in (2, 3, 4):
             result = decide_colourable(design, grouping, c, mode)
             witness = result.witness.assignment if result.witness else None
             got = (result.status, witness, result.search_nodes, result.witness_nodes)

@@ -120,6 +120,15 @@ class TestDecide:
             assert stopped.status == BUDGET_EXCEEDED and stopped.nodes == limit, limit
         assert decide_colourable(d, None, 3, "weak", SearchBudget(node_limit=full.nodes)) == full
 
+    def test_a_passed_deadline_stops_the_search_at_the_256th_node(self, monkeypatch):
+        # the deadline is read at the first call and checked every 256 nodes
+        times = iter([0.0])
+        monkeypatch.setattr(designcolour.solver.time, "monotonic", lambda: next(times, 2.0))
+        d = catalog_get("sts21").design
+        result = decide_colourable(d, None, 3, "weak", SearchBudget(time_limit=1.0))
+        assert result.status == BUDGET_EXCEEDED
+        assert (result.search_nodes, result.witness_nodes) == (256, 0)
+
     def test_search_pass_witness_without_the_least_witness_pass(self):
         d = catalog_get("sts9").design
         least = decide_colourable(d, None, 3, "weak")
@@ -234,6 +243,25 @@ class TestChromatic:
         assert result.refutation is not None and result.refutation.c == 3
         assert result.refutation.status == NOT_COLOURABLE
         assert check_weak(relabelled, result.witness).passed
+
+    @pytest.mark.parametrize("seed, refuted, c4_nodes", [
+        (0, 3545, (19, 19)),
+        (1, 3611, (19, 20)),
+        (2, 6078, (19, 17)),
+        (3, 3723, (19, 19)),
+        (4, 3477, (19, 18)),
+        (5, 3517, (19, 21)),
+    ])
+    def test_relabelled_sts21_trees_are_pinned(self, seed, refuted, c4_nodes):
+        # The same shape as `chromatic` on a relabelled STS(21): a c=3
+        # refutation, then a c=4 decision with its least-witness pass.
+        d = catalog_get("sts21").design
+        perm = list(range(d.v))
+        random.Random(seed).shuffle(perm)
+        relabelled = Design(d.v, tuple(tuple(perm[p] for p in blk) for blk in d.blocks))
+        assert chromatic_number(relabelled).refutation.search_nodes == refuted
+        result = decide_colourable(relabelled, None, 4, "weak")
+        assert (result.search_nodes, result.witness_nodes) == c4_nodes
 
     def test_stored_sts21_refuted_at_3_in_7354_nodes(self):
         # `chromatic sts21` prints this count on stdout
