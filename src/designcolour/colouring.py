@@ -180,10 +180,11 @@ def _equitable_violations(kind: str, sets, a, c: int) -> list[Violation]:
         members = sets[i]
         s = len(members)
         lo, hi = s // c, -(-s // c)
-        counts = [0] * c
-        for p in members:
-            counts[a[p]] += 1
-        for colr, n in enumerate(counts):
+        counts = Counter(map(a.__getitem__, members))
+        # with more colours than members (lo = 0) a colour the set misses
+        # counts 0 and passes, so only the colours it holds are visited
+        for colr in sorted(counts) if lo == 0 else range(c):
+            n = counts[colr]
             if not lo <= n <= hi:
                 violations.append(Violation(kind, (i, members, colr, n)))
     return violations

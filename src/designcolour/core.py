@@ -49,6 +49,23 @@ def _check_table_points(v: int, what: str) -> None:
         )
 
 
+# A construction builds a tuple per block; above this many blocks, 16
+# times the 2**18 that every construction in the tests fits under and
+# about 68 times the benchmark's largest packing (61,504 blocks at
+# v = 992), it refuses before building one, so a hostile parameter fails
+# cleanly.
+_MAX_BLOCKS = 1 << 22
+
+
+def _check_block_count(blocks: int, what: str) -> None:
+    """Raise UnsupportedParameterError when `blocks`, the block count of a
+    construction read from its parameters, exceeds `_MAX_BLOCKS`."""
+    if blocks > _MAX_BLOCKS:
+        raise UnsupportedParameterError(
+            f"{what} has {blocks} blocks, above the {_MAX_BLOCKS}-block limit"
+        )
+
+
 def _ascending_fours(blocks: Sequence[Block], v: int) -> bool:
     """Whether every sorted block has four points, all distinct and in
     0..v-1: one chained test per block, the fast path of `Design`."""
@@ -542,6 +559,7 @@ def validate_packing(d: Design) -> tuple[ValidationReport, Optional[LeaveGraph]]
 
 def is_transversal(d: Design, g: Grouping) -> bool:
     """True when the GDD has k groups and every block meets every group once."""
+    _require_points(d.v, g, "grouping")
     k = d.k
     if not d.uniform or g.u != k or k == 0:
         return False

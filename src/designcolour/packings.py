@@ -30,6 +30,7 @@ from .core import (
     UnsupportedParameterError,
     ValidationReport,
     Violation,
+    _check_block_count,
     _require,
     validate_packing,
 )
@@ -309,6 +310,7 @@ def _with_isolated_point(design: Design, colouring: Colouring) -> tuple[Design, 
 def _pack_4n2_odd(n: int) -> tuple[Design, Colouring]:
     if n < 3 or n % 2 == 0:
         raise UnsupportedParameterError("this construction needs odd n >= 3")
+    _check_block_count(n * n + n, f"the packing of order {4 * n + 2}")
     s = (n - 1) // 2
     m = 2 * s + 2
     # row r holds points 2s + (r-2)m + (x mod m); each is listed twice, so
@@ -489,6 +491,7 @@ def pairs_for_s(s: int) -> PairsProfile:
     """
     if s < 2:
         raise UnsupportedParameterError("s must be at least 2")
+    _check_block_count(4 * s * s + 2 * s, f"the packing of order {8 * s + 2}")
     if s in _SMALL_PROFILES:
         t, pairs = _SMALL_PROFILES[s]
         profile = PairsProfile(s, t, pairs)
@@ -598,6 +601,7 @@ def max_equitable_packing(v: int) -> Union[ColouredPacking, Unachievable]:
     if v < 0:
         raise UnsupportedParameterError("v must be non-negative")
     bound = bound_max_equitable(v, 4, 2)
+    _check_block_count(bound.value, f"the packing of order {v}")
     if not bound.achievable:
         return Unachievable(v, 4, 2, bound.value)
     return _packing(*_max_unchecked(v))

@@ -104,64 +104,53 @@ class PcAnalysis:
         return sum(r.budget_exceeded for r in self.records)
 
 
-class _DesignFacts:
-    """What the class GDDs of one design share, computed once for all.
+def _class_bounds(d: Design, budget: SearchBudget) -> tuple[Optional[int], Optional[int]]:
+    """(lo, hi): what the class GDDs of d share, computed once for all.
 
     d is uniform and k divides v, as in any design with a parallel class,
     so every class GDD keeps b - v/k of d's blocks.  When no pair of d
-    lies in two blocks, no class GDD repeats a pair either, and all share
-    one Turan bound on need = (b - v/k)(k - 1).
+    lies in two blocks, no class GDD repeats a pair either, and lo is
+    their shared Turan bound on need = (b - v/k)(k - 1), which is
+    `chromatic_lower_bound` of each; lo is None when d repeats a pair, and
+    each class GDD is tested for one.
 
     A class GDD is d less some blocks, on the same points, so a weak
-    colouring of d is one of every class GDD.  With a budget, and a
-    shared bound below which no class GDD is colourable, d itself is
-    searched once for a weak colouring with that many colours; its
-    checked witness settles chi = bound for every class.
+    colouring of d is one of every class GDD.  With a shared lo, d itself
+    is searched once within the budget for a weak lo-colouring; hi = lo
+    when its checked witness is found, settling chi = lo for every class,
+    and None otherwise.
     """
-
-    def __init__(self, d: Design, budget: Optional[SearchBudget] = None):
-        self.d = d
-        kept = d.b - d.v // d.k
-        # bound: chromatic_lower_bound of every class GDD, or None when d
-        # repeats a pair and each class GDD must be tested for one
-        self.bound: Optional[int] = None
-        if not kept:
-            self.bound = 1
-        elif _distinct_pairs(d) is not None:
-            self.bound = _turan_bound(d.v, kept * (d.k - 1))
-        # hi: the colour count of a checked weak colouring of d, and so an
-        # upper bound on every class GDD's chi; None when not searched or
-        # not found within the budget
-        self.hi: Optional[int] = None
-        if budget is not None and kept and self.bound is not None:
-            found = decide_colourable(d, None, self.bound, "weak", budget, least_witness=False)
-            if found.colourable:
-                self.hi = self.bound
-
-    def lower_bound(self, gdd: Design) -> int:
-        """`chromatic_lower_bound(gdd)` of a class GDD of d."""
-        return chromatic_lower_bound(gdd) if self.bound is None else self.bound
+    kept = d.b - d.v // d.k
+    if not kept:
+        return 1, None
+    if _distinct_pairs(d) is None:
+        return None, None
+    lo = _turan_bound(d.v, kept * (d.k - 1))
+    found = decide_colourable(d, None, lo, "weak", budget, least_witness=False)
+    return lo, lo if found.colourable else None
 
 
-def _analyze_one(args) -> PcRecord:
-    facts, pc, idx, budget = args
-    gdd, grouping = pc_to_gdd(facts.d, pc)
-    chi, chi_m = _gdd_chromatic_numbers(gdd, grouping, budget, facts.lower_bound(gdd), facts.hi)
+def _analyze_one(
+    d: Design, lo: Optional[int], hi: Optional[int], budget: SearchBudget, idx: int, pc: ParallelClass
+) -> PcRecord:
+    gdd, grouping = pc_to_gdd(d, pc)
+    lower = chromatic_lower_bound(gdd) if lo is None else lo
+    chi, chi_m = _gdd_chromatic_numbers(gdd, grouping, budget, lower, hi)
     return PcRecord(idx, chi, chi_m, chi is None or chi_m is None)
 
 
-# A pool worker's design facts, handed over once when the worker starts
-# rather than pickled with every chunk of tasks.
-_worker_facts: Optional[_DesignFacts] = None
+# A pool worker's (d, lo, hi, budget), handed over once when the worker
+# starts rather than pickled with every chunk of tasks.
+_worker_facts: tuple = ()
 
 
-def _start_worker(facts: _DesignFacts) -> None:
+def _start_worker(*facts) -> None:
     global _worker_facts
     _worker_facts = facts
 
 
-def _analyze_in_worker(args) -> PcRecord:
-    return _analyze_one((_worker_facts, *args))
+def _analyze_in_worker(task: tuple[int, ParallelClass]) -> PcRecord:
+    return _analyze_one(*_worker_facts, *task)
 
 
 _CHUNKSIZE = 4
@@ -183,19 +172,17 @@ def analyze_parallel_classes(
     the weak chromatic number and the monochromatic-group one, found by
     `gdd_chromatic_numbers`.  The histogram aggregates (chi, chi_M) pairs
     and is independent of the worker count.  What the class GDDs share is
-    computed once per design (`_DesignFacts`), not once per class, before
+    computed once per design (`_class_bounds`), not once per class, before
     any worker starts.  Its search of d for a weak colouring may try at
     most one node per class, within the caller's node and time limits.
     """
     budget = budget or SearchBudget()
     classes, _ = enumerate_parallel_classes(d)
-    facts = None
-    if classes:
-        limit = len(classes)
-        if budget.node_limit is not None:
-            limit = min(limit, budget.node_limit)
-        facts = _DesignFacts(d, SearchBudget(limit, budget.time_limit))
-    tasks = [(pc, i, budget) for i, pc in enumerate(classes)]
+    if not classes:
+        return PcAnalysis((), ())
+    limit = len(classes) if budget.node_limit is None else min(len(classes), budget.node_limit)
+    facts = (d, *_class_bounds(d, SearchBudget(limit, budget.time_limit)), budget)
+    tasks = list(enumerate(classes))
     workers = _worker_count(jobs, len(tasks))
     if workers > 1:
         # imported here, so that only a run that starts a pool loads
@@ -204,12 +191,11 @@ def analyze_parallel_classes(
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=(facts,)
+            max_workers=workers, initializer=_start_worker, initargs=facts
         ) as pool:
             records = list(pool.map(_analyze_in_worker, tasks, chunksize=_CHUNKSIZE))
     else:
-        records = [_analyze_one((facts, *t)) for t in tasks]
-    records.sort(key=lambda r: r.class_index)
+        records = [_analyze_one(*facts, *task) for task in tasks]
     counter = Counter(
         (r.chi, r.chi_m) for r in records if r.chi is not None and r.chi_m is not None
     )

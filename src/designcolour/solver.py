@@ -52,6 +52,7 @@ from .core import (
     _check_table_points,
     _distinct_pairs,
     _require,
+    _require_points,
 )
 
 COLOURABLE = "colourable"
@@ -108,22 +109,6 @@ class ChromaticResult:
     witness: Colouring
     refutation: Optional[SolveResult]
     mode: str
-
-
-class _Budget:
-    """The limits of one decision and the nodes it has tried.  `_Engine._dfs`
-    keeps the count: it tests the node limit before counting a node, so a
-    stopped search reports the nodes it tried, and checks the deadline at
-    every 256th node."""
-
-    __slots__ = ("node_limit", "deadline", "nodes")
-
-    def __init__(self, budget: SearchBudget):
-        self.node_limit = budget.node_limit
-        self.deadline = (
-            time.monotonic() + budget.time_limit if budget.time_limit else None
-        )
-        self.nodes = 0
 
 
 class _Exhausted(Exception):
@@ -194,11 +179,16 @@ class _Engine:
         var_weak: list[list[int]],
         counted: list[tuple[int, ...]],
         c: int,
-        budget: _Budget,
+        budget: SearchBudget,
     ):
+        # the budget's limits and the nodes tried: `_dfs` tests the node
+        # limit before counting a node, so a stopped search reports the
+        # nodes it tried, and checks the deadline at every 256th node
+        self.node_limit = budget.node_limit
+        self.deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
+        self.nodes = 0
         self.n = n
         self.c = c
-        self.budget = budget
         self.st = [(1 << c) - 1] * n
         self.cls = [0] * c
         # var_ctr[x]: (first counter in st, floor, cap, members) of each
@@ -309,8 +299,7 @@ class _Engine:
         snapshot undoes it."""
         st, cls, n, c = self.st, self.cls, self.n, self.c
         assign = self._assign
-        budget = self.budget
-        limit, deadline, nodes = budget.node_limit, budget.deadline, budget.nodes
+        limit, deadline, nodes = self.node_limit, self.deadline, self.nodes
         least = min(2, c)
         # below[t]: the colours a variable may take when t colours are used
         below = [(1 << min(t + 1, c)) - 1 for t in range(c + 1)]
@@ -359,7 +348,7 @@ class _Engine:
                             stack.append((x, start, allowed, snapshot))
                         break
         finally:
-            budget.nodes = nodes
+            self.nodes = nodes
 
 
 def _build_problem(
@@ -373,6 +362,8 @@ def _build_problem(
     if mode not in MODES:
         raise DesignError(f"unknown colouring mode {mode!r}")
     _check_table_points(d.v, "a colouring search")
+    if g is not None:
+        _require_points(d.v, g, "grouping")
     if mode in GROUP_MODES and g is None:
         raise UnsupportedParameterError(f"mode {mode!r} requires a grouping")
     if mode == "weak":
@@ -405,13 +396,12 @@ def decide_colourable(
     """
     if c < 1:
         raise DesignError("colour count must be at least 1")
-    tracker = _Budget(budget or SearchBudget())
-    engine = _Engine(*_build_problem(d, g, mode), c, tracker)
+    engine = _Engine(*_build_problem(d, g, mode), c, budget or SearchBudget())
     try:
         solution = engine.search(most_constrained=True)
     except _Exhausted:
-        return SolveResult(BUDGET_EXCEEDED, c, mode, None, tracker.nodes, 0)
-    search_nodes = tracker.nodes
+        return SolveResult(BUDGET_EXCEEDED, c, mode, None, engine.nodes, 0)
+    search_nodes = engine.nodes
     if solution is None:
         return SolveResult(NOT_COLOURABLE, c, mode, None, search_nodes, 0)
     if least_witness:
@@ -419,7 +409,7 @@ def decide_colourable(
             solution = engine.search(most_constrained=False)
         except _Exhausted:
             return SolveResult(
-                BUDGET_EXCEEDED, c, mode, None, search_nodes, tracker.nodes - search_nodes
+                BUDGET_EXCEEDED, c, mode, None, search_nodes, engine.nodes - search_nodes
             )
         if solution is None:
             raise InternalConsistencyError("the witness pass found no colouring, the search pass did")
@@ -431,7 +421,7 @@ def decide_colourable(
         witness = Colouring(c, tuple(solution))
     _require(check_colouring(d, g, witness, mode), InternalConsistencyError, "solver produced an invalid witness")
     return SolveResult(
-        COLOURABLE, c, mode, witness, search_nodes, tracker.nodes - search_nodes
+        COLOURABLE, c, mode, witness, search_nodes, engine.nodes - search_nodes
     )
 
 
@@ -507,6 +497,8 @@ def chromatic_number(
     the nodes of every colour count together, and its time limit is one
     deadline for all of them.
     """
+    if g is not None:
+        _require_points(d.v, g, "grouping")
     if mode not in ("weak", "group-monochromatic"):
         raise DesignError(f"chromatic number is defined only for weak and group-monochromatic modes, not {mode!r}")
     if mode == "group-monochromatic" and g is not None:
@@ -591,6 +583,7 @@ def gdd_chromatic_numbers(
     when its search runs out; the other is kept, and a lost chi_M leaves
     the chi search bounded by top.
     """
+    _require_points(d.v, g, "grouping")
     return _gdd_chromatic_numbers(d, g, budget, chromatic_lower_bound(d))
 
 
@@ -646,6 +639,7 @@ def upper_bound_colouring(d: Design, g: Grouping) -> Colouring:
     passes, and a block inside one group, which no group-monochromatic
     colouring serves, raises DesignError.
     """
+    _require_points(d.v, g, "grouping")
     return _upper_bound_colouring(d, g, _met_group_sets(d, g))
 
 

@@ -22,6 +22,7 @@ from .core import (
     Grouping,
     InternalConsistencyError,
     UnsupportedParameterError,
+    _check_block_count,
     _require,
     validate_gdd,
 )
@@ -200,6 +201,7 @@ def td_symbol_rows(k: int, g: int) -> list[tuple[int, ...]]:
         raise UnsupportedOrderError("transversal designs need k >= 2")
     if g < 1:
         raise UnsupportedOrderError("group size must be positive")
+    _check_block_count(g * g, f"TD({k},{g})")
     if _product_admits(k, g):
         return _td_by_product(k, g)
     for t in range(k, g):

@@ -12,6 +12,7 @@ from .core import (
     Grouping,
     InternalConsistencyError,
     UnsupportedParameterError,
+    _check_block_count,
     _covers_exactly,
     _is_gdd,
     _require,
@@ -62,8 +63,10 @@ def blow_up(d: Design, g: Grouping, w: int) -> BlowUp:
     embeds, and a lifted colouring is weak whenever the original is.
     Raises InternalConsistencyError if a GDD yields no GDD.
     """
+    _require_points(d.v, g, "grouping")
     if w < 1:
         raise UnsupportedParameterError("expansion factor must be positive")
+    _check_block_count(d.b * w * w, f"the blow-up by {w}")
     rows = td_symbol_rows(d.k, w) if d.blocks else []
     if not d.uniform:
         raise UnsupportedParameterError("blow-up needs a uniform block size")
@@ -160,6 +163,7 @@ def equitable_gdd_colouring(d: Design, g: Grouping, c: int):
     and u/c all-same-coloured groups when k = u-1 with c dividing u.  When
     none applies no block-equitable c-colouring exists at all.
     """
+    _require_points(d.v, g, "grouping")
     if c < 2:
         raise DesignError("colour count must be at least 2")
     size = g.uniform_size
@@ -197,6 +201,7 @@ def td_group_equitable_colouring(d: Design, g: Grouping) -> Colouring:
     is coloured the other way round.  A point's symbol is its position in
     its group, so any point labelling works.
     """
+    _require_points(d.v, g, "grouping")
     size = g.uniform_size
     if size is None or not is_transversal(d, g):
         raise UnsupportedParameterError("input must be a transversal design")
@@ -247,6 +252,7 @@ def group_equitable_blowup(
     up into g copies coloured floor(g/2) and ceil(g/2), and the TD copy
     placed on each block is aligned with those copy colours.
     """
+    _require_points(d.v, g, "grouping")
     k = d.k
     if not d.uniform:
         raise UnsupportedParameterError("uniform block size required")

@@ -27,6 +27,30 @@ def run(argv):
     return code, out.getvalue()
 
 
+def cli_env():
+    """The environment of a child `python -m designcolour.cli`, with this
+    checkout's package first on its path."""
+    src = str(Path(designcolour.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def run_capped(argv, cwd=None):
+    """Run the CLI in a child process under a 1 GiB address-space limit,
+    so that allocating a table per point, block or colour of a hostile
+    input fails fast; callers run one such process at a time.  Whatever
+    its exit code, the child prints no traceback."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "designcolour.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=cli_env(), cwd=cwd, preexec_fn=limit_memory,
+    )
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+    return proc
+
+
 class TestBound:
     def test_tight_bound_value(self):
         code, text = run(["bound", "14", "4", "2", "--tight"])
@@ -407,12 +431,6 @@ class TestExitCodes:
         # under a 1 GiB address-space limit
         path = tmp_path / "huge.design"
         path.write_text("design v=68719476736 k=2 lambda=1\nblock: 0 1\nblock: 2 3\n")
-        src = str(Path(designcolour.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         for argv, expected in (
             (["pclasses", str(path)], (EXIT_OK, "classes: 0\n")),
             (["pclasses", str(path), "--analyze"], (EXIT_OK, "histogram: chi,chi_M,count\n")),
@@ -422,12 +440,46 @@ class TestExitCodes:
             (["chromatic", str(path), "--budget-nodes", "10"], (EXIT_UNSUPPORTED, "")),
             (["construct", "blowup", str(path), "2"], (EXIT_UNSUPPORTED, "")),
         ):
-            proc = subprocess.run(
-                [sys.executable, "-m", "designcolour.cli", *argv],
-                capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_memory,
-            )
+            proc = run_capped(argv)
             assert (proc.returncode, proc.stdout) == expected, (argv, proc.stderr)
-            assert "Traceback" not in proc.stderr, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "td", "3", "1000000007"],
+            ["construct", "blowup", "sts7", "1000000007"],
+            ["construct", "td-colour", "5", "1000003"],
+            ["construct", "pack-max", "100000000"],
+            ["construct", "pack-4n2", "100000001"],
+            ["construct", "pack-pairs", "100000000"],
+        ],
+    )
+    def test_a_huge_construction_is_refused_before_it_is_built(self, argv):
+        # each parameter gives far more blocks than the block limit
+        proc = run_capped(argv)
+        assert (proc.returncode, proc.stdout) == (EXIT_UNSUPPORTED, ""), proc.stderr
+        assert proc.stderr.startswith("unsupported: ") and "-block limit" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "mode,violation",
+        [
+            ("block-eq", "block-colour-count: (0, (0, 1, 2, 3), 0, 4)"),
+            ("group-eq", "monochromatic-block: (0, (0, 1, 2, 3))"),
+        ],
+    )
+    def test_a_huge_palette_is_checked_without_a_count_per_colour(self, tmp_path, mode, violation):
+        # a block or group of four points holds at most four of the four
+        # billion colours, and only those are counted
+        (tmp_path / "four.design").write_text(
+            "design v=4 k=4 lambda=1\nblock: 0 1 2 3\n" + "".join(f"group: {p}\n" for p in range(4))
+        )
+        (tmp_path / "huge.col").write_text("colouring c=4000000000\n" + "".join(f"{p} 0\n" for p in range(4)))
+        proc = run_capped(["verify", "four.design", "--colouring", "huge.col", "--mode", mode], cwd=tmp_path)
+        report = (
+            "verdict: pass\nadmissible: True\nblocks: 1\nk: 4\nlambda: 1\nu: 4\nuniform-groups: True\n"
+            f"v: 4\nviolations: 0\ncolouring-{mode}: fail\ncolouring-violation: {violation}\n"
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, report), proc.stderr
 
     def test_deep_searches_and_long_listings(self, tmp_path):
         # a colouring search one variable deep per point, an exact cover
@@ -443,8 +495,6 @@ class TestExitCodes:
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        src = str(Path(designcolour.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         for argv, code, head in (
             (["chromatic", "deep.design"], EXIT_OK, "chi: 2\nrefuted-at: 1 nodes: 1\n"),
             (["pclasses", "disjoint.design"], EXIT_OK, "classes: 1\n"),
@@ -452,7 +502,7 @@ class TestExitCodes:
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "designcolour.cli", *argv],
-                capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+                capture_output=True, text=True, timeout=60, env=cli_env(), cwd=tmp_path,
             )
             assert proc.returncode == code, (argv, proc.stderr)
             assert proc.stdout.startswith(head), argv
@@ -468,11 +518,9 @@ class TestExitCodes:
             f"design v={v} k=2 lambda=1\nblock: 0 {v - 1}\n"
             + "group: " + " ".join(map(str, range(v - 1))) + f"\ngroup: {v - 1}\n"
         )
-        src = str(Path(designcolour.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "designcolour.cli", "verify", "giant.design", "--as", "gdd"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(), cwd=tmp_path,
         )
         try:
             assert proc.stdout.read(300).startswith(b"verdict: fail\n")

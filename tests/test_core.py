@@ -441,3 +441,35 @@ def test_failed_check_raises_its_error_and_message(site, monkeypatch):
         run(monkeypatch)
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+def _grouping_cases():
+    sts7 = catalog_get("sts7").design
+    td34, _ = build_td(3, 4)
+    td_colouring = transforms.td_group_equitable_colouring(*build_td(5, 4))
+    return {
+        "decide": lambda g: decide_colourable(sts7, g, 3, "group-monochromatic"),
+        "decide-group-equitable": lambda g: decide_colourable(sts7, g, 2, "group-equitable"),
+        "chromatic": lambda g: solver.chromatic_number(sts7, g, "group-monochromatic"),
+        "gdd-chromatic": lambda g: solver.gdd_chromatic_numbers(sts7, g),
+        "upper-bound": lambda g: solver.upper_bound_colouring(sts7, g),
+        "blow-up": lambda g: blow_up(sts7, g, 2),
+        "is-transversal": lambda g: is_transversal(td34, g),
+        "td-colouring": lambda g: transforms.td_group_equitable_colouring(td34, g),
+        "gdd-colouring": lambda g: transforms.equitable_gdd_colouring(td34, g, 3),
+        "group-equitable-blowup": lambda g: transforms.group_equitable_blowup(
+            td34, g, *build_td(3, 4), td_colouring
+        ),
+    }
+
+
+@pytest.mark.parametrize("site", list(_grouping_cases()))
+@pytest.mark.parametrize("points", [5, 9])
+def test_a_grouping_over_other_points_is_refused(site, points):
+    # every public entry point that takes a design and a grouping refuses
+    # one over fewer or more points than the design's, before using it
+    call = _grouping_cases()[site]
+    with pytest.raises(DesignError) as raised:
+        call(Grouping.singletons(points))
+    assert type(raised.value) is DesignError
+    assert str(raised.value) == GROUPING_POINTS

@@ -91,6 +91,12 @@ def source_design(name, seed=None):
     return relabelled_sts21(seed) if seed is not None else catalog_get(name).design
 
 
+def class_lo(d):
+    """The lower bound `analyze_parallel_classes` shares among the class
+    GDDs of d, or None; its search of d for hi stops at the first node."""
+    return parallel._class_bounds(d, SearchBudget(node_limit=1))[0]
+
+
 def reference_parallel_classes(d, limit=None):
     """Plain exact cover with point sets: branch on the least uncovered
     point over its blocks in ascending index order that miss every
@@ -281,11 +287,11 @@ class TestAnalysis:
             if len(picked) == 2:
                 break
         assert set(picked) == {True, False}
-        facts = parallel._DesignFacts(sts27)
+        lo = class_lo(sts27)
         for chi_cheaper, (idx, pc, chi, chi_m, limit) in picked.items():
             budget = SearchBudget(node_limit=limit)
             expected = PcRecord(idx, chi, None, True) if chi_cheaper else PcRecord(idx, None, chi_m, True)
-            assert parallel._analyze_one((facts, pc, idx, budget)) == expected
+            assert parallel._analyze_one(sts27, lo, None, budget, idx, pc) == expected
         idx, pc, chi, _, limit = picked[True]
         analysis = analyze_parallel_classes(sts27, SearchBudget(node_limit=limit))
         assert analysis.records[idx] == PcRecord(idx, chi, None, True)
@@ -328,9 +334,9 @@ class TestAnalysis:
         if limit is None:
             records = analyze_parallel_classes(d).records
         else:
-            facts = parallel._DesignFacts(d)
+            lo = class_lo(d)
             records = tuple(
-                parallel._analyze_one((facts, pc, idx, SearchBudget())) for idx, pc in enumerate(classes)
+                parallel._analyze_one(d, lo, None, SearchBudget(), idx, pc) for idx, pc in enumerate(classes)
             )
         assert records == tuple(expected)
 
@@ -352,6 +358,50 @@ class TestAnalysis:
         analysis = analyze_parallel_classes(catalog_get("sts21").design)
         assert analysis.histogram_dict() == {(3, 3): 22, (3, 4): 108}
         assert Counter(calls) == {("weak", 3, False): 108}
+
+    # (mode, c, status, nodes) of every decision the analysis makes, the
+    # design-level search first: sts21 and its seed-1 relabelling stop that
+    # search after one node per class (no hi), the seed-0 random STS(21)
+    # finds its 3-colouring (hi = 3, no class searches), and shared-pairs
+    # repeats a pair (no shared bound, so no design search)
+    SEARCHES = {
+        ("sts21", None): (
+            ("weak", 3, solver.BUDGET_EXCEEDED, 130),
+            (19, 16, 13, 16, 19, 22, 17, 17, 16, 13, 17, 24, 14, 19, 13, 15, 13, 14, 17, 14, 16, 13, 16, 11, 16, 16,
+             16, 13, 15, 12, 21, 17, 15, 18, 14, 20, 17, 16, 13, 17, 13, 13, 11, 17, 12, 13, 15, 19, 22, 19, 11, 10,
+             13, 20, 15, 15, 14, 14, 15, 17, 16, 16, 13, 11, 18, 15, 12, 15, 18, 11, 12, 15, 17, 17, 15, 11, 14, 14,
+             12, 15, 12, 16, 18, 15, 24, 17, 14, 11, 18, 16, 13, 17, 14, 16, 15, 17, 17, 15, 18, 13, 20, 14, 12, 13,
+             17, 11, 20, 18),
+        ),
+        ("sts21", 1): (
+            ("weak", 3, solver.BUDGET_EXCEEDED, 130),
+            (17, 12, 20, 17, 24, 17, 15, 11, 26, 13, 12, 14, 13, 14, 22, 24, 19, 12, 19, 17, 21, 14, 14, 14, 12, 18,
+             14, 18, 17, 16, 19, 15, 13, 15, 16, 17, 14, 13, 21, 12, 17, 11, 12, 15, 18, 16, 12, 12, 17, 13, 12, 15,
+             11, 15, 12, 14, 16, 21, 19, 11, 12, 15, 13, 15, 19, 14, 16, 23, 10, 13, 20, 21, 15, 12, 11, 22, 18, 12,
+             16, 18, 16, 15, 16, 19, 13, 16, 19, 22, 13, 15, 16, 20, 19, 15, 17, 11, 16, 12, 17, 20, 12, 11, 12, 12,
+             14, 15, 23, 17),
+        ),
+        ("random-sts21", 0): (("weak", 3, solver.COLOURABLE, 14), ()),
+        ("shared-pairs", None): (None, ()),
+    }
+
+    @pytest.mark.parametrize("name,seed", list(SEARCHES))
+    def test_every_search_of_the_analysis_is_pinned(self, monkeypatch, name, seed):
+        # each class search is one weak decision at c=3, found colourable
+        calls = []
+        decide = solver.decide_colourable
+
+        def spy(*args, **kwargs):
+            result = decide(*args, **kwargs)
+            calls.append((result.mode, result.c, result.status, result.nodes))
+            return result
+
+        monkeypatch.setattr(solver, "decide_colourable", spy)
+        monkeypatch.setattr(parallel, "decide_colourable", spy)
+        analyze_parallel_classes(source_design(name, seed))
+        design_call, class_nodes = self.SEARCHES[name, seed]
+        expected = [("weak", 3, solver.COLOURABLE, n) for n in class_nodes]
+        assert calls == ([design_call] if design_call else []) + expected
 
     def test_sandwich_bounds_on_sts9(self):
         sts9 = catalog_get("sts9").design
@@ -431,12 +481,12 @@ class TestDesignFacts:
         limit = 40 if name == "sts27-bose" else None
         classes, _ = enumerate_parallel_classes(d, limit)
         assert classes
-        facts = parallel._DesignFacts(d)
+        lo = class_lo(d)
         # one bound for all class GDDs unless d repeats a pair
-        assert (facts.bound is None) == (d.lambda_ > 1)
+        assert (lo is None) == (d.lambda_ > 1)
         for pc in classes:
             gdd, _ = pc_to_gdd(d, pc)
-            assert facts.lower_bound(gdd) == chromatic_lower_bound(gdd)
+            assert lo in (None, chromatic_lower_bound(gdd))
 
 
 
@@ -491,8 +541,7 @@ class TestDesignColouring:
         assert {r.chi for r in analysis.records} == {3}
         # no class searches a weak colour count
         assert "weak" not in class_modes
-        facts = parallel._DesignFacts(d, SearchBudget(node_limit=len(classes)))
-        assert facts.hi == facts.bound == 3
+        assert parallel._class_bounds(d, SearchBudget(node_limit=len(classes))) == (3, 3)
 
     def test_not_found_for_the_4_chromatic_sts21(self, monkeypatch):
         # refuting c=3 on the stored STS(21) takes 7,354 nodes; the search
@@ -503,7 +552,7 @@ class TestDesignColouring:
         (stopped,) = results
         assert stopped.status == solver.BUDGET_EXCEEDED
         assert stopped.nodes == len(analysis.records) == 130
-        assert parallel._DesignFacts(d, SearchBudget(node_limit=130)).hi is None
+        assert parallel._class_bounds(d, SearchBudget(node_limit=130)) == (3, None)
         assert analysis.histogram_dict() == {(3, 3): 22, (3, 4): 108}
 
     def test_the_caller_node_limit_caps_the_search(self, monkeypatch):
@@ -531,12 +580,10 @@ class TestDesignColouring:
         d = source_design(name, seed)
         classes, _ = enumerate_parallel_classes(d, 40 if name == "sts27-bose" else None)
         expected = oracle_records(d, classes)
-        without = parallel._DesignFacts(d)
-        with_it = parallel._DesignFacts(d, SearchBudget(node_limit=len(classes)))
-        assert without.hi is None
-        for facts in (without, with_it):
+        lo, hi = parallel._class_bounds(d, SearchBudget(node_limit=len(classes)))
+        for known in (None, hi):
             records = tuple(
-                parallel._analyze_one((facts, pc, idx, SearchBudget())) for idx, pc in enumerate(classes)
+                parallel._analyze_one(d, lo, known, SearchBudget(), idx, pc) for idx, pc in enumerate(classes)
             )
             assert records == expected
 
