@@ -450,12 +450,20 @@ def _repeated_pair_violations(d: Design, low: list[int]) -> list[Violation]:
     members below the member q at index i; q's lower mask `low[q]` has
     fewer bits than the sum of those indices over q's blocks exactly when
     some pair p < q repeats, and only the pairs p < q of the points so
-    flagged are counted.  It runs only once a check has failed."""
+    flagged are counted.  It runs only once a check has failed.  A design
+    of blocks of four sums the indices unpacked, as `_neighbour_masks`
+    walks it."""
     v = d.v
     under = [0] * v
-    for blk in d.blocks:
-        for i, q in enumerate(blk):
-            under[q] += i
+    if d.uniform and d.k == 4:
+        for _, b, c, e in d.blocks:
+            under[b] += 1
+            under[c] += 2
+            under[e] += 3
+    else:
+        for blk in d.blocks:
+            for i, q in enumerate(blk):
+                under[q] += i
     flagged = {q for q, m in enumerate(low) if m.bit_count() < under[q]}
     through: Counter = Counter()
     for blk in d.blocks:

@@ -26,13 +26,17 @@ lower bound, a pigeonhole lower bound on chi_M when every k-set of groups
 holds a block, the checked `upper_bound_colouring`, and chi <= chi_M.
 
 Each decision compiles its design and mode into constraints: each weak
-("not all equal") constraint is an int mask of its members, and each
-counted constraint a member tuple.  An `_Engine` keeps one mask of
-variables per colour, so an assignment checks a weak constraint with two
-bit operations.  Its whole state is two small lists (one entry per
-variable, its domain or its colour, followed by the counters of the
-counted constraints; and a mask per colour), so it backtracks by
-restoring one copy of them rather than by logging every change.
+("not all equal") constraint is an int mask per member, and each counted
+constraint a member tuple.  An `_Engine` keeps one mask of variables per
+colour, so an assignment checks a weak constraint with a few bit
+operations.  A member's mask of a constraint with three or more members
+holds only the other members, so an assignment passes over it with one
+test while none of them has the colour, as a watched literal is passed
+over until it can act (Moskewicz et al., "Chaff", DAC 2001).  The
+engine's whole state is two small lists (one entry per variable, its
+domain or its colour, followed by the counters of the counted
+constraints; and a mask per colour), so it backtracks by restoring one
+copy of them rather than by logging every change.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .colouring import GROUP_MODES, MODES, Colouring, check_colouring, pair_stats_equitable
 from .core import (
@@ -115,21 +119,40 @@ class _Exhausted(Exception):
     pass
 
 
-def _weak_lists(n: int, weak: Iterable[Iterable[int]]) -> list[list[int]]:
-    """For each variable, the masks of the weak constraints holding it:
-    a mask per member set that `weak` yields, listing its members once,
-    goes to each member's list in order, unless an earlier set had the
-    same members."""
+def _weak_lists(n: int, weak: Iterable[Collection[int]]) -> list[list[int]]:
+    """For each variable, the masks of the weak constraints holding it.
+
+    Each member set that `weak` yields, listing its members once, puts a
+    mask in each member's list in order, unless an earlier set had the
+    same members.  A set of three or more puts in x's list the mask of its
+    other members, so `assign` can skip it while none of them has x's
+    colour; a set of one or two puts its full mask, x's bit included,
+    which is never skipped."""
     var_weak: list[list[int]] = [[] for _ in range(n)]
     seen: set[int] = set()
     for members in weak:
+        if len(members) == 3:
+            # the common size, unrolled: it compiles faster than the loops
+            a, b, c = members
+            ba, bb, bc = 1 << a, 1 << b, 1 << c
+            mask = ba | bb | bc
+            if mask not in seen:
+                seen.add(mask)
+                var_weak[a].append(bb | bc)
+                var_weak[b].append(ba | bc)
+                var_weak[c].append(ba | bb)
+            continue
         mask = 0
         for x in members:
             mask |= 1 << x
         if mask not in seen:
             seen.add(mask)
-            for x in members:
-                var_weak[x].append(mask)
+            if len(members) > 2:
+                for x in members:
+                    var_weak[x].append(mask ^ 1 << x)
+            else:
+                for x in members:
+                    var_weak[x].append(mask)
     return var_weak
 
 
@@ -137,13 +160,15 @@ class _Engine:
     """Backtracking colourer over 'not all equal' and counted constraints.
 
     Variables are points, or groups in the group-monochromatic mode.  A
-    weak ("not all equal") constraint is the int mask of its members,
-    listed in `var_weak[x]` for each member x; it forbids its members from
-    being single-coloured.  A counted constraint bounds every colour's
-    count within its members by [floor, cap], both computed from the
-    colour count.  Domains are bitmasks; an assignment strips or restricts
-    the domains it rules out, and a domain left with one colour forces
-    that colour, cascading until nothing changes or a constraint fails.
+    weak ("not all equal") constraint forbids its members from being
+    single-coloured.  `var_weak[x]` lists a mask for each one holding x
+    (`_weak_lists`): its other members when it has three or more, all of
+    its members, x included, when it has one or two.  A counted
+    constraint bounds every colour's count within its members by
+    [floor, cap], both computed from the colour count.  Domains are
+    bitmasks; an assignment strips or restricts the domains it rules
+    out, and a domain left with one colour forces that colour, cascading
+    until nothing changes or a constraint fails.
 
     The list `st` holds one entry per variable: its domain while it is
     unassigned (always positive), and ~colour (negative) once it is
@@ -151,10 +176,12 @@ class _Engine:
     entries: its count of each colour, its members left unassigned and
     its total floor deficit.  Colour classes are int masks: `cls[colour]`
     holds the variables assigned that colour.  Assigning x the colour r
-    sets x's bit in `cls[r]`; for each weak mask m on x, `rest = m &
-    ~cls[r]` is the members not coloured r.  An empty `rest` is a
-    single-coloured constraint, a failure; a single bit whose variable is
-    unassigned loses r from its domain.
+    sets x's bit in `cls[r]`.  A weak mask m on x that meets no variable
+    of `cls[r]` is skipped: it holds other members only, at least two of
+    them lack r, and the constraint can neither fail nor force.  For the
+    rest, `rest = m & ~cls[r]` is the members not coloured r.  An empty
+    `rest` is a single-coloured constraint, a failure; a single bit whose
+    variable is unassigned loses r from its domain.
 
     `search` runs one depth-first pass.  The branching variable is the
     unassigned one with the fewest colours left in its domain (lowest
@@ -233,6 +260,8 @@ class _Engine:
                 cls[colr] = same
                 others = ~same
                 for mask in var_weak[x]:
+                    if not mask & same:
+                        continue
                     rest = mask & others
                     if rest & (rest - 1):
                         continue

@@ -13,6 +13,7 @@ from .core import (
     InternalConsistencyError,
     UnsupportedParameterError,
     _check_block_count,
+    _check_table_points,
     _covers_exactly,
     _is_gdd,
     _require,
@@ -61,12 +62,15 @@ def blow_up(d: Design, g: Grouping, w: int) -> BlowUp:
     across its points' copy columns.  The TD's first row is all zeros, so
     the all-zero copies of a block form a block again: the source design
     embeds, and a lifted colouring is weak whenever the original is.
-    Raises InternalConsistencyError if a GDD yields no GDD.
+    An output of more than 2**22 blocks or 2**20 points is refused with
+    UnsupportedParameterError before it is built.  Raises
+    InternalConsistencyError if a GDD yields no GDD.
     """
     _require_points(d.v, g, "grouping")
     if w < 1:
         raise UnsupportedParameterError("expansion factor must be positive")
     _check_block_count(d.b * w * w, f"the blow-up by {w}")
+    _check_table_points(d.v * w, f"the blow-up by {w}")
     rows = td_symbol_rows(d.k, w) if d.blocks else []
     if not d.uniform:
         raise UnsupportedParameterError("blow-up needs a uniform block size")

@@ -443,6 +443,15 @@ class TestExitCodes:
             proc = run_capped(argv)
             assert (proc.returncode, proc.stdout) == expected, (argv, proc.stderr)
 
+    def test_huge_blow_up_of_a_design_without_blocks(self, tmp_path):
+        # no blocks pass the block limit, so the 3 * 10**8 output points
+        # are refused by the point limit before a group is built
+        path = tmp_path / "empty.design"
+        path.write_text("design v=3 k=3 lambda=1\n")
+        proc = run_capped(["construct", "blowup", str(path), "100000000"])
+        assert (proc.returncode, proc.stdout) == (EXIT_UNSUPPORTED, ""), proc.stderr
+        assert proc.stderr.startswith("unsupported: ") and "-point limit" in proc.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [

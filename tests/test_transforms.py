@@ -85,6 +85,14 @@ class TestBlowUp:
         result = blow_up(entry.design, Grouping.singletons(entry.design.v), 3)
         assert not validate_gdd(result.design, result.grouping).passed
 
+    def test_output_above_the_point_limit_is_refused(self):
+        # a design with no blocks passes the block limit; its blow-up to
+        # 2**20 points is built, and one point more is refused
+        empty = Design(2, ())
+        assert blow_up(empty, Grouping.singletons(2), 1 << 19).design.v == 1 << 20
+        with pytest.raises(UnsupportedParameterError, match="1048578 points exceeds the 1048576-point limit"):
+            blow_up(empty, Grouping.singletons(2), (1 << 19) + 1)
+
     def test_broken_td_rows_raise(self, monkeypatch):
         monkeypatch.setattr(transforms, "td_symbol_rows", lambda k, w: [(0,) * k] * (w * w))
         with pytest.raises(InternalConsistencyError, match="blow-up of a GDD by 2"):
