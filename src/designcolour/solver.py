@@ -131,28 +131,14 @@ def _weak_lists(n: int, weak: Iterable[Collection[int]]) -> list[list[int]]:
     var_weak: list[list[int]] = [[] for _ in range(n)]
     seen: set[int] = set()
     for members in weak:
-        if len(members) == 3:
-            # the common size, unrolled: it compiles faster than the loops
-            a, b, c = members
-            ba, bb, bc = 1 << a, 1 << b, 1 << c
-            mask = ba | bb | bc
-            if mask not in seen:
-                seen.add(mask)
-                var_weak[a].append(bb | bc)
-                var_weak[b].append(ba | bc)
-                var_weak[c].append(ba | bb)
-            continue
         mask = 0
         for x in members:
             mask |= 1 << x
         if mask not in seen:
             seen.add(mask)
-            if len(members) > 2:
-                for x in members:
-                    var_weak[x].append(mask ^ 1 << x)
-            else:
-                for x in members:
-                    var_weak[x].append(mask)
+            drop = len(members) > 2
+            for x in members:
+                var_weak[x].append(mask ^ drop << x)
     return var_weak
 
 
