@@ -377,7 +377,7 @@ def cli_main(argv: Optional[list[str]] = None, out=None) -> int:
     except (UnknownEntryError, UnsupportedParameterError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (DesignError, IndexError, ValueError) as exc:
+    except (DesignError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # Last, so that only an exception that no clause above takes loads the

@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .core import Design, UnsupportedParameterError, _distinct_pairs
@@ -11,7 +12,6 @@ from .solver import (
     SearchBudget,
     _gdd_chromatic_numbers,
     _turan_bound,
-    chromatic_lower_bound,
     decide_colourable,
 )
 from .transforms import ParallelClass, pc_to_gdd
@@ -133,24 +133,8 @@ def _class_bounds(d: Design, budget: SearchBudget) -> tuple[Optional[int], Optio
 def _analyze_one(
     d: Design, lo: Optional[int], hi: Optional[int], budget: SearchBudget, idx: int, pc: ParallelClass
 ) -> PcRecord:
-    gdd, grouping = pc_to_gdd(d, pc)
-    lower = chromatic_lower_bound(gdd) if lo is None else lo
-    chi, chi_m = _gdd_chromatic_numbers(gdd, grouping, budget, lower, hi)
+    chi, chi_m = _gdd_chromatic_numbers(*pc_to_gdd(d, pc), budget, lo, hi)
     return PcRecord(idx, chi, chi_m, chi is None or chi_m is None)
-
-
-# A pool worker's (d, lo, hi, budget), handed over once when the worker
-# starts rather than pickled with every chunk of tasks.
-_worker_facts: tuple = ()
-
-
-def _start_worker(*facts) -> None:
-    global _worker_facts
-    _worker_facts = facts
-
-
-def _analyze_in_worker(task: tuple[int, ParallelClass]) -> PcRecord:
-    return _analyze_one(*_worker_facts, *task)
 
 
 _CHUNKSIZE = 4
@@ -181,21 +165,19 @@ def analyze_parallel_classes(
     if not classes:
         return PcAnalysis((), ())
     limit = len(classes) if budget.node_limit is None else min(len(classes), budget.node_limit)
-    facts = (d, *_class_bounds(d, SearchBudget(limit, budget.time_limit)), budget)
-    tasks = list(enumerate(classes))
-    workers = _worker_count(jobs, len(tasks))
+    lo, hi = _class_bounds(d, SearchBudget(limit, budget.time_limit))
+    analyze = partial(_analyze_one, d, lo, hi, budget)
+    workers = _worker_count(jobs, len(classes))
     if workers > 1:
         # imported here, so that only a run that starts a pool loads
         # concurrent.futures, and with it logging, threading and
         # multiprocessing
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=facts
-        ) as pool:
-            records = list(pool.map(_analyze_in_worker, tasks, chunksize=_CHUNKSIZE))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(analyze, range(len(classes)), classes, chunksize=_CHUNKSIZE))
     else:
-        records = [_analyze_one(*facts, *task) for task in tasks]
+        records = list(map(analyze, range(len(classes)), classes))
     counter = Counter(
         (r.chi, r.chi_m) for r in records if r.chi is not None and r.chi_m is not None
     )

@@ -599,21 +599,24 @@ def gdd_chromatic_numbers(
     the chi search bounded by top.
     """
     _require_points(d.v, g, "grouping")
-    return _gdd_chromatic_numbers(d, g, budget, chromatic_lower_bound(d))
+    return _gdd_chromatic_numbers(d, g, budget)
 
 
 def _gdd_chromatic_numbers(
     d: Design,
     g: Grouping,
     budget: Optional[SearchBudget],
-    lo: int,
+    lo: Optional[int] = None,
     hi: Optional[int] = None,
 ) -> tuple[Optional[int], Optional[int]]:
-    """`gdd_chromatic_numbers`, given lo = `chromatic_lower_bound(d)` and,
-    when known, hi: the colour count of a checked weak colouring of d.
-    chi is then searched below hi only, and is hi when nothing below is
-    colourable; chi_M is found as without it."""
+    """`gdd_chromatic_numbers` without the grouping check.  lo is
+    `chromatic_lower_bound(d)`, derived here when None; hi, when known,
+    is the colour count of a checked weak colouring of d.  chi is then
+    searched below hi only, and is hi when nothing below is colourable;
+    chi_M is found as without it."""
     budget = budget or SearchBudget()
+    if lo is None:
+        lo = chromatic_lower_bound(d)
     met = _met_group_sets(d, g)
     top = _upper_bound_colouring(d, g, met)
     lo_m = lo
@@ -660,11 +663,9 @@ def upper_bound_colouring(d: Design, g: Grouping) -> Colouring:
 
 def _upper_bound_colouring(d: Design, g: Grouping, met: set[int]) -> Colouring:
     """`upper_bound_colouring`, given `_met_group_sets(d, g)`."""
-    k_min = d.k
-    if k_min < 2:
-        if d.blocks:
-            raise DesignError("blocks of size below 2 are not supported")
+    if not d.blocks:
         return Colouring(1, tuple(0 for _ in range(d.v)))
+    k_min = d.k
     u = g.u
     chunk = k_min - 1
     candidates = [[gi // chunk for gi in range(u)], list(range(u))]

@@ -3,6 +3,7 @@ colourings that come with them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 from .colouring import Colouring, check_group_colouring
@@ -138,8 +139,10 @@ def delete_point(d: Design, y: int) -> tuple[Design, Grouping]:
         else:
             blocks.append(tuple(relabel(p) for p in blk))
     if len(met) < d.v:
-        lone = [p for p in range(d.v) if p not in met]
-        raise DesignError(f"point {y} shares no block with {len(lone)} points: {lone[:5]}")
+        # met holds only points in range, so the scan for five stops
+        # within len(met) + 5 points however large v is
+        lone = list(islice((p for p in range(d.v) if p not in met), 5))
+        raise DesignError(f"point {y} shares no block with {d.v - len(met)} points: {lone}")
     design, grouping = Design(d.v - 1, tuple(blocks), 1), Grouping(d.v - 1, tuple(groups))
     # a source that holds every pair once, uniform or not, leaves a GDD
     if not _is_gdd(design, grouping) and _covers_exactly(d, comb(d.v, 2)):

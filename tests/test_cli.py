@@ -73,6 +73,19 @@ class TestChromatic:
         code, _ = run(["chromatic", "sts21", "--budget-nodes", "4"])
         assert code == EXIT_BUDGET
 
+    def test_budget_spent_before_a_decision(self, capsys):
+        assert run(["chromatic", "sts7", "--budget-nodes", "2"]) == (EXIT_BUDGET, "")
+        assert capsys.readouterr().err == "budget exceeded: budget exhausted before deciding 2-colourability\n"
+
+    def test_an_index_error_is_not_a_validation_failure(self, monkeypatch):
+        # no input reaches an IndexError, so one is a bug and propagates
+        def fail(*args, **kwargs):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(designcolour, "chromatic_number", fail)
+        with pytest.raises(IndexError):
+            run(["chromatic", "sts7"])
+
     def test_witness_pipes_into_verify(self, tmp_path):
         code, text = run(["chromatic", "sts9"])
         assert code == EXIT_OK
@@ -439,6 +452,17 @@ class TestExitCodes:
             # 2**20 points before allocating a table entry per point
             (["chromatic", str(path), "--budget-nodes", "10"], (EXIT_UNSUPPORTED, "")),
             (["construct", "blowup", str(path), "2"], (EXIT_UNSUPPORTED, "")),
+            (["verify", str(path)], (EXIT_UNSUPPORTED, "")),
+            (["verify", str(path), "--as", "packing"], (EXIT_OK, (
+                "leave-edges: 2361183241400462868478\nverdict: pass\nblocks: 2\nk: 2\n"
+                "lambda: 1\nsize: 2\nv: 68719476736\nviolations: 0\n"
+            ))),
+            (["verify", str(path), "--as", "gdd"], (EXIT_UNSUPPORTED, "")),
+            (["chromatic", str(path), "--mode", "group-mono"], (EXIT_UNSUPPORTED, "")),
+            # the points outside both blocks are counted, not listed
+            (["construct", "delete-point", str(path), "0"], (EXIT_VALIDATION, "")),
+            (["construct", "geq-blowup", str(path), "td44"], (EXIT_UNSUPPORTED, "")),
+            (["pclasses", str(path), "--limit", "1"], (EXIT_OK, "classes: 0\n")),
         ):
             proc = run_capped(argv)
             assert (proc.returncode, proc.stdout) == expected, (argv, proc.stderr)

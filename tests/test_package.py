@@ -234,10 +234,10 @@ def test_every_private_function_has_a_caller():
 
 
 def test_no_hidden_module_state():
-    # No function rebinds a module-level name, except the pool initializer
-    # `parallel._start_worker`, which hands each worker its design facts.
-    # (The package root's `__getattr__` binds a lazily loaded name once,
-    # through `globals()`, to the object its submodule defines.)
+    # No function rebinds a module-level name: a pool worker is handed
+    # what it needs with each chunk of tasks.  (The package root's
+    # `__getattr__` binds a lazily loaded name once, through `globals()`,
+    # to the object its submodule defines.)
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -247,7 +247,7 @@ def test_no_hidden_module_state():
             if isinstance(node, ast.Global)
             for name in node.names
         ]
-    assert found == ["parallel.py:_worker_facts"]
+    assert found == []
 
 
 def test_only_cli_main_writes_to_stderr():

@@ -18,6 +18,7 @@ from designcolour import (
     check_colouring,
     decide_colourable,
     enumerate_parallel_classes,
+    gdd_chromatic_numbers,
     pc_to_gdd,
     upper_bound_colouring,
 )
@@ -488,6 +489,24 @@ class TestDesignFacts:
             gdd, _ = pc_to_gdd(d, pc)
             assert lo in (None, chromatic_lower_bound(gdd))
 
+    @pytest.mark.parametrize(
+        "name,seed,count",
+        [("sts21", None, 130), ("random-sts21", 0, 34), ("shared-pairs", None, 3)],
+    )
+    def test_public_gdd_numbers_match_the_analysis(self, name, seed, count):
+        # The public entry derives its own lower bound per class GDD; the
+        # analysis shares one, or, as shared-pairs repeats a pair, lets
+        # each class derive it too.
+        d = source_design(name, seed)
+        classes, _ = enumerate_parallel_classes(d)
+        records = analyze_parallel_classes(d).records
+        assert len(classes) == len(records) == count
+        for pc, record in zip(classes, records):
+            assert gdd_chromatic_numbers(*pc_to_gdd(d, pc)) == (record.chi, record.chi_m)
+
+    def test_public_gdd_numbers_of_td44(self):
+        entry = catalog_get("td44")
+        assert gdd_chromatic_numbers(entry.design, entry.grouping) == (2, 2)
 
 
 def oracle_records(d, classes):

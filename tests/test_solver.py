@@ -224,6 +224,15 @@ class TestChromatic:
         with pytest.raises(BudgetExceededError):
             chromatic_number(d, None, "weak", SearchBudget(node_limit=3))
 
+    @pytest.mark.parametrize("limit,c", [(2, 2), (9, 3)])
+    def test_budget_spent_between_two_decisions(self, limit, c):
+        # sts7's search spends exactly 2 nodes refuting c=1 and 7 more
+        # refuting c=2, so these limits run out before the next decision
+        with pytest.raises(BudgetExceededError) as info:
+            chromatic_number(catalog_get("sts7").design, budget=SearchBudget(node_limit=limit))
+        assert str(info.value) == f"budget exhausted before deciding {c}-colourability"
+        assert info.value.nodes == limit
+
     def test_one_budget_spans_every_colour_count(self):
         d = catalog_get("sts13").design
         per_c = [decide_colourable(d, None, c, "weak").nodes for c in (1, 2, 3)]
