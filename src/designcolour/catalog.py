@@ -229,12 +229,12 @@ def _validate_entry(entry: CatalogEntry) -> None:
             colrep = check_group_colouring(
                 entry.design, entry.grouping, entry.colouring, "group-equitable"
             )
-            if not colrep:
-                raise DesignError(f"catalog entry {name} has an invalid colouring")
+            _require(colrep, DesignError, f"catalog entry {name} has an invalid colouring")
     elif name.startswith("pack"):
         _require(validate_packing(entry.design)[0], DesignError, f"catalog entry {name} fails packing validation")
-        if entry.colouring is not None and not check_block_equitable(entry.design, entry.colouring):
-            raise DesignError(f"catalog entry {name} has an invalid colouring")
+        if entry.colouring is not None:
+            colrep = check_block_equitable(entry.design, entry.colouring)
+            _require(colrep, DesignError, f"catalog entry {name} has an invalid colouring")
     else:
         _require(validate_bibd(entry.design), DesignError, f"catalog entry {name} fails BIBD validation")
 

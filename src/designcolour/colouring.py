@@ -1,7 +1,9 @@
 """Point colourings of designs and exact monochrome-pair counting.
 
-All proportions are exact rationals: several downstream arguments hinge on
-exact equalities between proportions, so floating point is never used.
+Colour and pair arithmetic is exact, and proportions are rationals:
+several downstream arguments hinge on exact equalities between
+proportions.  The one float is the guard of `brute_min_monochrome`,
+which compares v*log2(c) with a bit limit.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .core import (
     DesignError,
     Grouping,
     InternalConsistencyError,
+    UnsupportedParameterError,
     ValidationReport,
     Violation,
     _require_points,
@@ -227,19 +230,25 @@ def check_group_colouring(
     return ValidationReport(tuple(violations), {"mode": mode, "c": col.c})
 
 
+def _require_mode(mode: str, g: Optional[Grouping]) -> None:
+    """Raise DesignError unless `mode` is one of the `MODES`, and
+    UnsupportedParameterError for a group mode without a grouping."""
+    if mode not in MODES:
+        raise DesignError(f"unknown colouring mode {mode!r}")
+    if g is None and mode in GROUP_MODES:
+        raise UnsupportedParameterError(f"mode {mode!r} requires a grouping")
+
+
 def check_colouring(
     d: Design, g: Optional[Grouping], col: Colouring, mode: str
 ) -> ValidationReport:
     """Check a colouring in one of the `MODES`; the group modes need `g`."""
-    if mode == "weak":
-        return check_weak(d, col)
+    _require_mode(mode, g)
+    if g is not None and mode in GROUP_MODES:
+        return check_group_colouring(d, g, col, mode)
     if mode == "block-equitable":
         return check_block_equitable(d, col)
-    if mode not in GROUP_MODES:
-        raise DesignError(f"unknown colouring mode {mode!r}")
-    if g is None:
-        raise DesignError(f"mode {mode!r} requires a grouping")
-    return check_group_colouring(d, g, col, mode)
+    return check_weak(d, col)
 
 
 def count_monochrome_cross_pairs(

@@ -11,7 +11,7 @@ from .core import Design, UnsupportedParameterError, _distinct_pairs
 from .solver import (
     SearchBudget,
     _gdd_chromatic_numbers,
-    _turan_bound,
+    chromatic_lower_bound,
     decide_colourable,
 )
 from .transforms import ParallelClass, pc_to_gdd
@@ -104,15 +104,15 @@ class PcAnalysis:
         return sum(r.budget_exceeded for r in self.records)
 
 
-def _class_bounds(d: Design, budget: SearchBudget) -> tuple[Optional[int], Optional[int]]:
+def _class_bounds(d: Design, pc: ParallelClass, budget: SearchBudget) -> tuple[Optional[int], Optional[int]]:
     """(lo, hi): what the class GDDs of d share, computed once for all.
 
     d is uniform and k divides v, as in any design with a parallel class,
-    so every class GDD keeps b - v/k of d's blocks.  When no pair of d
-    lies in two blocks, no class GDD repeats a pair either, and lo is
-    their shared Turan bound on need = (b - v/k)(k - 1), which is
-    `chromatic_lower_bound` of each; lo is None when d repeats a pair, and
-    each class GDD is tested for one.
+    so every class GDD keeps b - v/k of d's k-blocks on d's points.  When
+    no pair of d lies in two blocks, no class GDD repeats a pair either,
+    and `chromatic_lower_bound`, which then reads only v, k and the block
+    count, is the same for each: lo is that of the class GDD of pc.  lo is
+    None when d repeats a pair, and each class GDD is tested for one.
 
     A class GDD is d less some blocks, on the same points, so a weak
     colouring of d is one of every class GDD.  With a shared lo, d itself
@@ -120,12 +120,11 @@ def _class_bounds(d: Design, budget: SearchBudget) -> tuple[Optional[int], Optio
     when its checked witness is found, settling chi = lo for every class,
     and None otherwise.
     """
-    kept = d.b - d.v // d.k
-    if not kept:
-        return 1, None
     if _distinct_pairs(d) is None:
         return None, None
-    lo = _turan_bound(d.v, kept * (d.k - 1))
+    lo = chromatic_lower_bound(pc_to_gdd(d, pc)[0])
+    if lo == 1:
+        return 1, None
     found = decide_colourable(d, None, lo, "weak", budget, least_witness=False)
     return lo, lo if found.colourable else None
 
@@ -165,7 +164,7 @@ def analyze_parallel_classes(
     if not classes:
         return PcAnalysis((), ())
     limit = len(classes) if budget.node_limit is None else min(len(classes), budget.node_limit)
-    lo, hi = _class_bounds(d, SearchBudget(limit, budget.time_limit))
+    lo, hi = _class_bounds(d, classes[0], SearchBudget(limit, budget.time_limit))
     analyze = partial(_analyze_one, d, lo, hi, budget)
     workers = _worker_count(jobs, len(classes))
     if workers > 1:

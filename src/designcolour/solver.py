@@ -46,13 +46,12 @@ from itertools import combinations, islice
 from math import comb
 from typing import Callable, Collection, Iterable, Optional
 
-from .colouring import GROUP_MODES, MODES, Colouring, check_colouring, pair_stats_equitable
+from .colouring import Colouring, _require_mode, check_colouring, pair_stats_equitable
 from .core import (
     Design,
     DesignError,
     Grouping,
     InternalConsistencyError,
-    UnsupportedParameterError,
     _check_table_points,
     _distinct_pairs,
     _require,
@@ -180,10 +179,10 @@ class _Engine:
     min(2, c) colours, and the scan stops at the first one with that many.
 
     The state is the two lists `st` and `cls`, and undo is by one copy of
-    them.  A `_dfs` frame with more than one colour to try copies them
+    them.  A `search` frame with more than one colour to try copies them
     before its first branch and restores them before each later one; a
-    failed frame leaves its last branch for its caller to undo, and
-    `search` restores the initial state at the end.
+    failed frame leaves its last branch for its caller to undo, and the
+    pass restores the initial state at the end.
     """
 
     def __init__(
@@ -194,7 +193,7 @@ class _Engine:
         c: int,
         budget: SearchBudget,
     ):
-        # the budget's limits and the nodes tried: `_dfs` tests the node
+        # the budget's limits and the nodes tried: `search` tests the node
         # limit before counting a node, so a stopped search reports the
         # nodes it tried, and checks the deadline at every 256th node
         self.node_limit = budget.node_limit
@@ -295,29 +294,21 @@ class _Engine:
     def search(self, most_constrained: bool) -> Optional[list[int]]:
         """First solution of one depth-first pass, or None.
 
-        The engine is back in its initial state afterwards, so it can run
-        another pass.  Raises _Exhausted when the budget runs out.
+        The open frame (x, start, the colours still allowed, snapshot)
+        lives in locals, and the frames above it that have a colour left
+        wait on `stack`, so depth costs no recursion.  A frame on its last
+        colour is not kept: its failure falls to the nearest frame with a
+        colour left, whose snapshot undoes it.  The engine is back in its
+        initial state afterwards, so it can run another pass.  Raises
+        _Exhausted when the budget runs out.
         """
-        st, cls = self.st, self.cls
-        initial = (st[:], cls[:])
-        solution = [~s for s in st[: self.n]] if self._dfs(most_constrained) else None
-        st[:], cls[:] = initial
-        return solution
-
-    def _dfs(self, most_constrained: bool) -> bool:
-        """Extend the current assignment depth first; a failure leaves the
-        last branch tried for `search` to restore.  The open frame (x,
-        start, the colours still allowed, snapshot) lives in locals, and
-        the frames above it that have a colour left wait on `stack`, so
-        depth costs no recursion.  A frame on its last colour is not kept:
-        its failure falls to the nearest frame with a colour left, whose
-        snapshot undoes it."""
         st, cls, n, c = self.st, self.cls, self.n, self.c
         assign = self._assign
         limit, deadline, nodes = self.node_limit, self.deadline, self.nodes
         least = min(2, c)
         # below[t]: the colours a variable may take when t colours are used
         below = [(1 << min(t + 1, c)) - 1 for t in range(c + 1)]
+        initial = (st[:], cls[:])
         stack: list[tuple] = []
         start = 0
         try:
@@ -325,7 +316,7 @@ class _Engine:
                 while start < n and st[start] < 0:
                     start += 1
                 if start == n:
-                    return True
+                    return [~s for s in st[:n]]
                 x = start
                 if most_constrained:
                     fewest = st[x].bit_count()
@@ -344,7 +335,7 @@ class _Engine:
                 while True:
                     while not allowed:
                         if not stack:
-                            return False
+                            return None
                         x, start, allowed, snapshot = stack.pop()
                     bit = allowed & -allowed
                     allowed ^= bit
@@ -364,34 +355,31 @@ class _Engine:
                         break
         finally:
             self.nodes = nodes
+            st[:], cls[:] = initial
 
 
 def _build_problem(
     d: Design, g: Optional[Grouping], mode: str
-) -> tuple[int, list[list[int]], list[tuple[int, ...]]]:
+) -> tuple[int, list[list[int]], list[tuple[int, ...]], Optional[tuple[int, ...]]]:
     """Translate a design and mode into the engine's variable count, weak
-    masks per variable and counted member tuples.
+    masks per variable, counted member tuples and each point's variable,
+    None when the variables are the points.
 
     For the group-monochromatic mode the variables are groups, not points.
     """
-    if mode not in MODES:
-        raise DesignError(f"unknown colouring mode {mode!r}")
     _check_table_points(d.v, "a colouring search")
+    _require_mode(mode, g)
     if g is not None:
         _require_points(d.v, g, "grouping")
-    if mode in GROUP_MODES and g is None:
-        raise UnsupportedParameterError(f"mode {mode!r} requires a grouping")
-    if mode == "weak":
-        return d.v, _weak_lists(d.v, d.blocks), []
+        if mode == "group-monochromatic":
+            gi = g.group_index
+            return g.u, _weak_lists(g.u, ({gi[p] for p in blk} for blk in d.blocks)), [], gi
+        if mode == "group-equitable":
+            return d.v, _weak_lists(d.v, d.blocks), list(g.groups), None
     if mode == "block-equitable":
         # blocks are sorted tuples, so equal blocks are equal tuples
-        return d.v, _weak_lists(d.v, ()), list(dict.fromkeys(d.blocks))
-    if g is None:
-        raise InternalConsistencyError(f"mode {mode!r} reached without a grouping")
-    if mode == "group-monochromatic":
-        gi = g.group_index
-        return g.u, _weak_lists(g.u, ({gi[p] for p in blk} for blk in d.blocks)), []
-    return d.v, _weak_lists(d.v, d.blocks), list(g.groups)
+        return d.v, _weak_lists(d.v, ()), list(dict.fromkeys(d.blocks)), None
+    return d.v, _weak_lists(d.v, d.blocks), [], None
 
 
 def decide_colourable(
@@ -411,7 +399,8 @@ def decide_colourable(
     """
     if c < 1:
         raise DesignError("colour count must be at least 1")
-    engine = _Engine(*_build_problem(d, g, mode), c, budget or SearchBudget())
+    n, var_weak, counted, var_of = _build_problem(d, g, mode)
+    engine = _Engine(n, var_weak, counted, c, budget or SearchBudget())
     try:
         solution = engine.search(most_constrained=True)
     except _Exhausted:
@@ -428,12 +417,7 @@ def decide_colourable(
             )
         if solution is None:
             raise InternalConsistencyError("the witness pass found no colouring, the search pass did")
-    if mode == "group-monochromatic":
-        if g is None:
-            raise InternalConsistencyError("group witness without a grouping")
-        witness = Colouring(c, tuple(solution[gi] for gi in g.group_index))
-    else:
-        witness = Colouring(c, tuple(solution))
+    witness = Colouring(c, tuple(solution if var_of is None else map(solution.__getitem__, var_of)))
     _require(check_colouring(d, g, witness, mode), InternalConsistencyError, "solver produced an invalid witness")
     return SolveResult(
         COLOURABLE, c, mode, witness, search_nodes, engine.nodes - search_nodes
@@ -548,15 +532,9 @@ def chromatic_lower_bound(d: Design) -> int:
         return 1
     if _distinct_pairs(d) is None:
         return 2
-    return _turan_bound(d.v, sum(len(blk) - 1 for blk in d.blocks))
-
-
-def _turan_bound(v: int, need: int) -> int:
-    """The least c >= 2 whose c-colourings of v points can hold `need`
-    pairs of distinct colours: `chromatic_lower_bound` of a design with
-    blocks and no repeated pair, need = sum(|B| - 1)."""
+    need = sum(len(blk) - 1 for blk in d.blocks)
     c = 2
-    while pair_stats_equitable(v, c).nm < need:
+    while pair_stats_equitable(d.v, c).nm < need:
         c += 1
     return c
 

@@ -72,9 +72,9 @@ def blow_up(d: Design, g: Grouping, w: int) -> BlowUp:
         raise UnsupportedParameterError("expansion factor must be positive")
     _check_block_count(d.b * w * w, f"the blow-up by {w}")
     _check_table_points(d.v * w, f"the blow-up by {w}")
-    rows = td_symbol_rows(d.k, w) if d.blocks else []
     if not d.uniform:
         raise UnsupportedParameterError("blow-up needs a uniform block size")
+    rows = td_symbol_rows(d.k, w) if d.blocks else []
     design, grouping = _expand(d, g, w, rows)
     # a source that is no GDD, such as a packing, yields none either
     if not _is_gdd(design, grouping) and _is_gdd(d, g):
@@ -257,7 +257,9 @@ def group_equitable_blowup(
     The TD colouring must be group-equitable with the same colour holding
     exactly floor(g/2) points of every group; each point of the GDD blows
     up into g copies coloured floor(g/2) and ceil(g/2), and the TD copy
-    placed on each block is aligned with those copy colours.
+    placed on each block is aligned with those copy colours.  An output
+    of more than 2**22 blocks or 2**20 points is refused with
+    UnsupportedParameterError before it is built.
     """
     _require_points(d.v, g, "grouping")
     k = d.k
@@ -274,6 +276,8 @@ def group_equitable_blowup(
     half = gsize // 2
     if half == 0:
         raise UnsupportedParameterError("group size 1 admits no balanced split")
+    _check_block_count(d.b * td_design.b, f"the group-equitable blow-up by {gsize}")
+    _check_table_points(d.v * gsize, f"the group-equitable blow-up by {gsize}")
     # The colour with exactly floor(g/2) points in every TD group.
     low_colour = None
     for colr in (0, 1):

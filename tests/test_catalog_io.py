@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from operator import lt
 from pathlib import Path
 from typing import Optional
@@ -29,6 +30,7 @@ from designcolour import (
     validate_bibd,
 )
 import designcolour
+import designcolour.catalog as catalog
 import designcolour.fileio as fileio
 from designcolour.catalog import UnknownEntryError
 from designcolour.fileio import (
@@ -66,6 +68,14 @@ class TestCatalog:
             entry.design, entry.grouping, entry.colouring, "group-equitable"
         )
         assert report.passed
+
+    def test_an_invalid_stored_colouring_names_its_violations(self, monkeypatch):
+        entry = catalog_get("td44")
+        zeros = Colouring(2, (0,) * entry.design.v)
+        monkeypatch.setitem(catalog._BUILDERS, "td44", lambda: replace(entry, colouring=zeros))
+        monkeypatch.setattr(catalog, "_VALIDATED", {})
+        with pytest.raises(DesignError, match="has an invalid colouring: .*Violation"):
+            catalog_get("td44")
 
     def test_provenance_text_present(self):
         for name in catalog_names():

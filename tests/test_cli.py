@@ -269,6 +269,13 @@ class TestConstructVerify:
         code, report = run(["verify", str(path), "--as", "gdd"])
         assert code == EXIT_OK and "verdict: pass" in report
 
+    def test_blowup_of_a_mixed_size_design_is_refused_before_its_td(self, tmp_path, capsys):
+        # no TD(4, 6) exists, but the block sizes are refused first
+        path = tmp_path / "mixed.design"
+        path.write_text("design v=8 k=4 lambda=1\nblock: 0 1 2 3\nblock: 4 5 6 7\nblock: 0 4 5 6 7\n")
+        assert run(["construct", "blowup", str(path), "6"]) == (EXIT_UNSUPPORTED, "")
+        assert capsys.readouterr().err == "unsupported: blow-up needs a uniform block size\n"
+
     # sha256 of the stdout of one invocation per family whose bytes
     # `tests/test_packings.py` does not pin; pack-max 8 is its
     # `unachievable:` line
@@ -475,6 +482,21 @@ class TestExitCodes:
         proc = run_capped(["construct", "blowup", str(path), "100000000"])
         assert (proc.returncode, proc.stdout) == (EXIT_UNSUPPORTED, ""), proc.stderr
         assert proc.stderr.startswith("unsupported: ") and "-point limit" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "header,copies,limit",
+        [("design v=200000 k=9 lambda=1", 1, "-point limit"), ("design v=9 k=9 lambda=1", 65601, "-block limit")],
+    )
+    def test_a_huge_group_equitable_blow_up_is_refused(self, tmp_path, header, copies, limit):
+        # by a TD(9, 8) of 64 blocks: 1.6 million points from one block,
+        # or 4,198,464 blocks from 65,601 copies of it
+        (tmp_path / "source.design").write_text(header + "\n" + "block: 0 1 2 3 4 5 6 7 8\n" * copies)
+        code, td_text = run(["construct", "td-colour", "9", "8"])
+        assert code == EXIT_OK
+        (tmp_path / "td.design").write_text(td_text)
+        proc = run_capped(["construct", "geq-blowup", "source.design", "td.design"], cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (EXIT_UNSUPPORTED, ""), proc.stderr
+        assert proc.stderr.startswith("unsupported: the group-equitable blow-up by 8 ") and limit in proc.stderr
 
     @pytest.mark.parametrize(
         "argv",

@@ -59,6 +59,14 @@ class TestDesign:
         with pytest.raises(DesignError):
             Design(3, ((0, 1, 3),))
 
+    def test_an_unorderable_block_fails_after_an_earlier_block(self):
+        # sorting (1, "a") raises TypeError, but the earlier block's error
+        # is reported first; without one, the TypeError stands
+        with pytest.raises(DesignError, match=r"^block \(0, 0\) has a repeated point$"):
+            Design(3, ((0, 0), (1, "a")))
+        with pytest.raises(TypeError):
+            Design(3, ((0, 1), (1, "a")))
+
     def test_mixed_sizes_reported(self):
         d = Design(6, ((0, 1, 2), (0, 3, 4, 5)))
         assert not d.uniform
@@ -369,6 +377,14 @@ FAILED_CHECKS = {
     "catalog-packing": (
         _fail(catalog, "validate_packing", _catalog_entry("pack7"), packing=True),
         DesignError, f"catalog entry pack7 fails packing validation: {LISTED}",
+    ),
+    "catalog-gdd-colouring": (
+        _fail(catalog, "check_group_colouring", _catalog_entry("td44")),
+        DesignError, f"catalog entry td44 has an invalid colouring: {LISTED}",
+    ),
+    "catalog-packing-colouring": (
+        _fail(catalog, "check_block_equitable", _catalog_entry("pack7")),
+        DesignError, f"catalog entry pack7 has an invalid colouring: {LISTED}",
     ),
     "catalog-bibd": (
         _fail(catalog, "validate_bibd", _catalog_entry("sts7")),

@@ -295,6 +295,27 @@ def test_only_core_raises_for_a_failed_check():
     assert found == {"core.py:_require", "core.py:_require_points"}
 
 
+def test_only_one_function_checks_a_colouring_mode():
+    # `colouring._require_mode` alone refuses an unknown mode and a group
+    # mode without a grouping, for the checkers and the search alike.
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split(':')[0]}:{child.name}")
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str) and (
+                "unknown colouring mode" in child.value or "requires a grouping" in child.value
+            ):
+                found.add(where)
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found == {"colouring.py:_require_mode"}
+
+
 # The functions that call themselves, each with the bound on its depth.
 BOUNDED_RECURSION = {
     "colouring.py:brute_min_monochrome.rec": "one level per point, at most 24 by the enumeration guard",

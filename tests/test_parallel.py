@@ -95,7 +95,7 @@ def source_design(name, seed=None):
 def class_lo(d):
     """The lower bound `analyze_parallel_classes` shares among the class
     GDDs of d, or None; its search of d for hi stops at the first node."""
-    return parallel._class_bounds(d, SearchBudget(node_limit=1))[0]
+    return parallel._class_bounds(d, enumerate_parallel_classes(d, 1)[0][0], SearchBudget(node_limit=1))[0]
 
 
 def reference_parallel_classes(d, limit=None):
@@ -560,7 +560,7 @@ class TestDesignColouring:
         assert {r.chi for r in analysis.records} == {3}
         # no class searches a weak colour count
         assert "weak" not in class_modes
-        assert parallel._class_bounds(d, SearchBudget(node_limit=len(classes))) == (3, 3)
+        assert parallel._class_bounds(d, classes[0], SearchBudget(node_limit=len(classes))) == (3, 3)
 
     def test_not_found_for_the_4_chromatic_sts21(self, monkeypatch):
         # refuting c=3 on the stored STS(21) takes 7,354 nodes; the search
@@ -571,7 +571,7 @@ class TestDesignColouring:
         (stopped,) = results
         assert stopped.status == solver.BUDGET_EXCEEDED
         assert stopped.nodes == len(analysis.records) == 130
-        assert parallel._class_bounds(d, SearchBudget(node_limit=130)) == (3, None)
+        assert parallel._class_bounds(d, enumerate_parallel_classes(d, 1)[0][0], SearchBudget(node_limit=130)) == (3, None)
         assert analysis.histogram_dict() == {(3, 3): 22, (3, 4): 108}
 
     def test_the_caller_node_limit_caps_the_search(self, monkeypatch):
@@ -599,7 +599,7 @@ class TestDesignColouring:
         d = source_design(name, seed)
         classes, _ = enumerate_parallel_classes(d, 40 if name == "sts27-bose" else None)
         expected = oracle_records(d, classes)
-        lo, hi = parallel._class_bounds(d, SearchBudget(node_limit=len(classes)))
+        lo, hi = parallel._class_bounds(d, classes[0], SearchBudget(node_limit=len(classes)))
         for known in (None, hi):
             records = tuple(
                 parallel._analyze_one(d, lo, known, SearchBudget(), idx, pc) for idx, pc in enumerate(classes)

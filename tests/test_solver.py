@@ -16,6 +16,7 @@ from designcolour import (
     DesignError,
     Grouping,
     SearchBudget,
+    UnsupportedParameterError,
     catalog_get,
     check_block_equitable,
     check_colouring,
@@ -83,6 +84,23 @@ class TestDecide:
         d = catalog_get("sts7").design
         with pytest.raises(DesignError):
             decide_colourable(d, None, 2, "group-monochromatic")
+
+    @pytest.mark.parametrize("mode", ["group-monochromatic", "group-equitable"])
+    def test_a_missing_grouping_is_one_error_for_check_and_search(self, mode):
+        # both go through one mode check, so they raise the same type
+        entry = catalog_get("td44")
+        message = f"^mode '{mode}' requires a grouping$"
+        with pytest.raises(UnsupportedParameterError, match=message):
+            check_colouring(entry.design, None, entry.colouring, mode)
+        with pytest.raises(UnsupportedParameterError, match=message):
+            decide_colourable(entry.design, None, 2, mode)
+
+    def test_the_point_cap_comes_before_the_mode(self):
+        # the search refuses a table per point first, whatever the mode
+        with pytest.raises(UnsupportedParameterError, match="-point limit$"):
+            decide_colourable(Design((1 << 20) + 1, ()), None, 2, "sideways")
+        with pytest.raises(DesignError, match="^unknown colouring mode 'sideways'$"):
+            decide_colourable(Design(1 << 20, ()), None, 2, "sideways")
 
     def test_budget_exceeded_status(self):
         d = catalog_get("sts21").design
