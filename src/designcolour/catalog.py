@@ -8,7 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .colouring import Colouring, check_block_equitable, check_group_colouring
+import designcolour
+
 from .core import (
     Design,
     DesignError,
@@ -18,7 +19,6 @@ from .core import (
     validate_gdd,
     validate_packing,
 )
-from .td import _td_from_rows
 
 
 class UnknownEntryError(DesignError):
@@ -30,7 +30,7 @@ class CatalogEntry:
     name: str
     design: Design
     grouping: Optional[Grouping] = None
-    colouring: Optional[Colouring] = None
+    colouring: Optional[designcolour.Colouring] = None
     provenance: str = ""
 
 
@@ -83,13 +83,13 @@ def _sts21() -> CatalogEntry:
 
 
 def _td44() -> CatalogEntry:
-    design, grouping = _td_from_rows(4, 4, _TD44_BLOCKS_SYMBOLIC)
+    design, grouping = designcolour.td._td_from_rows(4, 4, _TD44_BLOCKS_SYMBOLIC)
     assignment = tuple(0 if p in _TD44_COLOUR0 else 1 for p in range(16))
     return CatalogEntry(
         "td44",
         design,
         grouping,
-        Colouring(2, assignment),
+        designcolour.Colouring(2, assignment),
         provenance="stored transversal design of order 4 with a balanced 2-colouring",
     )
 
@@ -145,7 +145,7 @@ def _bibd13_4() -> CatalogEntry:
 def _pack7() -> CatalogEntry:
     # Colour classes {0,1,2} and {3,4,5,6}.
     design = Design(7, ((0, 1, 3, 4), (0, 2, 5, 6)))
-    colouring = Colouring(2, (0, 0, 0, 1, 1, 1, 1))
+    colouring = designcolour.Colouring(2, (0, 0, 0, 1, 1, 1, 1))
     return CatalogEntry(
         "pack7", design, colouring=colouring,
         provenance="stored maximum 2-colourable packing on 7 points, block size 4",
@@ -165,7 +165,7 @@ def _pack11() -> CatalogEntry:
             (1, 4, 5, 9),
         ),
     )
-    colouring = Colouring(2, (0,) * 5 + (1,) * 6)
+    colouring = designcolour.Colouring(2, (0,) * 5 + (1,) * 6)
     return CatalogEntry(
         "pack11", design, colouring=colouring,
         provenance="stored maximum 2-colourable packing on 11 points, block size 4",
@@ -184,7 +184,7 @@ def _pack24_blocks() -> tuple[tuple[int, ...], ...]:
 
 def _pack24() -> CatalogEntry:
     design = Design(24, _pack24_blocks())
-    colouring = Colouring(2, (0,) * 12 + (1,) * 12)
+    colouring = designcolour.Colouring(2, (0,) * 12 + (1,) * 12)
     return CatalogEntry(
         "pack24", design, colouring=colouring,
         provenance="stored maximum 2-colourable packing on 24 points from three cyclic orbits mod 12",
@@ -193,7 +193,7 @@ def _pack24() -> CatalogEntry:
 
 def _pack25() -> CatalogEntry:
     design = Design(25, _pack24_blocks())
-    colouring = Colouring(2, (0,) * 12 + (1,) * 12 + (0,))
+    colouring = designcolour.Colouring(2, (0,) * 12 + (1,) * 12 + (0,))
     return CatalogEntry(
         "pack25", design, colouring=colouring,
         provenance="the 24-point packing with one isolated point added to a colour class",
@@ -226,14 +226,14 @@ def _validate_entry(entry: CatalogEntry) -> None:
         report = validate_gdd(entry.design, entry.grouping)
         _require(report, DesignError, f"catalog entry {name} fails GDD validation")
         if entry.colouring is not None:
-            colrep = check_group_colouring(
+            colrep = designcolour.check_group_colouring(
                 entry.design, entry.grouping, entry.colouring, "group-equitable"
             )
             _require(colrep, DesignError, f"catalog entry {name} has an invalid colouring")
     elif name.startswith("pack"):
         _require(validate_packing(entry.design)[0], DesignError, f"catalog entry {name} fails packing validation")
         if entry.colouring is not None:
-            colrep = check_block_equitable(entry.design, entry.colouring)
+            colrep = designcolour.check_block_equitable(entry.design, entry.colouring)
             _require(colrep, DesignError, f"catalog entry {name} has an invalid colouring")
     else:
         _require(validate_bibd(entry.design), DesignError, f"catalog entry {name} fails BIBD validation")

@@ -20,7 +20,6 @@ from typing import Optional
 import designcolour
 
 from .catalog import UnknownEntryError, catalog_get, catalog_names
-from .colouring import GROUP_MODES, Colouring, check_colouring
 from .core import (
     Design,
     DesignError,
@@ -37,12 +36,12 @@ from .fileio import (
     render_colouring,
     render_design,
 )
-from .td import build_td
 
-# Every command uses the modules imported above.  The solver, packings,
-# parallel and transforms modules load on a command's first use of a
-# `designcolour.<name>`, through the package's lazy names, so `catalog`
-# and `verify` start without them.
+# Every command uses the modules imported above.  The colouring, td,
+# solver, packings, parallel and transforms modules load on a command's
+# first use of a `designcolour.<name>`, through the package's lazy names,
+# so `catalog get sts21` and `verify` of a file without colour lines
+# start without them.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,7 +76,7 @@ def _read(path: str) -> str:
 _PATH_CHARS = frozenset(filter(None, (".", os.sep, os.altsep)))
 
 
-def _load(path: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
+def _load(path: str) -> tuple[Design, Optional[Grouping], Optional[designcolour.Colouring]]:
     """A positional design argument is a file path or a catalog name.
 
     An existing file, or an argument with a path separator or a dot, is
@@ -118,7 +117,7 @@ def _cmd_verify(args, out) -> int:
         raise _UsageError("--mode needs a colouring, from --colouring or the design file")
     if colouring is not None and colouring.v != design.v:
         raise _UsageError(f"the colouring has {colouring.v} points, the design {design.v}")
-    if mode_name is not None and MODE_NAMES[mode_name] in GROUP_MODES and grouping is None:
+    if mode_name is not None and MODE_NAMES[mode_name] in designcolour.colouring.GROUP_MODES and grouping is None:
         raise _UsageError("group colouring modes need a grouping")
     if kind == "bibd":
         report = validate_bibd(design)
@@ -131,7 +130,7 @@ def _cmd_verify(args, out) -> int:
     _print_report(report, out)
     code = EXIT_OK if report.passed else EXIT_VALIDATION
     if mode_name is not None:
-        colrep = check_colouring(design, grouping, colouring, MODE_NAMES[mode_name])
+        colrep = designcolour.check_colouring(design, grouping, colouring, MODE_NAMES[mode_name])
         print(f"colouring-{mode_name}: {colrep.verdict}", file=out)
         for violation in colrep.violations:
             print(f"colouring-violation: {violation}", file=out)
@@ -237,7 +236,11 @@ def _pc_to_gdd(args, path: str) -> tuple:
 
 
 def _td_colour(args, k: int, g: int) -> tuple:
-    design, grouping = build_td(k, g)
+    # (k, g) alone is checked before a block is built: first as a TD's
+    # parameters, then against the colouring's parameter regime
+    designcolour.td._check_td_parameters(k, g)
+    designcolour.transforms._check_colourable_td(k, g)
+    design, grouping = designcolour.build_td(k, g)
     return design, grouping, designcolour.td_group_equitable_colouring(design, grouping)
 
 
@@ -254,7 +257,7 @@ def _geq_blowup(args, path: str, td_path: str) -> tuple:
 # colouring it prints.  Builders look library names up when they run, so a
 # rebound name is the one called and importing this module loads no more.
 _FAMILIES = {
-    "td": (("int", "int"), lambda args, k, g: (*build_td(k, g), None)),
+    "td": (("int", "int"), lambda args, k, g: (*designcolour.build_td(k, g), None)),
     "pack-max": (("int",), _pack_max),
     "pack-4n2": (("int",), lambda args, n: _packed(designcolour.pack_4n2_odd(n))),
     "pack-pairs": (("int",), lambda args, s: _packed(designcolour.pack_from_pairs(designcolour.pairs_for_s(s)))),

@@ -19,7 +19,8 @@ from itertools import repeat
 from operator import lt
 from typing import Optional
 
-from .colouring import Colouring
+import designcolour
+
 from .core import Design, DesignError, Grouping
 
 
@@ -87,7 +88,7 @@ def _bulk_blocks(lines: list[str], i: int, point, blocks: list[tuple[int, ...]])
     return n
 
 
-def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colouring]]:
+def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[designcolour.Colouring]]:
     """Parse a design file; raises ParseError with a line number on bad input."""
     header = None
     blocks: list[tuple[int, ...]] = []
@@ -173,12 +174,12 @@ def parse_design(text: str) -> tuple[Design, Optional[Grouping], Optional[Colour
     return design, grouping, colouring
 
 
-def _colouring_from_lines(v: int, c: int, lines: list[tuple[int, int]]) -> Colouring:
+def _colouring_from_lines(v: int, c: int, lines: list[tuple[int, int]]) -> designcolour.Colouring:
     # point by point, so a huge v in the header allocates nothing
     if len(lines) != v or any(p != i for i, (p, _) in enumerate(lines)):
         raise ParseError(1, "colour lines must list every point once, ascending")
     try:
-        return Colouring(c, tuple(col for _, col in lines))
+        return designcolour.Colouring(c, tuple(col for _, col in lines))
     except DesignError as exc:
         raise ParseError(1, str(exc)) from None
 
@@ -186,7 +187,7 @@ def _colouring_from_lines(v: int, c: int, lines: list[tuple[int, int]]) -> Colou
 def render_design(
     design: Design,
     grouping: Optional[Grouping] = None,
-    colouring: Optional[Colouring] = None,
+    colouring: Optional[designcolour.Colouring] = None,
 ) -> str:
     """Canonical text for a design; the exact inverse of parse_design."""
     name = list(map(str, range(design.v))).__getitem__
@@ -201,7 +202,7 @@ def render_design(
     return "\n".join(out) + "\n"
 
 
-def parse_colouring(text: str) -> Colouring:
+def parse_colouring(text: str) -> designcolour.Colouring:
     """Parse a standalone colouring file: header then `<point> <colour>` lines."""
     c = None
     lines: list[tuple[int, int]] = []
@@ -226,7 +227,7 @@ def parse_colouring(text: str) -> Colouring:
     return _colouring_from_lines(len(lines), c, lines)
 
 
-def render_colouring(colouring: Colouring) -> str:
+def render_colouring(colouring: designcolour.Colouring) -> str:
     out = [f"colouring c={colouring.c}"]
     for p, col in enumerate(colouring.assignment):
         out.append(f"{p} {col}")

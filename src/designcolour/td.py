@@ -183,6 +183,16 @@ def _td_wilson(k: int, t: int, m: int, u: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _check_td_parameters(k: int, g: int) -> None:
+    """Raise UnsupportedOrderError for k < 2 or g < 1, and
+    UnsupportedParameterError when the g^2 blocks exceed the block limit."""
+    if k < 2:
+        raise UnsupportedOrderError("transversal designs need k >= 2")
+    if g < 1:
+        raise UnsupportedOrderError("group size must be positive")
+    _check_block_count(g * g, f"TD({k},{g})")
+
+
 def td_symbol_rows(k: int, g: int) -> list[tuple[int, ...]]:
     """TD(k, g) as rows of per-group symbols, one symbol per group.
 
@@ -197,11 +207,7 @@ def td_symbol_rows(k: int, g: int) -> list[tuple[int, ...]]:
     the product keeps it at 0; a Wilson step starts with its TD(k, u).
     `transforms.blow_up` relies on this to embed its source design.
     """
-    if k < 2:
-        raise UnsupportedOrderError("transversal designs need k >= 2")
-    if g < 1:
-        raise UnsupportedOrderError("group size must be positive")
-    _check_block_count(g * g, f"TD({k},{g})")
+    _check_td_parameters(k, g)
     if _product_admits(k, g):
         return _td_by_product(k, g)
     for t in range(k, g):

@@ -199,6 +199,15 @@ def equitable_gdd_colouring(d: Design, g: Grouping, c: int):
     return NONEXISTENT
 
 
+def _check_colourable_td(groups: int, size: int) -> None:
+    """Raise UnsupportedParameterError unless a TD with `groups` groups of
+    `size` points is in the regime `td_group_equitable_colouring` colours."""
+    if size < 4 or (groups - 2) <= -(-size // 2):
+        raise UnsupportedParameterError(
+            f"needs group size >= 4 and k + 2 groups with k > ceil(g/2); got g={size}, k={groups - 2}"
+        )
+
+
 def td_group_equitable_colouring(d: Design, g: Grouping) -> Colouring:
     """A group-equitable 2-colouring of a TD(k+2, g) with g >= 4, k > ceil(g/2).
 
@@ -214,10 +223,7 @@ def td_group_equitable_colouring(d: Design, g: Grouping) -> Colouring:
         raise UnsupportedParameterError("input must be a transversal design")
     gsize = size
     big_k = g.u
-    if gsize < 4 or (big_k - 2) <= -(-gsize // 2):
-        raise UnsupportedParameterError(
-            f"needs group size >= 4 and k + 2 groups with k > ceil(g/2); got g={gsize}, k={big_k - 2}"
-        )
+    _check_colourable_td(big_k, gsize)
     # Relabel symbols in groups 1.. so that the s-th block through the
     # anchor meets every later group in its s-th symbol.
     anchor = g.groups[0][0]

@@ -515,6 +515,17 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (EXIT_UNSUPPORTED, ""), proc.stderr
         assert proc.stderr.startswith("unsupported: ") and "-block limit" in proc.stderr
 
+    @pytest.mark.parametrize("k,g", [(3, 1000), (4, 2000), (4, 6)])
+    def test_a_td_colour_outside_the_regime_is_refused_before_its_td_is_built(self, k, g):
+        # the colouring's condition on (k, g) is read before the TD is
+        # built: TD(4, 2000) has 4,000,000 blocks, more than the 1 GiB cap
+        # lets it build, and no construction reaches TD(4, 6)
+        proc = run_capped(["construct", "td-colour", str(k), str(g)])
+        assert (proc.returncode, proc.stdout) == (EXIT_UNSUPPORTED, ""), proc.stderr
+        assert proc.stderr == (
+            f"unsupported: needs group size >= 4 and k + 2 groups with k > ceil(g/2); got g={g}, k={k - 2}\n"
+        )
+
     @pytest.mark.parametrize(
         "mode,violation",
         [

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import designcolour
 from designcolour import (
     Design,
     DesignError,
@@ -379,11 +380,11 @@ FAILED_CHECKS = {
         DesignError, f"catalog entry pack7 fails packing validation: {LISTED}",
     ),
     "catalog-gdd-colouring": (
-        _fail(catalog, "check_group_colouring", _catalog_entry("td44")),
+        _fail(designcolour, "check_group_colouring", _catalog_entry("td44")),
         DesignError, f"catalog entry td44 has an invalid colouring: {LISTED}",
     ),
     "catalog-packing-colouring": (
-        _fail(catalog, "check_block_equitable", _catalog_entry("pack7")),
+        _fail(designcolour, "check_block_equitable", _catalog_entry("pack7")),
         DesignError, f"catalog entry pack7 has an invalid colouring: {LISTED}",
     ),
     "catalog-bibd": (

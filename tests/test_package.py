@@ -126,24 +126,40 @@ def test_analysis_without_a_pool_does_not_load_concurrent_futures():
 
 
 # The package modules every command loads.
-COMMAND_BASE = {"cli", "core", "colouring", "fileio", "catalog", "td"}
+COMMAND_BASE = {"cli", "core", "fileio", "catalog"}
 
 
 def test_each_command_loads_only_the_modules_it_uses(tmp_path):
     # each command in a fresh interpreter, one process at a time
-    path = tmp_path / "sts21.design"
-    out = io.StringIO()
-    assert cli_main(["catalog", "get", "sts21"], out=out) == 0
-    path.write_text(out.getvalue(), encoding="utf-8")
+    paths = {}
+    for name, argv in (
+        ("sts21.design", ["catalog", "get", "sts21"]),
+        ("sts7.design", ["catalog", "get", "sts7"]),
+        ("td44.design", ["catalog", "get", "td44"]),
+        ("sts7.col", ["chromatic", "sts7"]),
+    ):
+        out = io.StringIO()
+        assert cli_main(argv, out=out) == 0
+        text = out.getvalue()
+        if name.endswith(".col"):
+            # the witness, in the standalone colouring format
+            text = text[text.index("colouring c="):]
+        paths[name] = str(tmp_path / name)
+        Path(paths[name]).write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     cases = (
         (None, set()),
         (["catalog", "get", "sts21"], COMMAND_BASE),
-        (["verify", str(path)], COMMAND_BASE),
-        (["chromatic", "sts7"], COMMAND_BASE | {"solver"}),
-        (["pclasses", "sts9", "--analyze"], COMMAND_BASE | {"parallel", "solver", "transforms"}),
-        (["construct", "pack-max", "12"], COMMAND_BASE | {"packings"}),
-        (["bound", "12", "4", "2"], COMMAND_BASE | {"packings"}),
+        (["verify", paths["sts21.design"]], COMMAND_BASE),
+        (["verify", paths["sts7.design"], "--colouring", paths["sts7.col"]], COMMAND_BASE | {"colouring"}),
+        # a design file with colour lines
+        (["verify", paths["td44.design"]], COMMAND_BASE | {"colouring"}),
+        (["catalog", "get", "td44"], COMMAND_BASE | {"colouring", "td"}),
+        (["construct", "td", "4", "5"], COMMAND_BASE | {"td"}),
+        (["chromatic", paths["sts7.design"]], COMMAND_BASE | {"colouring", "solver"}),
+        (["pclasses", "sts9", "--analyze"], COMMAND_BASE | {"colouring", "parallel", "solver", "td", "transforms"}),
+        (["construct", "pack-max", "12"], COMMAND_BASE | {"colouring", "packings", "td"}),
+        (["bound", "12", "4", "2"], COMMAND_BASE | {"colouring", "packings", "td"}),
     )
     for argv, expected in cases:
         if argv is None:
@@ -159,6 +175,9 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path):
         rc, *modules = proc.stdout.split()
         loaded = {m.split(".", 1)[1] for m in modules if m.startswith("designcolour.")}
         assert (rc, loaded) == ("0", expected), argv
+        if expected == COMMAND_BASE:
+            # `fractions`, and the `decimal` it imports, come with `colouring`
+            assert not {"fractions", "decimal"} & set(modules), argv
 
 
 # The names the package root exports.

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import designcolour
 from designcolour import (
     ColouredPacking,
     DesignError,
@@ -339,7 +340,7 @@ class TestDispatcher:
             return wrapped
 
         for module, name in ((packings, "validate_packing"), (packings, "check_block_equitable"),
-                             (catalog, "validate_packing"), (catalog, "check_block_equitable"),
+                             (catalog, "validate_packing"), (designcolour, "check_block_equitable"),
                              (td, "validate_gdd"), (core, "validate_gdd")):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         assert max_equitable_packing(v).size == bound_max_equitable(v, 4, 2).value
